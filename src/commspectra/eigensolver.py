@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .matrices import as_matrix
+from .matrices import as_matrix, as_stack
 
 HERMITICITY_RTOL = 1e-10
 # components below this fraction of the column norm do not anchor the phase
@@ -40,27 +40,47 @@ class SingularValues:
     values: np.ndarray
 
 
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, without complex temporaries."""
+    re, im = M.real, M.imag
+    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
+
+
 def _require_hermitian(M: np.ndarray) -> np.ndarray:
-    scale = np.linalg.norm(M)
-    dev = np.linalg.norm(M - M.conj().T)
-    if dev > HERMITICITY_RTOL * max(scale, 1e-300):
+    """Check each matrix of a stack (..., N, N) for Hermiticity; symmetrize."""
+    Mh = np.swapaxes(M, -1, -2).conj()
+    scale = _frobenius(M)
+    dev = _frobenius(M - Mh)
+    bad = np.flatnonzero(dev > HERMITICITY_RTOL * np.maximum(scale, 1e-300))
+    if bad.size:
+        i = np.unravel_index(bad[0], dev.shape)
         raise PreconditionError(
-            f"matrix is not Hermitian: ||M - M*|| = {dev:.3e} vs ||M|| = {scale:.3e}"
+            f"matrix is not Hermitian: ||M - M*|| = {dev[i]:.3e} vs ||M|| = {scale[i]:.3e}"
         )
-    # symmetrize so LAPACK sees an exactly Hermitian input
-    return (M + M.conj().T) / 2
+    # symmetrize so LAPACK sees an exactly Hermitian input: (M + M*) / 2,
+    # built in place in the buffer of M*
+    Mh += M
+    Mh /= 2
+    return Mh
 
 
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    out = V.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        anchor = np.argmax(mags >= PHASE_ANCHOR_RTOL * mags.max())
-        a = col[anchor]
-        if a != 0:
-            out[:, j] = col * (a.conjugate() / abs(a))
-    return out
+def _fix_phases(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each column so its anchor component is real and positive.
+
+    The anchor is the first component at least PHASE_ANCHOR_RTOL times the
+    column's largest magnitude. Returns the rotated columns and the unit
+    phases applied (1 for an all-zero column).
+    """
+    mags = np.abs(V)
+    anchor = np.argmax(mags >= PHASE_ANCHOR_RTOL * mags.max(axis=0), axis=0)
+    a = V[anchor, np.arange(V.shape[1])]
+    phases = np.ones_like(a)
+    nonzero = a != 0
+    a = a[nonzero]
+    # hypot is what scalar abs() computes; np.abs on an array may round
+    # differently, and the phases should not depend on the layout
+    phases[nonzero] = a.conj() / np.hypot(a.real, a.imag)
+    return V * phases, phases
 
 
 def eigh(M) -> EigenDecomposition:
@@ -75,26 +95,31 @@ def eigh(M) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     w = w[::-1].copy()
-    V = _fix_phases(V[:, ::-1])
+    V, _ = _fix_phases(V[:, ::-1])
     residual = float(np.linalg.norm(H @ V - V * w, axis=0).max()) if w.size else 0.0
     return EigenDecomposition(values=w, vectors=V, residual=residual)
 
 
 def eigvalsh(M) -> np.ndarray:
-    """Descending eigenvalues only (cheaper than :func:`eigh`)."""
-    H = _require_hermitian(as_matrix(M, "M"))
+    """Descending eigenvalues only (cheaper than :func:`eigh`).
+
+    ``M`` is one Hermitian matrix or a stack (..., N, N); every matrix of a
+    stack is checked on its own.
+    """
+    H = _require_hermitian(as_stack(M, "M"))
     try:
         w = np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
-    return w[::-1].copy()
+    return w[..., ::-1].copy()
 
 
 def svd(X) -> SingularValues:
-    """Singular values of a (not necessarily square) complex matrix."""
+    """Singular values of a (not necessarily square) complex matrix or of
+    each matrix in a stack (..., M, N)."""
     A = np.asarray(X, dtype=np.complex128)
-    if A.ndim != 2:
-        raise PreconditionError(f"expected a 2-D array, got ndim={A.ndim}")
+    if A.ndim < 2:
+        raise PreconditionError(f"expected a 2-D array or a stack, got ndim={A.ndim}")
     if not np.isfinite(A).all():
         raise PreconditionError("matrix contains non-finite entries")
     try:
@@ -115,16 +140,5 @@ def svd_full(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         U, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"svd did not converge: {exc}") from exc
-    U = U.copy()
-    Vh = Vh.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        mags = np.abs(col)
-        anchor = np.argmax(mags >= PHASE_ANCHOR_RTOL * mags.max())
-        a = col[anchor]
-        if a != 0:
-            ph = a.conjugate() / abs(a)
-            U[:, j] = col * ph
-            if j < Vh.shape[0]:
-                Vh[j, :] = Vh[j, :] * ph.conjugate()
-    return U, s, Vh
+    U, phases = _fix_phases(U)
+    return U, s, Vh * phases.conj()[:, None]

@@ -15,6 +15,10 @@ G_X + C_X where
 and the cross part is H + H* for the half H = -X^T kron X*. The analogous
 lift of Y -> XY + YX is A_X = I kron X + X^T kron I, which satisfies
 G_X - C_X = A_X* A_X >= 0.
+
+:func:`double_commutator_lift` assembles G_X + C_X entry by entry, O(n^4)
+work for n^4 entries, for one matrix or a whole stack; the O(n^6) product
+L_X* L_X stays only as a test oracle.
 """
 from __future__ import annotations
 
@@ -23,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, commutator, kron, same_order, vec
+from .matrices import (
+    DEFAULT_ORDER_CAP,
+    as_matrix,
+    as_stack,
+    check_order_cap,
+    commutator,
+    kron,
+    same_order,
+    vec,
+)
 
 
 @dataclass(frozen=True)
@@ -53,9 +66,28 @@ def anticommutator_lift(X) -> np.ndarray:
 
 
 def double_commutator_lift(X) -> np.ndarray:
-    """Hermitian PSD matrix of T_X, namely L_X* L_X."""
-    L = commutator_lift(X)
-    return L.conj().T @ L
+    """Hermitian PSD matrix of T_X, namely L_X* L_X = G_X + C_X.
+
+    ``X`` is one order-n matrix or a stack (..., n, n); the result is
+    (..., n^2, n^2). Row (i, k) and column (j, l), in vec order i n + k and
+    j n + l, hold
+
+        d_ij (X*X)_kl + (conj(X) X^T)_ij d_kl - (X^T)_ij (X*)_kl - conj(X)_ij X_kl.
+    """
+    X = as_stack(X)
+    n = X.shape[-1]
+    Xt = np.swapaxes(X, -1, -2)
+    Xc = X.conj()
+    Xs = Xt.conj()
+    # C order, so the final reshape is a view (a plain product of the
+    # transposed operands would not be C-contiguous)
+    T = np.empty(X.shape[:-2] + (n, n, n, n), dtype=np.complex128)
+    np.multiply(Xt[..., :, None, :, None], -Xs[..., None, :, None, :], out=T)
+    T -= Xc[..., :, None, :, None] * X[..., None, :, None, :]
+    d = np.arange(n)
+    T[..., d, :, d, :] += Xs @ X
+    T[..., :, d, :, d] += Xc @ X.swapaxes(-1, -2)
+    return T.reshape(X.shape[:-2] + (n * n, n * n))
 
 
 def build_lifted(X, max_order: int = DEFAULT_ORDER_CAP) -> LiftedOperators:

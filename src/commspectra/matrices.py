@@ -15,6 +15,20 @@ from .errors import DegenerateInputError, OrderMismatchError, PreconditionError
 DEFAULT_ORDER_CAP = 16
 
 
+def as_stack(X, name: str = "X") -> np.ndarray:
+    """Validate and return a complex128 stack (..., n, n) of square matrices.
+
+    :raises OrderMismatchError: if the last two axes are not square
+    :raises PreconditionError: if entries are not finite
+    """
+    M = np.asarray(X, dtype=np.complex128)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise OrderMismatchError(f"{name} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise PreconditionError(f"{name} contains non-finite entries")
+    return M
+
+
 def as_matrix(X, name: str = "X") -> np.ndarray:
     """Validate and return a square complex128 matrix.
 
@@ -24,11 +38,9 @@ def as_matrix(X, name: str = "X") -> np.ndarray:
     :raises PreconditionError: if entries are not finite
     """
     M = np.asarray(X, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2:
         raise OrderMismatchError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise PreconditionError(f"{name} contains non-finite entries")
-    return M
+    return as_stack(M, name)
 
 
 def same_order(X: np.ndarray, Y: np.ndarray) -> int:
@@ -94,10 +106,11 @@ def apply_double_commutator(X, Y) -> np.ndarray:
 def herm_skew_split(X) -> tuple[np.ndarray, np.ndarray]:
     """Split X = A + B into Hermitian A and skew-Hermitian B.
 
-    The split is orthogonal: ||X||^2 = ||A||^2 + ||B||^2.
+    The split is orthogonal: ||X||^2 = ||A||^2 + ||B||^2. X may also be a
+    stack (..., n, n), split matrix by matrix.
     """
-    X = as_matrix(X)
-    Xs = X.conj().T
+    X = as_stack(X)
+    Xs = np.swapaxes(X, -1, -2).conj()
     return (X + Xs) / 2, (X - Xs) / 2
 
 

@@ -22,20 +22,22 @@ import numpy as np
 
 from . import ensembles
 from .errors import InvariantViolationError, PreconditionError
-from .lifted import commutator_lift, double_commutator_lift
+from .lifted import double_commutator_lift
 from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, normalized, unvec
-from .spectra import (
-    LAMBDA13_BOUND,
-    bound_report,
-    double_commutator_spectrum,
-    monitor_majorization,
-    partial_sums,
-)
+from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, spectral_batch
 from .verdicts import make_bundle, matrix_payload
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
 VIOLATION_MARGIN = 1e-6
+# Complex entries of stacked lifts held at once (1 MiB): sweep trials and
+# ascent step (b) run in chunks of at most this many n^4-entry lifts (at
+# least one). Larger stacks fall out of cache and cost more per matrix.
+CHUNK_LIFT_ENTRIES = 2**16
+
+
+def _chunk_size(n: int) -> int:
+    return max(1, CHUNK_LIFT_ENTRIES // n**4)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,17 @@ def _objective_and_vectors(X: np.ndarray, k2: int):
     return float(dec.values[:k2].sum()), dec
 
 
+def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
+    """sum_j L_{Y_j}* L_{Y_j} for the columns Y_j (vec coordinates) of
+    ``vectors``: the summed lifts of the stack, chunk by chunk."""
+    Ys = vectors.T.reshape(-1, n, n).swapaxes(-1, -2)
+    step = _chunk_size(n)
+    M = double_commutator_lift(Ys[:step]).sum(axis=0)
+    for start in range(step, len(Ys), step):
+        M += double_commutator_lift(Ys[start : start + step]).sum(axis=0)
+    return M
+
+
 def _check_caps(values: np.ndarray, obj: float, proven: float) -> None:
     if values[0] > 2.0 + 1e-8:
         raise InvariantViolationError(
@@ -150,10 +163,7 @@ def _single_ascent(
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        M = np.zeros((n * n, n * n), dtype=np.complex128)
-        for j in range(k2):
-            L = commutator_lift(unvec(dec.vectors[:, j], n))
-            M += L.conj().T @ L
+        M = _family_form(dec.vectors[:, :k2], n)
         X = normalized(unvec(eigensolver.eigh(M).vectors[:, 0], n))
         new_obj, dec = _objective_and_vectors(X, k2)
         _check_caps(dec.values, new_obj, proven)
@@ -279,6 +289,11 @@ def sweep(
     breaches, which are not tied to a single k, go to the report's top-level
     ``majorization_violations``. ``k_rule`` is "all", an int, or a callable
     n -> iterable of k.
+
+    Each order's trials run through the batched spectral core in chunks of
+    at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
+    on where the chunks break, and a failed check raises what the lowest
+    failing trial raises.
     """
     rows = []
     majorization_violations: list[dict] = []
@@ -297,39 +312,55 @@ def sweep(
         for k in ks:
             if not 1 <= k <= N // 2:
                 raise PreconditionError(f"k = {k} out of range for order {n}")
-        max_f = {k: -np.inf for k in ks}
-        argmax = {k: None for k in ks}
+        cols = 2 * np.asarray(ks, dtype=np.intp) - 1
+        caps = 2.0 * np.asarray(ks, dtype=np.float64) + 2.0
+        max_f = np.full(len(ks), -np.inf)
+        argmax: list[np.ndarray | None] = [None] * len(ks)
         row_violations = {k: [] for k in ks}
-        for t in range(trials):
-            rng = ensembles.trial_rng(seed, n, t)
-            X = ensembles.unit_gaussian(rng, n, real=bool(t % 2))
-            spec = double_commutator_spectrum(X)
-            report = bound_report(X, spectrum=spec)
-            if not report.all_proven_hold:
+        step = _chunk_size(n)
+        for start in range(0, trials, step):
+            X = np.stack(
+                [
+                    ensembles.unit_gaussian(ensembles.trial_rng(seed, n, t), n, real=bool(t % 2))
+                    for t in range(start, min(start + step, trials))
+                ]
+            )
+            spec = spectral_batch(X)
+            ladder = ladder_batch(spec.matrices, spec.values)
+            # raise what the lowest failing trial would raise on its own
+            failed = [i for i, msg in enumerate(spec.failures) if msg or not ladder.hold[i]]
+            if failed:
+                i = failed[0]
                 raise InvariantViolationError(
-                    f"proven ladder failed on a sweep draw (order {n}, trial {t})"
+                    spec.failures[i]
+                    or f"proven ladder failed on a sweep draw (order {n}, trial {start + i})"
                 )
-            prefix = partial_sums(spec)
-            for k in ks:
-                f = float(prefix[2 * k - 1])
-                if f > max_f[k]:
-                    max_f[k] = f
-                    argmax[k] = X
-                if f > 2 * k + 2 + tol:
-                    row_violations[k].append(
-                        make_bundle("C2A", [X], f, float(2 * k + 2), 0.0, seed)
+            f = ladder.prefix[:, cols]
+            best = np.argmax(f, axis=0)  # first occurrence, as a strict > scan
+            top = f[best, np.arange(len(ks))]
+            for j in np.flatnonzero(top > max_f):
+                max_f[j] = top[j]
+                argmax[j] = X[best[j]]
+            c2a = f > caps + tol
+            c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
+            for i in np.flatnonzero(c2a.any(axis=1) | ~c4_ok):
+                for j, k in enumerate(ks):
+                    if c2a[i, j]:
+                        row_violations[k].append(
+                            make_bundle("C2A", [X[i]], f[i, j], caps[j], 0.0, seed)
+                        )
+                if not c4_ok[i]:
+                    majorization_violations.append(
+                        make_bundle("C4", [normalized(X[i])], c4_lhs[i], c4_rhs[i], 0.0, seed)
                     )
-            verdict = monitor_majorization(X, spectrum=spec, tol=tol, seed=seed)
-            if not verdict.satisfied:
-                majorization_violations.append(verdict.witness)
-        for k in ks:
+        for j, k in enumerate(ks):
             rows.append(
                 {
                     "n": n,
                     "k": k,
                     "trials": trials,
-                    "max_f": float(max_f[k]),
-                    "argmax_matrix": None if argmax[k] is None else matrix_payload(argmax[k]),
+                    "max_f": float(max_f[j]),
+                    "argmax_matrix": None if argmax[j] is None else matrix_payload(argmax[j]),
                     "bound_conjectured": float(2 * k + 2),
                     "bound_proven": float(min(2 * k + 1 + 2 * np.sqrt(k), 2.0 * n)),
                     "violations": row_violations[k],

@@ -13,6 +13,12 @@ unit Frobenius norm and eigenvalues descending:
 
 Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
 (id C2A) and weak majorization by the rank-one profile (id C4).
+
+Everything runs on stacks (B, n, n) through one batched core:
+:func:`spectral_batch` (lift, one stacked eigensolve, the positivity and
+trace invariants), :func:`ladder_batch` (the bound ladder and prefix sums)
+and :func:`majorization_batch` (the C4 monitor). The per-matrix functions
+are batches of one.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from .lifted import double_commutator_lift
 from .matrices import (
     DEFAULT_ORDER_CAP,
     as_matrix,
+    as_stack,
     check_order_cap,
     commutator,
     frobenius_norm,
@@ -72,47 +79,85 @@ class Spectrum:
 
 
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
-    tol = cluster_tolerance(float(values[0])) if values.size else CLUSTER_TOL_FLOOR
-    groups: list[tuple[float, int]] = []
-    i = 0
-    while i < values.size:
-        j = i + 1
-        while j < values.size and values[j - 1] - values[j] < tol:
-            j += 1
-        groups.append((float(values[i:j].mean()), j - i))
-        i = j
-    return tuple(groups)
+    tol = cluster_tolerance(float(values[0]))
+    starts = np.flatnonzero(~(values[:-1] - values[1:] < tol)) + 1
+    return tuple((float(g.mean()), g.size) for g in np.split(values, starts))
+
+
+@dataclass(frozen=True)
+class SpectralBatch:
+    """Spectra of T_X for a stack of matrices, each unit-normalized.
+
+    ``matrices`` holds X / ||X|| (B, n, n), ``values`` the descending
+    eigenvalues (B, n^2) and ``norm_scale`` the ||X||^2 divided out (B,).
+    ``failures[i]`` is the message of the first invariant that matrix i
+    broke (positivity, then the trace identity), or None.
+    """
+
+    matrices: np.ndarray
+    values: np.ndarray
+    norm_scale: np.ndarray
+    failures: tuple[str | None, ...]
+
+
+def _unit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X / ||X|| and ||X|| for each matrix of a stack (B, n, n)."""
+    nrm = np.linalg.norm(X, axis=(-2, -1))
+    if not nrm.all():
+        raise DegenerateInputError("the zero matrix has no normalized spectrum")
+    return X / nrm[:, None, None], nrm
+
+
+def spectral_batch(X) -> SpectralBatch:
+    """Spectra of T_X for every matrix of a stack (B, n, n).
+
+    One O(n^4) lift per matrix, one stacked eigensolve, then positivity and
+    the trace identity sum(lambda) = 2n - 2|Tr Xhat|^2, both at 1e-9, per
+    matrix. Broken invariants are reported in ``failures``, not raised, so
+    callers can order them with their own checks.
+    """
+    X = as_stack(X)
+    if X.ndim != 3:
+        raise OrderMismatchError(f"expected a stack (B, n, n), got shape {X.shape}")
+    Xh, nrm = _unit(X)
+    n = X.shape[-1]
+    values = eigensolver.eigvalsh(double_commutator_lift(Xh))
+    sums = values.sum(axis=-1)
+    targets = 2.0 * n - 2.0 * np.abs(np.trace(Xh, axis1=-2, axis2=-1)) ** 2
+    lost = values[:, -1] < -1e-9
+    failures: list[str | None] = [None] * len(values)
+    for i in np.flatnonzero(lost | (np.abs(sums - targets) > 1e-9)):
+        failures[i] = (
+            f"lifted operator lost positivity: min eigenvalue {values[i, -1]:.3e}"
+            if lost[i]
+            else f"trace identity failed: sum {sums[i]!r} vs {targets[i]!r}"
+        )
+    return SpectralBatch(
+        matrices=Xh, values=values, norm_scale=nrm**2, failures=tuple(failures)
+    )
 
 
 def double_commutator_spectrum(X, max_order: int = DEFAULT_ORDER_CAP) -> Spectrum:
-    """Spectrum of T_X via the Kronecker lift.
+    """Spectrum of T_X via the Kronecker lift (a batch of one).
 
     Internally verifies positivity and the trace identity
     sum(lambda) = 2n - 2|Tr Xhat|^2 at 1e-9, raising
     :class:`InvariantViolationError` if the numerics broke them.
     """
     X = as_matrix(X)
-    n = X.shape[0]
-    check_order_cap(n, max_order)
-    nrm = frobenius_norm(X)
-    if nrm == 0.0:
-        raise DegenerateInputError("the zero matrix has no normalized spectrum")
-    Xh = X / nrm
-    values = eigensolver.eigvalsh(double_commutator_lift(Xh))
-    if values.size and values[-1] < -1e-9:
-        raise InvariantViolationError(
-            f"lifted operator lost positivity: min eigenvalue {values[-1]:.3e}"
-        )
-    trace_target = 2.0 * n - 2.0 * abs(np.trace(Xh)) ** 2
-    if abs(values.sum() - trace_target) > 1e-9:
-        raise InvariantViolationError(
-            f"trace identity failed: sum {values.sum()!r} vs {trace_target!r}"
-        )
+    check_order_cap(X.shape[0], max_order)
+    batch = spectral_batch(X[None])
+    if batch.failures[0] is not None:
+        raise InvariantViolationError(batch.failures[0])
+    values = batch.values[0]
     clusters = _cluster(values)
     tol = cluster_tolerance(float(values[0]))
     pairing_ok = all(mult % 2 == 0 for val, mult in clusters if val > tol)
     return Spectrum(
-        values=values, clusters=clusters, pairing_ok=pairing_ok, norm_scale=nrm**2
+        values=values,
+        clusters=clusters,
+        pairing_ok=pairing_ok,
+        norm_scale=float(batch.norm_scale[0]),
     )
 
 
@@ -221,7 +266,11 @@ def partial_sums(spectrum: Spectrum) -> np.ndarray:
     monotonicity holds exactly; the final entry equals the trace identity
     value to 1e-9.
     """
-    return np.cumsum(np.maximum(spectrum.values, 0.0))
+    return _prefix_sums(spectrum.values)
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    return np.cumsum(np.maximum(values, 0.0), axis=-1)
 
 
 def majorization_target(n: int) -> np.ndarray:
@@ -229,6 +278,21 @@ def majorization_target(n: int) -> np.ndarray:
     if n < 2:
         raise PreconditionError(f"the profile needs n >= 2, got {n}")
     return np.array([2.0] * 2 + [1.0] * (2 * n - 4) + [0.0] * ((n - 1) ** 2 + 1))
+
+
+def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst prefix index and prefix-sum excess of each row of v over t.
+
+    Rows of ``v`` (B, N) and ``t`` (N,) must be descending.
+    """
+    scale = np.maximum(np.abs(v).max(axis=-1, initial=1.0), np.abs(t).max(initial=0.0))
+    if np.any(np.diff(v, axis=-1) > 1e-9 * scale[:, None]) or np.any(
+        np.diff(t)[None, :] > 1e-9 * scale[:, None]
+    ):
+        raise PreconditionError("inputs must be sorted in descending order")
+    excess = np.cumsum(v, axis=-1) - np.cumsum(t)
+    worst = np.argmax(excess, axis=-1)
+    return worst, excess[np.arange(len(v)), worst]
 
 
 def check_weak_majorization(
@@ -243,12 +307,24 @@ def check_weak_majorization(
     t = np.asarray(target, dtype=np.float64)
     if v.shape != t.shape or v.ndim != 1:
         raise OrderMismatchError(f"length mismatch: {v.shape} vs {t.shape}")
-    slack = 1e-9 * max(1.0, float(np.abs(v).max(initial=0.0)), float(np.abs(t).max(initial=0.0)))
-    if np.any(np.diff(v) > slack) or np.any(np.diff(t) > slack):
-        raise PreconditionError("inputs must be sorted in descending order")
-    excess = np.cumsum(v) - np.cumsum(t)
-    worst = int(np.argmax(excess))
-    return bool(excess[worst] <= tol), worst + 1, float(excess[worst])
+    worst, excess = _dominance(v[None], t)
+    return bool(excess[0] <= tol), int(worst[0]) + 1, float(excess[0])
+
+
+def majorization_batch(
+    values: np.ndarray, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C4 on a stack of descending spectra (B, n^2) of unit-norm matrices.
+
+    Returns per matrix (dominated, lhs, rhs): the prefix sums of the
+    spectrum and of :func:`majorization_target` at the worst prefix.
+    """
+    n = round(np.sqrt(values.shape[-1]))
+    target = majorization_target(n)
+    worst, excess = _dominance(values, target)
+    rows = np.arange(len(values))
+    lhs = np.cumsum(values, axis=-1)[rows, worst]
+    return excess <= tol, lhs, np.cumsum(target)[worst]
 
 
 @dataclass(frozen=True)
@@ -262,58 +338,90 @@ class BoundReport:
     all_proven_hold: bool
 
 
-def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
-    """Evaluate every proven bound and its slack for X / ||X||.
+@dataclass(frozen=True)
+class LadderBatch:
+    """The proven bound ladder on a stack of unit-normalized matrices.
 
-    ``spectrum`` may be passed to reuse a precomputed
-    :func:`double_commutator_spectrum` of the same X.
+    Every entry of ``bounds`` and ``slacks`` has the batch as its first
+    axis; ``prefix`` holds the prefix sums of each spectrum and ``hold``
+    whether every slack of a matrix is at least -1e-8.
     """
-    X = as_matrix(X)
-    n = X.shape[0]
-    if n < 2:
-        raise PreconditionError("the bound ladder needs n >= 2")
-    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    lam = spec.values
-    N = lam.size
-    Xh = normalized(X)
-    s = eigensolver.svd(Xh).values
-    A, B = herm_skew_split(Xh)
+
+    bounds: dict
+    slacks: dict
+    prefix: np.ndarray
+    hold: np.ndarray
+
+
+def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
+    """Evaluate every proven bound and its slack for a stack of
+    unit-normalized matrices (B, n, n), n >= 2, and their spectra (B, n^2).
+    """
+    B, N = values.shape
+    s = eigensolver.svd(matrices).values
+    A, Bsk = herm_skew_split(matrices)
     a = eigensolver.eigvalsh(A)
-    b = eigensolver.eigvalsh(B / 1j)
-    norm22 = 2.0 * float(s[0] ** 2 + s[1] ** 2)
+    b = eigensolver.eigvalsh(Bsk / 1j)
+    top2 = s[:, 0] ** 2 + s[:, 1] ** 2
+    norm22 = 2.0 * top2
     cx = (
-        2.0 * (float((-np.outer(a, a)).max()) + float((-np.outer(b, b)).max()))
-        + float(s[0] ** 2 + s[1] ** 2)
+        2.0
+        * (
+            (-(a[:, :, None] * a[:, None, :])).max(axis=(1, 2))
+            + (-(b[:, :, None] * b[:, None, :])).max(axis=(1, 2))
+        )
+        + top2
     )
-    k1 = 2.0 * np.sort(np.add.outer(s**2, s**2).ravel())[::-1]
+    s2 = s**2
+    k1 = 2.0 * np.sort((s2[:, :, None] + s2[:, None, :]).reshape(B, -1), axis=-1)[:, ::-1]
     ks = np.arange(1, N // 2 + 1)
     partial_weak = 2.0 * ks + 1.0 + 2.0 * np.sqrt(ks)
-    prefix = partial_sums(spec)
-    lam1 = float(lam[0])
+    prefix = _prefix_sums(values)
+    lam1 = values[:, 0]
+    min_bound = np.minimum(np.minimum(2.0, norm22), cx)
     bounds = {
-        "bw": 2.0,
+        "bw": np.full(B, 2.0),
         "norm22": norm22,
         "cx": cx,
-        "min_bound": min(2.0, norm22, cx),
+        "min_bound": min_bound,
         "k1_entrywise": k1,
-        "lambda13_weak": float(LAMBDA13_BOUND),
-        "partial_sum_weak": partial_weak,
+        "lambda13_weak": np.full(B, LAMBDA13_BOUND),
+        "partial_sum_weak": np.broadcast_to(partial_weak, (B, ks.size)),
     }
     slacks = {
         "bw": 2.0 - lam1,
         "norm22": norm22 - lam1,
         "cx": cx - lam1,
-        "min_bound": bounds["min_bound"] - lam1,
-        "k1_entrywise": float((k1 - lam).min()),
-        "lambda13_weak": float(LAMBDA13_BOUND - (lam[0] + lam[2])),
-        "partial_sum_weak": float((partial_weak - prefix[2 * ks - 1]).min()),
+        "min_bound": min_bound - lam1,
+        "k1_entrywise": (k1 - values).min(axis=-1),
+        "lambda13_weak": LAMBDA13_BOUND - (values[:, 0] + values[:, 2]),
+        "partial_sum_weak": (partial_weak - prefix[:, 2 * ks - 1]).min(axis=-1),
     }
+    hold = np.min(list(slacks.values()), axis=0) >= -1e-8
+    return LadderBatch(bounds=bounds, slacks=slacks, prefix=prefix, hold=hold)
+
+
+def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
+    """Evaluate every proven bound and its slack for X / ||X|| (a batch of one).
+
+    ``spectrum`` may be passed to reuse a precomputed
+    :func:`double_commutator_spectrum` of the same X.
+    """
+    X = as_matrix(X)
+    if X.shape[0] < 2:
+        raise PreconditionError("the bound ladder needs n >= 2")
+    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
+    Xh, _ = _unit(X[None])
+    ladder = ladder_batch(Xh, spec.values[None])
     return BoundReport(
-        lambda1=lam1,
+        lambda1=float(spec.values[0]),
         norm_scale=spec.norm_scale,
-        bounds=bounds,
-        slacks=slacks,
-        all_proven_hold=bool(min(slacks.values()) >= -1e-8),
+        bounds={
+            name: v[0].copy() if v.ndim > 1 else float(v[0])
+            for name, v in ladder.bounds.items()
+        },
+        slacks={name: float(v[0]) for name, v in ladder.slacks.items()},
+        all_proven_hold=bool(ladder.hold[0]),
     )
 
 
@@ -366,11 +474,8 @@ def monitor_majorization(
     """Monitor weak majorization by the rank-one profile (id C4)."""
     X = as_matrix(X)
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    target = majorization_target(spec.order)
-    ok, worst_k, _ = check_weak_majorization(spec.values, target, tol=tol)
-    lhs = float(np.cumsum(spec.values)[worst_k - 1])
-    rhs = float(np.cumsum(target)[worst_k - 1])
+    ok, lhs, rhs = majorization_batch(spec.values[None], tol=tol)
     witness = None
-    if not ok:
-        witness = make_bundle("C4", [normalized(X)], lhs, rhs, 0.0, seed)
-    return ConjectureVerdict("C4", 0.0, lhs, rhs, ok, witness)
+    if not ok[0]:
+        witness = make_bundle("C4", [normalized(X)], lhs[0], rhs[0], 0.0, seed)
+    return ConjectureVerdict("C4", 0.0, float(lhs[0]), float(rhs[0]), bool(ok[0]), witness)

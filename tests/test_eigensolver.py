@@ -107,3 +107,55 @@ def test_kronecker_product_eigenvalues_are_products():
 
 def test_convergence_error_type_is_runtime():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def _fix_phases_loop(V):
+    # the per-column reference the vectorized phase fix replaced
+    out = V.copy()
+    phases = np.ones(V.shape[1], dtype=complex)
+    anchors = []
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        anchor = np.argmax(mags >= 1e-6 * mags.max())
+        anchors.append(anchor)
+        a = col[anchor]
+        if a != 0:
+            phases[j] = a.conjugate() / abs(a)
+            out[:, j] = col * phases[j]
+    return out, phases, anchors
+
+
+def test_vectorized_phase_fix_matches_column_loop():
+    from commspectra.eigensolver import _fix_phases
+
+    for t in range(10):
+        rng = trial_rng(17, t)
+        n = 2 + t
+        V = np.linalg.eigh(_random_hermitian(rng, n))[1]
+        V[: t % 3, 0] = 0.0  # leading zeros move the anchor down the column
+        V[:, -1] = 0.0  # an all-zero column keeps phase 1
+        fixed, phases = _fix_phases(V)
+        ref, ref_phases, anchors = _fix_phases_loop(V)
+        got_anchors = np.argmax(np.abs(fixed) >= 1e-6 * np.abs(fixed).max(axis=0), axis=0)
+        assert got_anchors.tolist() == anchors
+        assert phases[-1] == 1.0
+        assert phases.tobytes() == ref_phases.tobytes()
+        assert fixed.tobytes() == ref.tobytes()
+
+
+def test_stacked_eigvalsh_and_svd_match_single_calls():
+    rng = trial_rng(18, 0)
+    Hs = np.stack([_random_hermitian(rng, 5) for _ in range(4)])
+    w = eigvalsh(Hs)
+    assert w.shape == (4, 5)
+    Xs = Hs + 1j * np.stack([_random_hermitian(rng, 5) for _ in range(4)])
+    s = svd(Xs).values
+    assert s.shape == (4, 5)
+    for i in range(4):
+        assert w[i].tobytes() == eigvalsh(Hs[i]).tobytes()
+        assert s[i].tobytes() == svd(Xs[i]).values.tobytes()
+    # the Hermiticity precondition is checked matrix by matrix
+    Hs[2, 0, 1] += 1e-3
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        eigvalsh(Hs)

@@ -109,3 +109,21 @@ def test_order_cap_guards_lifted_construction():
         build_lifted(np.eye(17))
     ops = build_lifted(np.eye(17), max_order=17)
     assert ops.order == 17
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_assembled_lift_matches_product_oracle(real):
+    # the O(n^4) assembly of G_X + C_X against the O(n^6) product L* L
+    for n in range(2, 9):
+        rng = trial_rng(26, n, int(real))
+        X = rng.standard_normal((n, n)) if real else _random_complex(rng, n)
+        L = commutator_lift(X)
+        oracle = L.conj().T @ L
+        T = double_commutator_lift(X)
+        assert T.shape == (n * n, n * n)
+        assert np.abs(T - oracle).max() <= 1e-13 * (1 + np.linalg.norm(X) ** 2)
+        # a stack is lifted matrix by matrix, with the same bits
+        stack = double_commutator_lift(np.stack([2.0 * X, X]))
+        assert stack.shape == (2, n * n, n * n)
+        assert np.array_equal(stack[1], T)
+        assert np.abs(stack[0] - 4.0 * oracle).max() <= 4e-13 * (1 + np.linalg.norm(X) ** 2)

@@ -4,6 +4,7 @@ import pytest
 
 from commspectra import (
     LAMBDA13_BOUND,
+    InvariantViolationError,
     PreconditionError,
     SearchConfig,
     ascend,
@@ -147,3 +148,150 @@ def test_sweep_forced_violations_carry_reverifiable_bundles():
     for bundle in report["majorization_violations"]:
         assert bundle["conjecture_id"] == "C4"
         assert reverify_bundle(bundle).satisfied
+
+
+def _reference_sweep(n_values, k_rule, trials, seed, tol):
+    """The per-matrix sweep loop the batched sweep replaced."""
+    from commspectra import (
+        bound_report,
+        monitor_majorization,
+        partial_sums,
+        trial_rng,
+        unit_gaussian,
+    )
+    from commspectra.verdicts import make_bundle, matrix_payload
+
+    rows, c4 = [], []
+    for n in n_values:
+        ks = list(range(1, n * n // 2 + 1)) if k_rule == "all" else list(k_rule(n))
+        max_f = {k: -np.inf for k in ks}
+        argmax = {k: None for k in ks}
+        found = {k: [] for k in ks}
+        for t in range(trials):
+            X = unit_gaussian(trial_rng(seed, n, t), n, real=bool(t % 2))
+            spec = double_commutator_spectrum(X)
+            assert bound_report(X, spectrum=spec).all_proven_hold
+            prefix = partial_sums(spec)
+            for k in ks:
+                f = float(prefix[2 * k - 1])
+                if f > max_f[k]:
+                    max_f[k], argmax[k] = f, X
+                if f > 2 * k + 2 + tol:
+                    found[k].append(make_bundle("C2A", [X], f, float(2 * k + 2), 0.0, seed))
+            verdict = monitor_majorization(X, spectrum=spec, tol=tol, seed=seed)
+            if not verdict.satisfied:
+                c4.append(verdict.witness)
+        rows += [(n, k, max_f[k], matrix_payload(argmax[k]), found[k]) for k in ks]
+    return rows, c4
+
+
+def _same_bundles(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert {**g, "lhs": 0, "rhs": 0} == {**w, "lhs": 0, "rhs": 0}
+        assert g["lhs"] == pytest.approx(w["lhs"], rel=1e-12)
+        assert g["rhs"] == w["rhs"]
+
+
+@pytest.mark.parametrize(
+    "n_values, k_rule, tol",
+    [
+        ([2, 3, 4, 5], "all", 1e-8),
+        ([2, 3], "all", -100.0),  # every trial breaches both monitors
+        ([3], lambda n: [2, 1, 2], -100.0),  # duplicate k values
+    ],
+)
+def test_sweep_matches_per_matrix_reference(n_values, k_rule, tol):
+    report = sweep(n_values, k_rule=k_rule, trials=7, seed=5, tol=tol)
+    rows, c4 = _reference_sweep(n_values, k_rule, trials=7, seed=5, tol=tol)
+    assert [(r["n"], r["k"]) for r in report["rows"]] == [row[:2] for row in rows]
+    for got, (_, _, max_f, payload, found) in zip(report["rows"], rows):
+        assert got["max_f"] == pytest.approx(max_f, rel=1e-12)
+        assert got["argmax_matrix"] == payload
+        _same_bundles(got["violations"], found)
+    _same_bundles(report["majorization_violations"], c4)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_sweep_does_not_depend_on_chunks(monkeypatch, per_chunk):
+    import commspectra.search as search
+
+    whole = sweep([2, 3], trials=10, seed=8, tol=-100.0)
+    # per_chunk trials a chunk at order 3; at order 2 the budget of 3 entries
+    # gives chunks of one and the budget of 3 * 3^4 one chunk of all ten
+    monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", 3 if per_chunk == 1 else 3 * 3**4)
+    assert search._chunk_size(3) == per_chunk
+    assert sweep([2, 3], trials=10, seed=8, tol=-100.0) == whole
+
+
+def test_sweep_duplicate_k_values_give_duplicate_rows():
+    rows = sweep([3], k_rule=lambda n: [2, 1, 2], trials=3, seed=2)["rows"]
+    assert [r["k"] for r in rows] == [2, 1, 2]
+    assert rows[0] == rows[2]
+
+
+def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
+    import dataclasses
+
+    import commspectra.search as search
+
+    real_spectra, real_ladder = search.spectral_batch, search.ladder_batch
+
+    def second_chunk(real, edit):
+        calls = []
+
+        def run(*args):
+            calls.append(None)
+            out = real(*args)
+            return edit(out) if len(calls) == 2 else out
+
+        return run
+
+    def ladder_fails_from(i):
+        def edit(ladder):
+            hold = ladder.hold.copy()
+            hold[i:] = False
+            return dataclasses.replace(ladder, hold=hold)
+
+        return second_chunk(real_ladder, edit)
+
+    def spectra_fails_at(i):
+        def edit(batch):
+            failures = list(batch.failures)
+            failures[i] = "trace identity failed: forced"
+            return dataclasses.replace(batch, failures=tuple(failures))
+
+        return second_chunk(real_spectra, edit)
+
+    monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", 3 * 2**4)  # 3 trials a chunk
+    # trials 3, 4, 5 form the second chunk
+    monkeypatch.setattr(search, "ladder_batch", ladder_fails_from(1))
+    with pytest.raises(InvariantViolationError, match=r"\(order 2, trial 4\)"):
+        sweep([2], trials=10, seed=0)
+    monkeypatch.setattr(search, "ladder_batch", ladder_fails_from(1))
+    monkeypatch.setattr(search, "spectral_batch", spectra_fails_at(2))
+    with pytest.raises(InvariantViolationError, match=r"\(order 2, trial 4\)"):
+        sweep([2], trials=10, seed=0)
+    # a broken invariant of the same trial comes first, as in a per-trial loop
+    monkeypatch.setattr(search, "ladder_batch", ladder_fails_from(1))
+    monkeypatch.setattr(search, "spectral_batch", spectra_fails_at(1))
+    with pytest.raises(InvariantViolationError, match="forced"):
+        sweep([2], trials=10, seed=0)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_ascent_quadratic_form_matches_commutator_lift_sum(monkeypatch, n):
+    import commspectra.search as search
+    from commspectra import commutator_lift, double_commutator_lift, trial_rng, unit_gaussian, unvec
+    from commspectra.eigensolver import eigh
+
+    k2 = 6
+    X = unit_gaussian(trial_rng(40, n), n)
+    vectors = eigh(double_commutator_lift(X)).vectors[:, :k2]
+    old = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(k2):
+        L = commutator_lift(unvec(vectors[:, j], n))
+        old += L.conj().T @ L
+    assert np.abs(search._family_form(vectors, n) - old).max() <= 1e-12
+    monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", 4 * n**4)  # chunks of 4 and 2
+    assert np.abs(search._family_form(vectors, n) - old).max() <= 1e-12
