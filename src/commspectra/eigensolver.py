@@ -87,13 +87,21 @@ def eigh(M) -> EigenDecomposition:
     """Full Hermitian eigendecomposition with the module's determinism contract.
 
     :raises PreconditionError: if M is not Hermitian to 1e-10 relative
-    :raises ConvergenceError: if the LAPACK kernel fails to converge
+    :raises ConvergenceError: if the LAPACK kernel fails to converge on M and
+        on its exactly permuted copy
     """
     H = _require_hermitian(as_matrix(M, "M"))
     try:
         w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    except np.linalg.LinAlgError:
+        # LAPACK's divide and conquer fails on rare inputs. Retry once on
+        # P H P^T, P the reversal: an exact similarity (no rounding) that
+        # the kernel sees as a different matrix; P^T V' are H's vectors.
+        try:
+            w, V = np.linalg.eigh(H[::-1, ::-1])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+        V = V[::-1]
     w = w[::-1].copy()
     V, _ = _fix_phases(V[:, ::-1])
     residual = float(np.linalg.norm(H @ V - V * w, axis=0).max()) if w.size else 0.0

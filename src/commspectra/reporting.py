@@ -2,34 +2,46 @@
 
 Every command-line invocation assembles one report dict, validated against
 the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
-any field change). Reports are deterministic for fixed inputs and seed:
-keys are sorted, floats keep full precision, and ``timing`` is always null
-so repeated runs are byte-identical.
+any field change). The validator is built once per process: the schema is
+checked against its metaschema on first use, not on every report, and
+``jsonschema`` is imported only then, not by ``import commspectra``.
+Reports are deterministic for fixed inputs and seed: keys are sorted,
+floats keep full precision, and ``timing`` is always null so repeated runs
+are byte-identical.
 """
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
 import numpy as np
 
+from . import __version__
 from .errors import InvariantViolationError
 from .spectra import BoundReport, Spectrum, partial_sums
 from .search import SearchResult
 from .verdicts import ConjectureVerdict, matrix_payload
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
-
-_schema_cache: dict | None = None
+TOOL_VERSION = __version__
 
 
+@functools.cache
 def load_schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("commspectra").joinpath("report_schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    text = resources.files("commspectra").joinpath("report_schema.json").read_text()
+    return json.loads(text)
+
+
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its metaschema once."""
+    import jsonschema
+
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def jsonable(obj):
@@ -150,12 +162,11 @@ def build_report(
 
 def validate_report(report: dict) -> None:
     """Schema-check a report; a failure here is a library bug."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(instance=report, schema=load_schema())
-    except jsonschema.ValidationError as exc:
-        raise InvariantViolationError(f"report failed schema validation: {exc.message}")
+    error = best_match(_validator().iter_errors(report))
+    if error is not None:
+        raise InvariantViolationError(f"report failed schema validation: {error.message}")
 
 
 def report_json(report: dict) -> str:

@@ -30,9 +30,9 @@ from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
 VIOLATION_MARGIN = 1e-6
-# Complex entries of stacked lifts held at once (1 MiB): sweep trials and
-# ascent step (b) run in chunks of at most this many n^4-entry lifts (at
-# least one). Larger stacks fall out of cache and cost more per matrix.
+# Complex entries of stacked lifts held at once (1 MiB): sweep trials run
+# in chunks of at most this many n^4-entry lifts (at least one). Larger
+# stacks fall out of cache and cost more per matrix.
 CHUNK_LIFT_ENTRIES = 2**16
 
 
@@ -129,13 +129,25 @@ def _objective_and_vectors(X: np.ndarray, k2: int):
 
 def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
     """sum_j L_{Y_j}* L_{Y_j} for the columns Y_j (vec coordinates) of
-    ``vectors``: the summed lifts of the stack, chunk by chunk."""
+    ``vectors``, assembled once as in :func:`double_commutator_lift`.
+
+    The Gram part takes the two n x n sums sum_j Y_j* Y_j and
+    sum_j conj(Y_j) Y_j^T; the cross part
+    -sum_j (Y_j^T kron Y_j* + conj(Y_j) kron Y_j) is one (n^2 x 4k)(4k x n^2)
+    product indexed (i, j), (k, l), realigned to row (i, k), column (j, l).
+    """
     Ys = vectors.T.reshape(-1, n, n).swapaxes(-1, -2)
-    step = _chunk_size(n)
-    M = double_commutator_lift(Ys[:step]).sum(axis=0)
-    for start in range(step, len(Ys), step):
-        M += double_commutator_lift(Ys[start : start + step]).sum(axis=0)
-    return M
+    Yt = Ys.swapaxes(-1, -2)
+    Yc = Ys.conj()
+    left = np.concatenate([Yt, Yc]).reshape(-1, n * n)
+    right = np.concatenate([Yc.swapaxes(-1, -2), Ys]).reshape(-1, n * n)
+    M = np.ascontiguousarray((left.T @ -right).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+    rows = Ys.reshape(-1, n)  # the Y_j stacked vertically
+    cols = Yt.reshape(-1, n).T  # and side by side
+    d = np.arange(n)
+    M[d, :, d, :] += rows.conj().T @ rows
+    M[:, d, :, d] += cols.conj() @ cols.T
+    return M.reshape(n * n, n * n)
 
 
 def _check_caps(values: np.ndarray, obj: float, proven: float) -> None:
@@ -316,7 +328,7 @@ def sweep(
         caps = 2.0 * np.asarray(ks, dtype=np.float64) + 2.0
         max_f = np.full(len(ks), -np.inf)
         argmax: list[np.ndarray | None] = [None] * len(ks)
-        row_violations = {k: [] for k in ks}
+        row_violations: list[list[dict]] = [[] for _ in ks]
         step = _chunk_size(n)
         for start in range(0, trials, step):
             X = np.stack(
@@ -346,7 +358,7 @@ def sweep(
             for i in np.flatnonzero(c2a.any(axis=1) | ~c4_ok):
                 for j, k in enumerate(ks):
                     if c2a[i, j]:
-                        row_violations[k].append(
+                        row_violations[j].append(
                             make_bundle("C2A", [X[i]], f[i, j], caps[j], 0.0, seed)
                         )
                 if not c4_ok[i]:
@@ -363,7 +375,7 @@ def sweep(
                     "argmax_matrix": None if argmax[j] is None else matrix_payload(argmax[j]),
                     "bound_conjectured": float(2 * k + 2),
                     "bound_proven": float(min(2 * k + 1 + 2 * np.sqrt(k), 2.0 * n)),
-                    "violations": row_violations[k],
+                    "violations": row_violations[j],
                 }
             )
     return {

@@ -159,3 +159,35 @@ def test_stacked_eigvalsh_and_svd_match_single_calls():
     Hs[2, 0, 1] += 1e-3
     with pytest.raises(PreconditionError, match="not Hermitian"):
         eigvalsh(Hs)
+
+
+def test_eigh_retries_non_convergence_on_the_reversed_matrix(monkeypatch):
+    from commspectra import double_commutator_lift, unit_gaussian
+
+    # a lift of T_X: its top eigenvalue is twofold, so compare projectors
+    H = double_commutator_lift(unit_gaussian(trial_rng(19, 0), 4))
+    direct = eigh(H)
+    assert direct.values[1] - direct.values[2] > 1e-3
+    real = np.linalg.eigh
+    calls = []
+
+    def fails_first(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_first)
+    dec = eigh(H)
+    assert len(calls) == 2
+    np.testing.assert_allclose(dec.values, direct.values, rtol=0, atol=1e-12)
+    top, want = dec.vectors[:, :2], direct.vectors[:, :2]
+    assert np.abs(top @ top.conj().T - want @ want.conj().T).max() <= 1e-12
+    assert dec.residual < 1e-12
+
+    def fails(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigh(H)

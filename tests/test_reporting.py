@@ -1,6 +1,10 @@
 """Report assembly, schema validation, and deterministic serialization."""
 import json
+import os
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -117,8 +121,40 @@ def test_validate_report_rejects_malformed_documents():
     ):
         bad = dict(good)
         bad.update(breakage)
-        with pytest.raises(InvariantViolationError):
+        # the message is the error jsonschema.validate itself picks
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(instance=bad, schema=load_schema())
+        with pytest.raises(InvariantViolationError) as got:
             validate_report(bad)
+        assert str(got.value) == f"report failed schema validation: {want.value.message}"
+
+
+def test_validator_checks_the_schema_against_its_metaschema(monkeypatch):
+    from commspectra import reporting
+
+    broken = {**load_schema(), "type": 12}
+    reporting._validator.cache_clear()
+    try:
+        monkeypatch.setattr(reporting, "load_schema", lambda: broken)
+        with pytest.raises(jsonschema.SchemaError):
+            validate_report({})
+    finally:
+        reporting._validator.cache_clear()
+
+
+def test_importing_the_package_does_not_load_jsonschema():
+    from conftest import SRC
+
+    # the CLI imports reporting; jsonschema loads on the first validation
+    code = "import sys, commspectra, commspectra.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_report_json_is_byte_deterministic_and_sorted():
