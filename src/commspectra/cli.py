@@ -13,6 +13,7 @@ written to ``--bundle-out`` or a default path), 2 input or hypothesis error,
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 from pathlib import Path
@@ -131,6 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Shared by every main() call: safe while no argument has a mutable default or an append action.
+    return build_parser()
+
+
 def _input_digest(path) -> dict:
     return {"path": str(path), "sha256": matrixio.sha256_digest(path)}
 
@@ -144,6 +151,19 @@ def _emit(args, report: dict, lines: list[str]) -> int:
     else:
         print("\n".join(lines))
     return int(report["exit_code"])
+
+
+def _record_violation(args, bundle) -> tuple[int, str | None]:
+    """Write a violation bundle and return (exit code, bundle path).
+
+    ``(EXIT_OK, None)`` when ``bundle`` is None. The path is ``--bundle-out``
+    or ``violation-<id>.json`` in the working directory.
+    """
+    if bundle is None:
+        return EXIT_OK, None
+    path = args.bundle_out or f"violation-{bundle['conjecture_id'].lower()}.json"
+    write_bundle(path, bundle)
+    return EXIT_VIOLATION, path
 
 
 def _spectrum_lines(section: dict) -> list[str]:
@@ -232,15 +252,10 @@ def cmd_check(args) -> int:
     # never stricter than the library's own hypothesis tolerance, so a
     # negative --tol forces inequality violations without tripping exit 2
     hypothesis_tol = max(args.tol, conjectures.HYPOTHESIS_TOL)
-    bundle_path = None
     if verdict.hypotheses_residual > hypothesis_tol:
-        exit_code = EXIT_INPUT
-    elif not verdict.satisfied:
-        exit_code = EXIT_VIOLATION
-        bundle_path = args.bundle_out or f"violation-{verdict.conjecture_id.lower()}.json"
-        write_bundle(bundle_path, verdict.witness)
+        exit_code, bundle_path = EXIT_INPUT, None
     else:
-        exit_code = EXIT_OK
+        exit_code, bundle_path = _record_violation(args, verdict.witness)
     report = reporting.build_report(
         "check", inputs, args.seed, args.tol, exit_code,
         {
@@ -333,11 +348,7 @@ def cmd_search(args) -> int:
         )
         bundles = [b for row in sweep_report["rows"] for b in row["violations"]]
         bundles.extend(sweep_report["majorization_violations"])
-        exit_code = EXIT_VIOLATION if bundles else EXIT_OK
-        bundle_path = None
-        if bundles:
-            bundle_path = args.bundle_out or f"violation-{bundles[0]['conjecture_id'].lower()}.json"
-            write_bundle(bundle_path, bundles[0])
+        exit_code, bundle_path = _record_violation(args, bundles[0] if bundles else None)
         report = reporting.build_report(
             "search", inputs, seed, args.tol, exit_code,
             {"sweep": sweep_report, "bundle_path": bundle_path},
@@ -384,12 +395,7 @@ def cmd_search(args) -> int:
             max_order=args.max_order,
         )
         result = search_mod.ascend(config)
-    bundle_path = None
-    exit_code = EXIT_OK
-    if result.violation is not None:
-        exit_code = EXIT_VIOLATION
-        bundle_path = args.bundle_out or f"violation-{result.violation['conjecture_id'].lower()}.json"
-        write_bundle(bundle_path, result.violation)
+    exit_code, bundle_path = _record_violation(args, result.violation)
     report = reporting.build_report(
         "search", inputs, seed, args.tol, exit_code,
         {"search": reporting.search_section(result), "bundle_path": bundle_path},
@@ -441,8 +447,7 @@ def cmd_verify_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConvergenceError, InvariantViolationError) as exc:

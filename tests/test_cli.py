@@ -14,6 +14,7 @@ from commspectra import (
     trial_rng,
     unit_gaussian,
 )
+from commspectra import cli
 from commspectra.reporting import validate_report
 
 
@@ -306,3 +307,40 @@ def test_check_default_bundle_name(run_cli, matrix_file, tmp_path):
     bundle = tmp_path / "violation-c4.json"
     assert bundle.exists()
     assert reverify_bundle(read_bundle(bundle)).conjecture_id == "C4"
+
+
+def test_main_reused_in_one_process_matches_subprocess_runs(
+    run_cli, matrix_file, tmp_path, capsys
+):
+    bundle = tmp_path / "bundle.json"
+    calls = [
+        ("spectrum", str(matrix_file), "--json"),
+        ("spectrum",),
+        ("check", "conj4", str(matrix_file), "--tol", "-100",
+         "--bundle-out", str(bundle), "--json"),
+        ("spectrum", str(matrix_file), "--json"),
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    bundle_bytes = bundle.read_bytes()
+    bundle.unlink()
+
+    assert [code for code, _, _ in results] == [0, 2, 1, 0]
+    assert results[0][1] == results[3][1]
+    assert results[1][2].startswith("usage: commspectra spectrum")
+    for argv, (code, out, err) in zip(calls, results):
+        proc = run_cli(*argv)
+        assert proc.returncode == code
+        assert proc.stdout == out
+        assert proc.stderr == err
+    assert bundle.read_bytes() == bundle_bytes
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
