@@ -8,7 +8,10 @@ its contracts:
   its first significantly nonzero component real and positive;
 * the max eigenpair residual ``||M v - w v||`` is computed and stored;
 * identical input bits give identical output bits (fixed LAPACK build plus
-  deterministic post-processing).
+  deterministic post-processing);
+* :func:`eigvalsh` keeps a float64 (real symmetric) input float64, so LAPACK
+  solves it in real arithmetic; every other input, and every input of
+  :func:`eigh`, is solved in complex128.
 """
 from __future__ import annotations
 
@@ -41,16 +44,21 @@ class SingularValues:
 
 
 def _frobenius(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, without complex temporaries."""
-    re, im = M.real, M.imag
-    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
+    """Frobenius norm of each matrix of a C-ordered stack (real or complex)."""
+    flat = M.view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", flat, flat))
 
 
 def _require_hermitian(M: np.ndarray) -> np.ndarray:
-    """Check each matrix of a stack (..., N, N) for Hermiticity; symmetrize."""
-    Mh = np.swapaxes(M, -1, -2).conj()
-    scale = _frobenius(M)
-    dev = _frobenius(M - Mh)
+    """Check each matrix of a stack (..., N, N) for Hermiticity; symmetrize.
+
+    M* is written once into a C-ordered buffer; everything after that one
+    strided pass runs in memory order.
+    """
+    Mh = np.conjugate(np.swapaxes(M, -1, -2), out=np.empty(M.shape, M.dtype))
+    # ||M*|| = ||M|| and ||M - M*||, from the real and imaginary parts
+    scale = _frobenius(Mh)
+    dev = _frobenius(np.subtract(M, Mh, order="C"))
     bad = np.flatnonzero(dev > HERMITICITY_RTOL * np.maximum(scale, 1e-300))
     if bad.size:
         i = np.unravel_index(bad[0], dev.shape)
@@ -60,7 +68,7 @@ def _require_hermitian(M: np.ndarray) -> np.ndarray:
     # symmetrize so LAPACK sees an exactly Hermitian input: (M + M*) / 2,
     # built in place in the buffer of M*
     Mh += M
-    Mh /= 2
+    Mh *= 0.5
     return Mh
 
 
@@ -112,7 +120,8 @@ def eigvalsh(M) -> np.ndarray:
     """Descending eigenvalues only (cheaper than :func:`eigh`).
 
     ``M`` is one Hermitian matrix or a stack (..., N, N); every matrix of a
-    stack is checked on its own.
+    stack is checked on its own. A float64 ``M`` is solved as real
+    symmetric, anything else as complex128.
     """
     H = _require_hermitian(as_stack(M, "M"))
     try:

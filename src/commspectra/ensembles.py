@@ -42,11 +42,6 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * d.conj()
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = gaussian_matrix(rng, n)
-    return (G + G.conj().T) / 2
-
-
 def random_normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm normal matrix U diag(d) U* with complex Gaussian d."""
     U = haar_unitary(rng, n)

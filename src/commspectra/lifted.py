@@ -18,7 +18,8 @@ G_X - C_X = A_X* A_X >= 0.
 
 :func:`double_commutator_lift` assembles G_X + C_X entry by entry, O(n^4)
 work for n^4 entries, for one matrix or a whole stack; the O(n^6) product
-L_X* L_X stays only as a test oracle.
+L_X* L_X stays only as a test oracle. It keeps float64 for a float64 input
+(the lift of a real X is real symmetric) and is complex128 otherwise.
 """
 from __future__ import annotations
 
@@ -58,19 +59,12 @@ def commutator_lift(X) -> np.ndarray:
     return kron(I, X) - kron(X.T, I)
 
 
-def anticommutator_lift(X) -> np.ndarray:
-    """Matrix of Y -> XY + YX on column-major vec coordinates."""
-    X = as_matrix(X)
-    I = np.eye(X.shape[0], dtype=np.complex128)
-    return kron(I, X) + kron(X.T, I)
-
-
 def double_commutator_lift(X) -> np.ndarray:
     """Hermitian PSD matrix of T_X, namely L_X* L_X = G_X + C_X.
 
     ``X`` is one order-n matrix or a stack (..., n, n); the result is
-    (..., n^2, n^2). Row (i, k) and column (j, l), in vec order i n + k and
-    j n + l, hold
+    (..., n^2, n^2), float64 for a float64 ``X`` and complex128 otherwise.
+    Row (i, k) and column (j, l), in vec order i n + k and j n + l, hold
 
         d_ij (X*X)_kl + (conj(X) X^T)_ij d_kl - (X^T)_ij (X*)_kl - conj(X)_ij X_kl.
     """
@@ -81,7 +75,7 @@ def double_commutator_lift(X) -> np.ndarray:
     Xs = Xt.conj()
     # C order, so the final reshape is a view (a plain product of the
     # transposed operands would not be C-contiguous)
-    T = np.empty(X.shape[:-2] + (n, n, n, n), dtype=np.complex128)
+    T = np.empty(X.shape[:-2] + (n, n, n, n), dtype=X.dtype)
     np.multiply(Xt[..., :, None, :, None], -Xs[..., None, :, None, :], out=T)
     T -= Xc[..., :, None, :, None] * X[..., None, :, None, :]
     d = np.arange(n)

@@ -1,8 +1,11 @@
 """Core matrix operations: commutators, the double-commutator operator,
 Frobenius geometry, and the column-major vec/unvec maps.
 
-All matrices are square complex128 numpy arrays. ``vec`` stacks columns
-(Fortran order), the convention under which vec(A Y B) = (B^T kron A) vec(Y).
+Matrices are square complex128 numpy arrays, with one exception: the stack
+validator :func:`as_stack` keeps a float64 input float64, so the
+double-commutator lift and ``eigvalsh`` keep float64 for real input and
+LAPACK solves it in real arithmetic. ``vec`` stacks columns (Fortran order),
+the convention under which vec(A Y B) = (B^T kron A) vec(Y).
 """
 from __future__ import annotations
 
@@ -16,12 +19,16 @@ DEFAULT_ORDER_CAP = 16
 
 
 def as_stack(X, name: str = "X") -> np.ndarray:
-    """Validate and return a complex128 stack (..., n, n) of square matrices.
+    """Validate and return a stack (..., n, n) of square matrices.
+
+    A float64 input stays float64; anything else becomes complex128.
 
     :raises OrderMismatchError: if the last two axes are not square
     :raises PreconditionError: if entries are not finite
     """
-    M = np.asarray(X, dtype=np.complex128)
+    M = np.asarray(X)
+    if M.dtype != np.float64:
+        M = M.astype(np.complex128, copy=False)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise OrderMismatchError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -107,7 +114,8 @@ def herm_skew_split(X) -> tuple[np.ndarray, np.ndarray]:
     """Split X = A + B into Hermitian A and skew-Hermitian B.
 
     The split is orthogonal: ||X||^2 = ||A||^2 + ||B||^2. X may also be a
-    stack (..., n, n), split matrix by matrix.
+    stack (..., n, n), split matrix by matrix; a float64 X gives float64
+    parts (symmetric and antisymmetric).
     """
     X = as_stack(X)
     Xs = np.swapaxes(X, -1, -2).conj()

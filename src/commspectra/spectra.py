@@ -15,10 +15,10 @@ Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
 (id C2A) and weak majorization by the rank-one profile (id C4).
 
 Everything runs on stacks (B, n, n) through one batched core:
-:func:`spectral_batch` (lift, one stacked eigensolve, the positivity and
-trace invariants), :func:`ladder_batch` (the bound ladder and prefix sums)
-and :func:`majorization_batch` (the C4 monitor). The per-matrix functions
-are batches of one.
+:func:`spectral_batch` (lift, stacked eigensolves with real matrices in
+real arithmetic, the positivity and trace invariants), :func:`ladder_batch`
+(the bound ladder and prefix sums) and :func:`majorization_batch` (the C4
+monitor). The per-matrix functions are batches of one.
 """
 from __future__ import annotations
 
@@ -81,7 +81,13 @@ class Spectrum:
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     tol = cluster_tolerance(float(values[0]))
     starts = np.flatnonzero(~(values[:-1] - values[1:] < tol)) + 1
-    return tuple((float(g.mean()), g.size) for g in np.split(values, starts))
+    edges = np.concatenate(([0], starts, [values.size]))
+    counts = np.diff(edges)
+    # sum each group's offsets from its first value: a long sequential sum
+    # of the values themselves would round worse than np.mean's pairwise one
+    first = values[edges[:-1]]
+    means = first + np.add.reduceat(values - np.repeat(first, counts), edges[:-1]) / counts
+    return tuple(zip(means.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -111,17 +117,27 @@ def _unit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectral_batch(X) -> SpectralBatch:
     """Spectra of T_X for every matrix of a stack (B, n, n).
 
-    One O(n^4) lift per matrix, one stacked eigensolve, then positivity and
-    the trace identity sum(lambda) = 2n - 2|Tr Xhat|^2, both at 1e-9, per
-    matrix. Broken invariants are reported in ``failures``, not raised, so
-    callers can order them with their own checks.
+    One O(n^4) lift per matrix, one stacked eigensolve for the real rows
+    and one for the others, then positivity and the trace identity
+    sum(lambda) = 2n - 2|Tr Xhat|^2, both at 1e-9, per matrix. Broken
+    invariants are reported in ``failures``, not raised, so callers can
+    order them with their own checks.
     """
-    X = as_stack(X)
+    # the normalized matrices stay complex128 whatever the input dtype, so
+    # the ladder computed from them does not depend on it
+    X = as_stack(np.asarray(X, dtype=np.complex128))
     if X.ndim != 3:
         raise OrderMismatchError(f"expected a stack (B, n, n), got shape {X.shape}")
     Xh, nrm = _unit(X)
     n = X.shape[-1]
-    values = eigensolver.eigvalsh(double_commutator_lift(Xh))
+    # a matrix with no imaginary part gets the real lift and LAPACK's real
+    # symmetric solver; deciding per row gives a matrix the same bits alone
+    # or inside any stack
+    real = ~Xh.imag.any(axis=(-2, -1))
+    values = np.empty((len(Xh), n * n))
+    for rows, part in ((real, Xh.real), (~real, Xh)):
+        if rows.any():
+            values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
     sums = values.sum(axis=-1)
     targets = 2.0 * n - 2.0 * np.abs(np.trace(Xh, axis1=-2, axis2=-1)) ** 2
     lost = values[:, -1] < -1e-9

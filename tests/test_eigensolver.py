@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from commspectra import ConvergenceError, PreconditionError, trial_rng
-from commspectra.eigensolver import eigh, eigvalsh, svd, svd_full
+from commspectra.eigensolver import _require_hermitian, eigh, eigvalsh, svd, svd_full
 
 
 def _random_hermitian(rng, n):
@@ -191,3 +191,55 @@ def test_eigh_retries_non_convergence_on_the_reversed_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fails)
     with pytest.raises(ConvergenceError, match="did not converge"):
         eigh(H)
+
+
+def test_real_symmetric_input_is_solved_in_float64():
+    rng = trial_rng(44, 0)
+    G = rng.standard_normal((3, 7, 7))
+    S = G + np.swapaxes(G, -1, -2)
+    w = eigvalsh(S)
+    assert w.dtype == np.float64 and w.shape == (3, 7)
+    want = eigvalsh(S.astype(complex))
+    assert np.abs(w - want).max() <= 1e-13 * np.abs(want).max()
+    for i in range(3):
+        assert w[i].tobytes() == eigvalsh(S[i]).tobytes()
+
+
+def _not_hermitian_message(M):
+    with pytest.raises(PreconditionError, match="matrix is not Hermitian") as info:
+        eigvalsh(M)
+    return str(info.value)
+
+
+def test_hermiticity_check_on_real_matrices():
+    rng = trial_rng(45, 0)
+    G = rng.standard_normal((6, 6))
+    S = G + G.T
+    bad = S.copy()
+    bad[0, 1] += 1e-3
+    message = _not_hermitian_message(bad)
+    assert message == _not_hermitian_message(bad.astype(complex))
+    # one bad matrix inside a float64 stack is caught, with the same message
+    assert _not_hermitian_message(np.stack([S, S, bad, S])) == message
+    # ||M - M^T|| = 2 sqrt(2) t for t (E12 - E21): just under the 1e-10
+    # relative tolerance passes, just over it fails
+    A = np.zeros((6, 6))
+    A[0, 1], A[1, 0] = 1.0, -1.0
+    t = 1e-10 * np.linalg.norm(S) / (2.0 * np.sqrt(2.0))
+    assert eigvalsh(S + 0.99 * t * A).dtype == np.float64
+    _not_hermitian_message(S + 1.01 * t * A)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_symmetrized_matrix_keeps_its_bits_in_any_layout(dtype):
+    rng = trial_rng(46, 0)
+    M = rng.standard_normal((4, 9, 9)).astype(dtype)
+    if dtype == np.complex128:
+        M += 1j * rng.standard_normal((4, 9, 9))
+    M = M + np.swapaxes(M, -1, -2).conj() + 1e-13 * M  # Hermitian up to rounding
+    for layout in (M, np.asfortranarray(M), np.swapaxes(M, -1, -2).conj()):
+        H = _require_hermitian(layout)
+        want = (np.swapaxes(layout, -1, -2).conj() + layout) / 2
+        assert H.dtype == dtype and H.flags.c_contiguous
+        assert H.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert eigvalsh(layout).tobytes() == eigvalsh(np.ascontiguousarray(layout)).tobytes()

@@ -127,3 +127,15 @@ def test_assembled_lift_matches_product_oracle(real):
         assert stack.shape == (2, n * n, n * n)
         assert np.array_equal(stack[1], T)
         assert np.abs(stack[0] - 4.0 * oracle).max() <= 4e-13 * (1 + np.linalg.norm(X) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 16])
+def test_real_lift_is_float64_and_matches_complex_lift(n, real_matrices):
+    for name, X in real_matrices(n).items():
+        T = double_commutator_lift(X)
+        Tc = double_commutator_lift(X.astype(complex))
+        assert T.dtype == np.float64 and Tc.dtype == np.complex128, name
+        assert np.linalg.norm(T - Tc) <= 1e-15 * np.linalg.norm(Tc), name
+        assert np.array_equal(T, T.T), name
+    stack = double_commutator_lift(np.stack(list(real_matrices(n).values())))
+    assert stack.dtype == np.float64

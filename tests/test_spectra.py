@@ -1,4 +1,7 @@
 """Spectrum computation, eigenvalue pairing, and the proven bound ladder."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from commspectra import (
     check_weak_majorization,
     cluster_tolerance,
     commutator,
+    double_commutator_lift,
     double_commutator_spectrum,
     eigen_partner,
     first_four_sum_bound,
@@ -20,9 +24,13 @@ from commspectra import (
     monitor_partial_sums,
     paired_top_family,
     partial_sums,
+    random_rank_one,
+    random_traceless_embedded,
     trial_rng,
     unit_gaussian,
 )
+from commspectra import eigensolver
+from commspectra.spectra import _cluster, spectral_batch
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -262,3 +270,79 @@ def test_monitors_emit_bundles_under_forcing_tolerance():
     assert v.witness["seed"] == 5
     v4 = monitor_majorization(X, tol=-10.0)
     assert not v4.satisfied and v4.witness["conjecture_id"] == "C4"
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 16])
+def test_real_input_spectrum_matches_complex_path(n, real_matrices):
+    for name, X in real_matrices(n).items():
+        Xh = X / np.linalg.norm(X)
+        complex_path = eigensolver.eigvalsh(double_commutator_lift(Xh.astype(complex)))
+        for given in (X, X.astype(complex)):
+            values = double_commutator_spectrum(given).values
+            assert np.abs(values - complex_path).max() <= 1e-13, name
+
+
+def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
+    kinds = [t % 3 == 1 for t in range(8)]  # rows 1, 4 and 7 are real
+    X = np.stack([unit_gaussian(trial_rng(42, t), 4, real=r) for t, r in enumerate(kinds)])
+    X *= np.arange(1, 9)[:, None, None]
+    solves = []
+    eigvalsh = eigensolver.eigvalsh
+
+    def recording(M):
+        solves.append((M.dtype, len(M)))
+        return eigvalsh(M)
+
+    monkeypatch.setattr(eigensolver, "eigvalsh", recording)
+    batch = spectral_batch(X)
+    # one real solve for the real rows, one complex solve for the others
+    assert solves == [(np.float64, 3), (np.complex128, 5)]
+    for i in range(len(X)):
+        alone = spectral_batch(X[i : i + 1])
+        assert batch.values[i].tobytes() == alone.values[0].tobytes()
+        assert batch.matrices[i].tobytes() == alone.matrices[0].tobytes()
+        assert batch.norm_scale[i] == alone.norm_scale[0]
+    assert batch.failures == (None,) * len(X)
+
+
+def _cluster_loop(values):
+    """The reference clustering: one np.split group at a time."""
+    tol = cluster_tolerance(float(values[0]))
+    starts = np.flatnonzero(~(values[:-1] - values[1:] < tol)) + 1
+    return [(float(g.mean()), g.size) for g in np.split(values, starts)]
+
+
+def test_cluster_matches_reference_loop():
+    spectra = [np.zeros(4), np.array([2.0, 1.5, 1.5, 0.0])]
+    for n in (2, 3, 6, 10, 16):
+        for t in range(3):
+            rng = trial_rng(43, n, t)
+            for X in (
+                unit_gaussian(rng, n),
+                unit_gaussian(rng, n, real=True),
+                random_rank_one(rng, n),
+                random_traceless_embedded(rng, n),
+                _embed(E12, n),
+            ):
+                spectra.append(double_commutator_spectrum(X).values)
+    largest = 0
+    for values in spectra:
+        got, want = _cluster(values), _cluster_loop(values)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(type(m) is int and type(v) is float for v, m in got)
+        assert max(abs(v - w) for (v, _), (w, _) in zip(got, want)) <= 4e-16
+        largest = max(largest, max(m for _, m in got))
+    assert largest == 226  # the kernel of an order-16 rank-one matrix
+
+
+def test_cluster_means_are_within_one_ulp_of_the_exact_mean():
+    # one cluster of up to 300 values within 1e-9 of each other; a
+    # sequential sum of the values themselves lands 2 ulps off on this draw
+    rng = np.random.default_rng(48)
+    for _ in range(50):
+        m = int(rng.integers(2, 300))
+        group = np.sort(rng.uniform(0.5, 2.0) + 1e-9 * rng.random(m))[::-1]
+        (mean, mult), zero = _cluster(np.append(group, 0.0))
+        exact = float(Fraction(math.fsum(group)) / m)
+        assert mult == m and zero == (0.0, 1)
+        assert abs(mean - exact) <= np.spacing(exact)
