@@ -1,7 +1,8 @@
 """Deterministic Hermitian eigendecomposition and singular values.
 
-This is the only module that touches LAPACK; everything downstream consumes
-its contracts:
+This is the only module that touches LAPACK (through numpy, and through
+``ctypes`` for the subset solve); everything downstream consumes its
+contracts:
 
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, and each column's phase is fixed by making
@@ -11,10 +12,17 @@ its contracts:
   deterministic post-processing);
 * :func:`eigvalsh` keeps a float64 (real symmetric) input float64, so LAPACK
   solves it in real arithmetic; every other input, and every input of
-  :func:`eigh`, is solved in complex128.
+  :func:`eigh`, is solved in complex128;
+* ``eigh(M, top=m)`` returns only the ``m`` largest eigenpairs under the
+  same contract (residual over the returned columns). It asks LAPACK
+  ``zheevr`` for that index range, a different driver from the full
+  solve's ``zheevd``, so its bits belong to ``zheevr`` and the numpy build.
+  Where numpy's LAPACK does not export ``zheevr`` it keeps the top ``m``
+  columns of the full solve instead.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,7 @@ from .errors import ConvergenceError, PreconditionError
 from .matrices import as_matrix, as_stack
 
 HERMITICITY_RTOL = 1e-10
+LAPACK_COL_MAJOR = 102
 # components below this fraction of the column norm do not anchor the phase
 PHASE_ANCHOR_RTOL = 1e-6
 
@@ -91,22 +100,84 @@ def _fix_phases(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V * phases, phases
 
 
-def eigh(M) -> EigenDecomposition:
-    """Full Hermitian eigendecomposition with the module's determinism contract.
+@functools.cache
+def _zheevr():
+    """LAPACKE ``zheevr`` of the OpenBLAS that numpy links, or None.
 
-    :raises PreconditionError: if M is not Hermitian to 1e-10 relative
+    numpy 2.x wheels link ``scipy-openblas64``: 64-bit integers, symbols
+    prefixed ``scipy_`` and suffixed ``64_``. numpy 1.x wheels, conda or
+    system BLAS, and Windows do not export this symbol.
+    """
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zheevr64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr, f64, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+    fn.restype = i64
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+    # m, w, z, ldz, isuppz
+    fn.argtypes = [
+        ctypes.c_int, char, char, char, i64, ptr, i64,
+        f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr,
+    ]
+    return fn
+
+
+def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m largest eigenpairs of Hermitian H, values ascending.
+
+    :raises np.linalg.LinAlgError: if the kernel fails or finds other than m
+    """
+    N = H.shape[0]
+    zheevr = _zheevr()
+    if zheevr is None:
+        w, V = np.linalg.eigh(H)
+        return w[N - m :], V[:, N - m :]
+    a = np.array(H, dtype=np.complex128, order="F")  # zheevr overwrites its input
+    w = np.empty(N)
+    Z = np.empty((N, m), dtype=np.complex128, order="F")
+    found = np.zeros(1, dtype=np.int64)
+    isuppz = np.empty(2 * m, dtype=np.int64)
+    info = zheevr(
+        LAPACK_COL_MAJOR, b"V", b"I", b"L", N, a.ctypes.data, N,
+        0.0, 0.0, N - m + 1, N, 0.0,
+        found.ctypes.data, w.ctypes.data, Z.ctypes.data, N, isuppz.ctypes.data,
+    )
+    if info != 0 or found[0] != m:
+        raise np.linalg.LinAlgError(
+            f"zheevr failed (info {info}, {found[0]} of {m} eigenpairs)"
+        )
+    return w[:m], Z
+
+
+def eigh(M, top: int | None = None) -> EigenDecomposition:
+    """Hermitian eigendecomposition with the module's determinism contract.
+
+    With ``top=m`` only the m largest eigenpairs are computed and returned.
+
+    :raises PreconditionError: if M is not Hermitian to 1e-10 relative, or
+        ``top`` is outside 1..N
     :raises ConvergenceError: if the LAPACK kernel fails to converge on M and
         on its exactly permuted copy
     """
     H = _require_hermitian(as_matrix(M, "M"))
+    N = H.shape[0]
+    if top is None:
+        solve = np.linalg.eigh
+    elif 1 <= top <= N:
+        solve = functools.partial(_top_pairs, m=top)
+    else:
+        raise PreconditionError(f"top must be in 1..{N}, got {top}")
     try:
-        w, V = np.linalg.eigh(H)
+        w, V = solve(H)
     except np.linalg.LinAlgError:
-        # LAPACK's divide and conquer fails on rare inputs. Retry once on
+        # LAPACK fails to converge on rare inputs. Retry once on
         # P H P^T, P the reversal: an exact similarity (no rounding) that
         # the kernel sees as a different matrix; P^T V' are H's vectors.
         try:
-            w, V = np.linalg.eigh(H[::-1, ::-1])
+            w, V = solve(H[::-1, ::-1])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigh did not converge: {exc}") from exc
         V = V[::-1]

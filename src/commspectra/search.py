@@ -123,8 +123,8 @@ def _draw_init(config: SearchConfig, index: int) -> np.ndarray:
 
 
 def _objective_and_vectors(X: np.ndarray, k2: int):
-    dec = eigensolver.eigh(double_commutator_lift(X))
-    return float(dec.values[:k2].sum()), dec
+    dec = eigensolver.eigh(double_commutator_lift(X), top=k2)
+    return float(dec.values.sum()), dec
 
 
 def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
@@ -175,8 +175,8 @@ def _single_ascent(
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        M = _family_form(dec.vectors[:, :k2], n)
-        X = normalized(unvec(eigensolver.eigh(M).vectors[:, 0], n))
+        M = _family_form(dec.vectors, n)
+        X = normalized(unvec(eigensolver.eigh(M, top=1).vectors[:, 0], n))
         new_obj, dec = _objective_and_vectors(X, k2)
         _check_caps(dec.values, new_obj, proven)
         if new_obj < obj - 1e-10:

@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from commspectra import ConvergenceError, PreconditionError, trial_rng
+from commspectra import (
+    ConvergenceError,
+    PreconditionError,
+    double_commutator_lift,
+    trial_rng,
+    unit_gaussian,
+)
+from commspectra import eigensolver
 from commspectra.eigensolver import _require_hermitian, eigh, eigvalsh, svd, svd_full
 
 
@@ -243,3 +250,115 @@ def test_symmetrized_matrix_keeps_its_bits_in_any_layout(dtype):
         assert H.dtype == dtype and H.flags.c_contiguous
         assert H.tobytes() == np.ascontiguousarray(want).tobytes()
         assert eigvalsh(layout).tobytes() == eigvalsh(np.ascontiguousarray(layout)).tobytes()
+
+
+def _projector(V):
+    return V @ V.conj().T
+
+
+@pytest.fixture(params=["live", "fallback"])
+def subset_kernel(request, monkeypatch):
+    """Run a test with the subset solve as loaded, and with its fallback to
+    the top columns of the full solve (as on builds without ``zheevr``)."""
+    if request.param == "fallback":
+        monkeypatch.setattr(eigensolver, "_zheevr", lambda: None)
+    return request.param
+
+
+def _fail_subset_kernel(monkeypatch, failing):
+    """Make the kernel under ``eigh(top=...)`` fail on the call numbers in
+    ``failing``; returns the list of calls made."""
+    calls = []
+    zheevr = eigensolver._zheevr()
+    if zheevr is None:
+        real = np.linalg.eigh
+
+        def kernel(*args, **kwargs):
+            calls.append(None)
+            if len(calls) in failing:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", kernel)
+    else:
+
+        def kernel(*args):
+            calls.append(None)
+            return 1 if len(calls) in failing else zheevr(*args)
+
+        monkeypatch.setattr(eigensolver, "_zheevr", lambda: kernel)
+    return calls
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("n", [2, 5, 10, 16])
+def test_eigh_top_m_matches_the_full_solve(subset_kernel, n, real):
+    H = double_commutator_lift(unit_gaussian(trial_rng(47, n), n, real=real))
+    N = n * n
+    full = eigh(H)
+    for m in sorted({1, min(6, N), N}):
+        dec = eigh(H, top=m)
+        assert dec.values.shape == (m,) and dec.vectors.shape == (N, m)
+        assert np.abs(dec.values - full.values[:m]).max() <= 1e-13
+        if m == N or full.values[m - 1] - full.values[m] > 1e-3:
+            want = _projector(full.vectors[:, :m])
+            assert np.abs(_projector(dec.vectors) - want).max() <= 1e-12
+        mags = np.abs(dec.vectors)
+        anchor = np.argmax(mags >= 1e-6 * mags.max(axis=0), axis=0)
+        a = dec.vectors[anchor, np.arange(m)]
+        assert np.all(np.abs(a.imag) < 1e-12) and np.all(a.real > 0)
+        assert dec.residual < 1e-12
+        again = eigh(H, top=m)
+        assert again.values.tobytes() == dec.values.tobytes()
+        assert again.vectors.tobytes() == dec.vectors.tobytes()
+
+
+def test_eigh_top_m_separates_a_simple_top_eigenvector(subset_kernel):
+    rng = trial_rng(48, 0)
+    H = _random_hermitian(rng, 30)
+    full = eigh(H)
+    assert full.values[0] - full.values[1] > 1e-3
+    dec = eigh(H, top=1)
+    assert abs(dec.values[0] - full.values[0]) <= 1e-13
+    # both columns are phase-fixed by the same rule, so they agree as vectors
+    assert np.abs(dec.vectors[:, 0] - full.vectors[:, 0]).max() <= 1e-12
+
+
+def test_eigh_top_m_retries_non_convergence_on_the_reversed_matrix(subset_kernel, monkeypatch):
+    H = double_commutator_lift(unit_gaussian(trial_rng(49, 0), 6))
+    direct = eigh(H, top=6)
+    assert direct.values[5] - eigh(H).values[6] > 1e-3
+    calls = _fail_subset_kernel(monkeypatch, {1})
+    dec = eigh(H, top=6)
+    assert len(calls) == 2
+    np.testing.assert_allclose(dec.values, direct.values, rtol=0, atol=1e-13)
+    assert np.abs(_projector(dec.vectors) - _projector(direct.vectors)).max() <= 1e-12
+    assert dec.residual < 1e-12
+
+    calls = _fail_subset_kernel(monkeypatch, {1, 2})
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigh(H, top=6)
+    assert len(calls) == 2
+
+
+def test_eigh_top_m_rejects_a_short_eigenpair_count(monkeypatch):
+    import ctypes
+
+    zheevr = eigensolver._zheevr()
+    if zheevr is None:
+        pytest.skip("numpy's LAPACK does not export zheevr")
+
+    def short(*args):
+        info = zheevr(*args)
+        ctypes.c_int64.from_address(args[12]).value -= 1  # the found count m
+        return info
+
+    monkeypatch.setattr(eigensolver, "_zheevr", lambda: short)
+    with pytest.raises(ConvergenceError, match="5 of 6 eigenpairs"):
+        eigh(_random_hermitian(trial_rng(50, 0), 8), top=6)
+
+
+@pytest.mark.parametrize("top", [0, 26, -1])
+def test_eigh_top_outside_one_to_n_is_rejected(top):
+    with pytest.raises(PreconditionError, match="top must be in 1..25"):
+        eigh(_random_hermitian(trial_rng(51, 0), 25), top=top)

@@ -15,6 +15,7 @@ from commspectra import (
     sweep,
     validate_config,
 )
+from commspectra import eigensolver
 
 
 def test_ascend_reaches_global_maximum_for_smallest_order():
@@ -67,6 +68,43 @@ def test_ascend_survives_lapack_non_convergence(seed):
     assert result.restarts[0].iterations >= 1
     assert result.best_objective <= result.proven_bound + 1e-8
     assert result.violation is None
+
+
+def _without_zheevr(monkeypatch, run):
+    """``run()`` with the subset solve falling back to the full solve's top
+    columns, as on numpy builds that do not export ``zheevr``."""
+    with monkeypatch.context() as patched:
+        patched.setattr(eigensolver, "_zheevr", lambda: None)
+        return run()
+
+
+def _same_ascent(a, b):
+    assert [t.iterations for t in a.restarts] == [t.iterations for t in b.restarts]
+    assert abs(a.best_objective - b.best_objective) <= 1e-12
+    assert a.monotone_ok and b.monotone_ok
+
+
+@pytest.mark.parametrize("order, k, seed", [(3, 1, 0), (3, 2, 1), (6, 2, 2), (6, 3, 3), (10, 3, 4)])
+def test_ascent_subset_solve_matches_its_fallback(order, k, seed, monkeypatch):
+    config = SearchConfig(order=order, k=k, restarts=2, seed=seed)
+    _same_ascent(ascend(config), _without_zheevr(monkeypatch, lambda: ascend(config)))
+
+
+def test_lambda13_search_subset_solve_matches_its_fallback(monkeypatch):
+    def run():
+        return lambda13_search(3, restarts=10, seed=4)
+
+    _same_ascent(run(), _without_zheevr(monkeypatch, run))
+
+
+@pytest.mark.parametrize("seed", [41524744, 2507731943])
+def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
+    # without zheevr, step (b) takes the full zheevd solve that fails on
+    # these restarts and is retried on the reversed matrix
+    config = SearchConfig(order=10, k=3, restarts=1, seed=seed)
+    fallback = _without_zheevr(monkeypatch, lambda: ascend(config))
+    assert fallback.violation is None
+    _same_ascent(ascend(config), fallback)
 
 
 def test_validate_config_rejections():
