@@ -199,7 +199,7 @@ def cmd_bounds(args) -> int:
         "bounds", [_input_digest(args.path)], args.seed, args.tol, exit_code,
         {
             "spectrum": reporting.spectrum_section(X, spec),
-            "bounds": reporting.bounds_section(br),
+            "bounds": br,
         },
     )
     lines = [f"lambda_1 = {fmt(br.lambda1)} (norm scale {fmt(br.norm_scale)})"]
@@ -260,7 +260,7 @@ def cmd_check(args) -> int:
         "check", inputs, args.seed, args.tol, exit_code,
         {
             "kind": args.kind,
-            "verdicts": [reporting.verdict_section(verdict)],
+            "verdicts": [verdict],
             "bundle_path": bundle_path,
         },
     )
@@ -315,9 +315,12 @@ def cmd_closed_form(args) -> int:
 
 def _parse_orders(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        orders = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise PreconditionError(f"bad --n value {text!r}") from exc
+    if not orders:
+        raise PreconditionError(f"--n {text!r} names no order")
+    return orders
 
 
 def _search_seed(args) -> int:
@@ -376,8 +379,7 @@ def cmd_search(args) -> int:
     lambda13 = args.objective == "lambda13"
     config = search_mod.SearchConfig(
         order=orders[0],
-        # lambda_1 + lambda_3 is half the k = 2 partial sum; --k is ignored
-        k=2 if lambda13 else (1 if args.k is None else args.k),
+        k=(2 if lambda13 else 1) if args.k is None else args.k,
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=seed,
@@ -389,7 +391,7 @@ def cmd_search(args) -> int:
     exit_code, bundle_path = _record_violation(args, result.violation)
     report = reporting.build_report(
         "search", inputs, seed, args.tol, exit_code,
-        {"search": reporting.search_section(result), "bundle_path": bundle_path},
+        {"search": result, "bundle_path": bundle_path},
     )
     lines = [
         f"objective {result.objective} (order {result.order}, k {result.k}): "

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParseError, PreconditionError
 from .matrices import as_matrix, commutator, frobenius_inner, frobenius_norm, vec
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
-from .verdicts import ConjectureVerdict, bundle_matrices, make_bundle
+from .verdicts import ConjectureVerdict, bundle_matrices, judge
 
 HYPOTHESIS_TOL = 1e-8
 
@@ -61,10 +61,7 @@ def check_conj1(Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVer
         float(np.linalg.norm(commutator(Ba, Bb)) ** 2) for Ba in mats for Bb in mats
     )
     total = sum(frobenius_norm(B) ** 2 for B in mats)
-    rhs = float(total**2)
-    satisfied = lhs <= rhs + tol
-    witness = None if satisfied else make_bundle("C1", mats, lhs, rhs, resid, seed)
-    return ConjectureVerdict("C1", float(resid), lhs, rhs, satisfied, witness)
+    return judge("C1", mats, lhs, total**2, resid, tol, seed)
 
 
 def _pivot_family(B, Bs) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -101,12 +98,8 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     lhs = sum(float(np.linalg.norm(commutator(B, Ba)) ** 2) for Ba in mats)
     norms_sq = [frobenius_norm(Ba) ** 2 for Ba in mats]
     coef = 1.0 if cid == "C2" else 2.0
-    rhs = float((coef * max(norms_sq) + sum(norms_sq)) * frobenius_norm(B) ** 2)
-    satisfied = lhs <= rhs + tol
-    witness = (
-        None if satisfied else make_bundle(cid, [B] + mats, lhs, rhs, resid, seed)
-    )
-    return ConjectureVerdict(cid, float(resid), lhs, rhs, satisfied, witness)
+    rhs = (coef * max(norms_sq) + sum(norms_sq)) * frobenius_norm(B) ** 2
+    return judge(cid, [B] + mats, lhs, rhs, resid, tol, seed)
 
 
 def check_conj2(B, Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
@@ -155,16 +148,10 @@ def check_lu_lemma(etas, r, tol: float = 1e-8, seed: int | None = None) -> Conje
     iu = np.triu_indices(e.size, k=1)
     w = R[iu]
     diffs = np.abs(e[iu[0]] - e[iu[1]]) ** 2
-    lhs = float((diffs * w).sum())
-    rhs = float(w.sum() + (w.max() if w.size else 0.0))
-    resid = float(max(center_resid, norm_resid))
-    satisfied = lhs <= rhs + tol
-    witness = (
-        None
-        if satisfied
-        else make_bundle("LU_LEMMA", [e.reshape(1, -1), R], lhs, rhs, resid, seed)
-    )
-    return ConjectureVerdict("LU_LEMMA", resid, lhs, rhs, satisfied, witness)
+    lhs = (diffs * w).sum()
+    rhs = w.sum() + (w.max() if w.size else 0.0)
+    resid = max(center_resid, norm_resid)
+    return judge("LU_LEMMA", [e.reshape(1, -1), R], lhs, rhs, resid, tol, seed)
 
 
 def check_numbers_lemma(
@@ -188,22 +175,10 @@ def check_numbers_lemma(
             f"need sum of squares 1, off by {norm_resid:.3e}"
         )
     m = int(R.sum())
-    lhs = float(np.clip(e, 0.0, None) @ R @ np.clip(o, 0.0, None))
-    rhs = float(np.sqrt(m) / 2.0)
-    satisfied = lhs <= rhs + tol
-    witness = (
-        None
-        if satisfied
-        else make_bundle(
-            "NUMBERS_LEMMA",
-            [e.reshape(1, -1), o.reshape(1, -1), R],
-            lhs,
-            rhs,
-            norm_resid,
-            seed,
-        )
-    )
-    return ConjectureVerdict("NUMBERS_LEMMA", float(norm_resid), lhs, rhs, satisfied, witness)
+    lhs = np.clip(e, 0.0, None) @ R @ np.clip(o, 0.0, None)
+    rhs = np.sqrt(m) / 2.0
+    mats = [e.reshape(1, -1), o.reshape(1, -1), R]
+    return judge("NUMBERS_LEMMA", mats, lhs, rhs, norm_resid, tol, seed)
 
 
 def check_isotropic_trace_bound(
@@ -242,15 +217,8 @@ def check_isotropic_trace_bound(
     lhs = sum(float(np.linalg.norm(commutator(X, wi)) ** 2) for wi in mats)
     spec = double_commutator_spectrum(X)
     lam_raw = spec.norm_scale * spec.values
-    rhs = float(lam_raw[0 : 2 * m : 2].sum())
-    resid = float(max(orth, iso))
-    satisfied = lhs <= rhs + tol
-    witness = (
-        None
-        if satisfied
-        else make_bundle("ISOTROPIC", [X] + mats, lhs, rhs, resid, seed)
-    )
-    return ConjectureVerdict("ISOTROPIC", resid, lhs, rhs, satisfied, witness)
+    rhs = lam_raw[0 : 2 * m : 2].sum()
+    return judge("ISOTROPIC", [X] + mats, lhs, rhs, max(orth, iso), tol, seed)
 
 
 def random_isotropic_family(X, m: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -1,5 +1,11 @@
 """Run reports: JSON-ready sections, schema validation, deterministic dumps.
 
+The ``bounds``, ``verdicts`` and ``search`` sections are the result
+dataclasses themselves (``BoundReport``, ``ConjectureVerdict``,
+``SearchResult``): :func:`jsonable` serializes any dataclass field by field,
+so their keys are the fields. :func:`spectrum_section` stays a function
+because it derives fields the ``Spectrum`` does not hold.
+
 Every command-line invocation assembles one report dict, validated against
 the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
 any field change). The validator is built once per process: the schema is
@@ -11,6 +17,7 @@ are byte-identical.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from importlib import resources
@@ -19,9 +26,8 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantViolationError
-from .spectra import BoundReport, Spectrum, partial_sums
-from .search import SearchResult
-from .verdicts import ConjectureVerdict, matrix_payload
+from .spectra import Spectrum, partial_sums
+from .verdicts import matrix_payload
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = __version__
@@ -45,10 +51,11 @@ def _validator():
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays into plain JSON values.
+    """Recursively convert numpy scalars/arrays and dataclasses into plain
+    JSON values.
 
     Complex arrays and scalars become ``{re, im}`` payloads; real arrays
-    become nested float lists.
+    become nested float lists; a dataclass becomes a dict of its fields.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -70,6 +77,8 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -84,51 +93,6 @@ def spectrum_section(X: np.ndarray, spec: Spectrum) -> dict:
         "norm_scale": float(spec.norm_scale),
         "trace_residual": float(abs(spec.values.sum() - trace_target)),
         "partial_sums": partial_sums(spec).tolist(),
-    }
-
-
-def bounds_section(report: BoundReport) -> dict:
-    return {
-        "lambda1": float(report.lambda1),
-        "norm_scale": float(report.norm_scale),
-        "bounds": jsonable(report.bounds),
-        "slacks": jsonable(report.slacks),
-        "all_proven_hold": bool(report.all_proven_hold),
-    }
-
-
-def verdict_section(verdict: ConjectureVerdict) -> dict:
-    return {
-        "conjecture_id": verdict.conjecture_id,
-        "hypotheses_residual": float(verdict.hypotheses_residual),
-        "lhs": float(verdict.lhs),
-        "rhs": float(verdict.rhs),
-        "satisfied": bool(verdict.satisfied),
-        "witness": jsonable(verdict.witness),
-    }
-
-
-def search_section(result: SearchResult) -> dict:
-    return {
-        "objective": result.objective,
-        "order": int(result.order),
-        "k": int(result.k),
-        "best_objective": float(result.best_objective),
-        "best_matrix": matrix_payload(result.best_matrix),
-        "conjectured_bound": float(result.conjectured_bound),
-        "proven_bound": float(result.proven_bound),
-        "gap_to_conjecture": float(result.gap_to_conjecture),
-        "monotone_ok": bool(result.monotone_ok),
-        "restarts": [
-            {
-                "index": t.index,
-                "first_objective": float(t.first_objective),
-                "last_objective": float(t.last_objective),
-                "iterations": t.iterations,
-            }
-            for t in result.restarts
-        ],
-        "violation": jsonable(result.violation),
     }
 
 

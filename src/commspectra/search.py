@@ -25,11 +25,15 @@ from .errors import InvariantViolationError, PreconditionError
 from .lifted import double_commutator_lift
 from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, normalized, unvec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, spectral_batch
-from .verdicts import make_bundle, matrix_payload
+from .verdicts import holds, judge, make_bundle, matrix_payload
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
 VIOLATION_MARGIN = 1e-6
+# A restart stops after FLAT_ITERS consecutive steps whose relative gain is
+# below ASCENT_TOL.
+ASCENT_TOL = 1e-12
+FLAT_ITERS = 3
 # Complex entries of stacked lifts held at once (1 MiB): sweep trials run
 # in chunks of at most this many n^4-entry lifts (at least one). Larger
 # stacks fall out of cache and cost more per matrix.
@@ -48,8 +52,6 @@ class SearchConfig:
     k: int
     restarts: int = 20
     max_iters: int = 500
-    ascent_tol: float = 1e-12
-    flat_iters: int = 3
     seed: int = 0
     init: str = "random_gaussian"
     matrix: np.ndarray | None = None
@@ -90,8 +92,6 @@ def validate_config(config: SearchConfig) -> None:
         raise PreconditionError("need at least one restart")
     if config.max_iters < 1:
         raise PreconditionError("need at least one iteration")
-    if config.flat_iters < 1:
-        raise PreconditionError("need flat_iters >= 1")
     if config.init not in INIT_KINDS:
         raise PreconditionError(f"init must be one of {INIT_KINDS}, got {config.init!r}")
     if config.init == "user_matrix":
@@ -183,9 +183,9 @@ def _single_ascent(
             monotone = False
         rel = (new_obj - obj) / max(abs(obj), 1e-300)
         obj = new_obj
-        if rel < config.ascent_tol:
+        if rel < ASCENT_TOL:
             flat += 1
-            if flat >= config.flat_iters:
+            if flat >= FLAT_ITERS:
                 break
         else:
             flat = 0
@@ -214,9 +214,9 @@ def ascend(config: SearchConfig) -> SearchResult:
         if obj > best_obj:
             best_obj = obj
             best_X = X
-    violation = None
-    if best_obj > conjectured + VIOLATION_MARGIN:
-        violation = make_bundle("C2A", [best_X], best_obj, conjectured, 0.0, config.seed)
+    verdict = judge(
+        "C2A", [best_X], best_obj, conjectured, 0.0, VIOLATION_MARGIN, config.seed
+    )
     return SearchResult(
         objective="partial_sum",
         order=n,
@@ -228,7 +228,7 @@ def ascend(config: SearchConfig) -> SearchResult:
         gap_to_conjecture=float(conjectured - best_obj),
         monotone_ok=monotone_all,
         restarts=tuple(traces),
-        violation=violation,
+        violation=verdict.witness,
     )
 
 
@@ -237,17 +237,13 @@ def lambda13_search(config: SearchConfig) -> SearchResult:
 
     Runs :func:`ascend` on ``config``, whose ``k`` must be 2. For n = 2 the
     third eigenvalue vanishes and the value reduces to lambda_1. The
-    conjectured cap is 3, the proven cap (4 + sqrt(10))/2.
+    conjectured cap is 3, the proven cap (4 + sqrt(10))/2. A breach is the
+    ascent's own C2A bundle: f_2 above 6 + ``VIOLATION_MARGIN``.
     """
     if config.k != 2:
         raise PreconditionError(f"lambda13_search needs k = 2, got {config.k}")
     base = ascend(config)
     half = base.best_objective / 2.0
-    violation = None
-    if half > 3.0 + VIOLATION_MARGIN:
-        violation = make_bundle(
-            "C2A", [base.best_matrix], base.best_objective, 6.0, 0.0, config.seed
-        )
     if half > LAMBDA13_BOUND + 1e-8:
         raise InvariantViolationError(
             f"lambda_1 + lambda_3 = {half!r} broke its proven cap {LAMBDA13_BOUND!r}"
@@ -266,7 +262,7 @@ def lambda13_search(config: SearchConfig) -> SearchResult:
             RestartTrace(t.index, t.first_objective / 2.0, t.last_objective / 2.0, t.iterations)
             for t in base.restarts
         ),
-        violation=violation,
+        violation=base.violation,
     )
 
 
@@ -284,8 +280,7 @@ def sweep(
     matrices. Per trial the proven ladder is asserted hard; a C2A breach at
     some k lands as a bundle in that (n, k) row, and weak-majorization (C4)
     breaches, which are not tied to a single k, go to the report's top-level
-    ``majorization_violations``. ``k_rule`` is "all", an int, or a callable
-    n -> iterable of k.
+    ``majorization_violations``. ``k_rule`` is "all" or one int k.
 
     Each order's trials run through the batched spectral core in chunks of
     at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
@@ -302,12 +297,7 @@ def sweep(
             raise PreconditionError(f"sweep needs orders >= 2, got {n}")
         check_order_cap(n, max_order)
         N = n * n
-        if k_rule == "all":
-            ks = list(range(1, N // 2 + 1))
-        elif callable(k_rule):
-            ks = [int(k) for k in k_rule(n)]
-        else:
-            ks = [int(k_rule)]
+        ks = list(range(1, N // 2 + 1)) if k_rule == "all" else [int(k_rule)]
         for k in ks:
             if not 1 <= k <= N // 2:
                 raise PreconditionError(f"k = {k} out of range for order {n}")
@@ -340,7 +330,7 @@ def sweep(
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
                 argmax[j] = X[best[j]]
-            c2a = f > caps + tol
+            c2a = ~holds(f, caps, tol)
             c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
             for i in np.flatnonzero(c2a.any(axis=1) | ~c4_ok):
                 for j, k in enumerate(ks):

@@ -45,7 +45,7 @@ from .matrices import (
     unvec,
     vec,
 )
-from .verdicts import ConjectureVerdict, make_bundle
+from .verdicts import ConjectureVerdict, holds, judge
 
 CLUSTER_TOL_FLOOR = 1e-7
 LAMBDA13_BOUND = (4.0 + np.sqrt(10.0)) / 2.0
@@ -266,7 +266,8 @@ def majorization_target(n: int) -> np.ndarray:
 
 
 def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Worst prefix index and prefix-sum excess of each row of v over t.
+    """Prefix sums of each row of v and of t at the row's worst prefix,
+    the one where the excess of v over t is largest.
 
     Rows of ``v`` (B, N) and ``t`` (N,) must be descending.
     """
@@ -275,9 +276,9 @@ def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.diff(t)[None, :] > 1e-9 * scale[:, None]
     ):
         raise PreconditionError("inputs must be sorted in descending order")
-    excess = np.cumsum(v, axis=-1) - np.cumsum(t)
-    worst = np.argmax(excess, axis=-1)
-    return worst, excess[np.arange(len(v)), worst]
+    cv, ct = np.cumsum(v, axis=-1), np.cumsum(t)
+    worst = np.argmax(cv - ct, axis=-1)
+    return cv[np.arange(len(v)), worst], ct[worst]
 
 
 def majorization_batch(
@@ -289,11 +290,8 @@ def majorization_batch(
     spectrum and of :func:`majorization_target` at the worst prefix.
     """
     n = round(np.sqrt(values.shape[-1]))
-    target = majorization_target(n)
-    worst, excess = _dominance(values, target)
-    rows = np.arange(len(values))
-    lhs = np.cumsum(values, axis=-1)[rows, worst]
-    return excess <= tol, lhs, np.cumsum(target)[worst]
+    lhs, rhs = _dominance(values, majorization_target(n))
+    return holds(lhs, rhs, tol), lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -428,13 +426,7 @@ def monitor_partial_sums(
     lhs_all = prefix[2 * ks - 1]
     rhs_all = 2.0 * ks + 2.0
     worst = int(np.argmax(lhs_all - rhs_all))
-    lhs = float(lhs_all[worst])
-    rhs = float(rhs_all[worst])
-    satisfied = lhs <= rhs + tol
-    witness = None
-    if not satisfied:
-        witness = make_bundle("C2A", [normalized(X)], lhs, rhs, 0.0, seed)
-    return ConjectureVerdict("C2A", 0.0, lhs, rhs, satisfied, witness)
+    return judge("C2A", [normalized(X)], lhs_all[worst], rhs_all[worst], 0.0, tol, seed)
 
 
 def monitor_majorization(
@@ -443,8 +435,5 @@ def monitor_majorization(
     """Monitor weak majorization by the rank-one profile (id C4)."""
     X = as_matrix(X)
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    ok, lhs, rhs = majorization_batch(spec.values[None], tol=tol)
-    witness = None
-    if not ok[0]:
-        witness = make_bundle("C4", [normalized(X)], lhs[0], rhs[0], 0.0, seed)
-    return ConjectureVerdict("C4", 0.0, float(lhs[0]), float(rhs[0]), bool(ok[0]), witness)
+    _, lhs, rhs = majorization_batch(spec.values[None], tol=tol)
+    return judge("C4", [normalized(X)], lhs[0], rhs[0], 0.0, tol, seed)

@@ -1,5 +1,13 @@
 """Conjecture verdicts and portable violation bundles.
 
+Every statement checked has the shape "lhs <= rhs under hypotheses", and one
+rule decides all of them: the statement holds when ``lhs <= rhs + tol``.
+:func:`holds` applies the rule (elementwise on arrays, for batched
+decisions) and :func:`judge` turns one decision into a
+:class:`ConjectureVerdict`, the only place a verdict is built. A change of
+the rule, such as error-bounded three-valued verdicts (ROADMAP item 6),
+edits these two functions only.
+
 A violation bundle is a JSON object holding everything needed to re-verify
 the claimed violation from the file alone:
 
@@ -90,6 +98,29 @@ def make_bundle(
         "hypotheses_residual": float(hypotheses_residual),
         "seed": None if seed is None else int(seed),
     }
+
+
+def holds(lhs, rhs, tol):
+    """The verdict rule ``lhs <= rhs + tol``; elementwise on arrays."""
+    return lhs <= rhs + tol
+
+
+def judge(
+    conjecture_id: str,
+    matrices: list[np.ndarray],
+    lhs: float,
+    rhs: float,
+    hypotheses_residual: float,
+    tol: float,
+    seed: int | None,
+) -> ConjectureVerdict:
+    """Decide one statement; a violated verdict carries its bundle."""
+    lhs, rhs, resid = float(lhs), float(rhs), float(hypotheses_residual)
+    satisfied = bool(holds(lhs, rhs, tol))
+    witness = (
+        None if satisfied else make_bundle(conjecture_id, matrices, lhs, rhs, resid, seed)
+    )
+    return ConjectureVerdict(conjecture_id, resid, lhs, rhs, satisfied, witness)
 
 
 def bundle_matrices(bundle: dict) -> list[np.ndarray]:

@@ -157,6 +157,11 @@ def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
         ("search", "--objective", "lambda13", "--n", "3", "--max-order", "2",
          "--restarts", "1", "--seed", "1"),
         ("search", "--objective", "sweep", "--n", "3", "--trials", "0", "--json"),
+        # lambda13 is the k = 2 ascent: a conflicting --k is refused, not ignored
+        ("search", "--objective", "lambda13", "--n", "3", "--k", "3",
+         "--restarts", "1", "--seed", "1"),
+        # a list that names no order
+        ("search", "--objective", "sweep", "--n", ",", "--trials", "2", "--seed", "1"),
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):

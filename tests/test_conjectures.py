@@ -240,6 +240,21 @@ def test_bundle_construction_validation():
         reverify_bundle({"conjecture_id": "??", "matrices": [], "m": 0})
 
 
+def test_judge_boundary_is_inclusive():
+    from commspectra.verdicts import judge
+
+    rhs, tol = 0.1, 0.2
+    lhs = rhs + tol  # exactly on the boundary: satisfied, no witness
+    at = judge("C1", [E21], lhs, rhs, 0.0, tol, 7)
+    assert (at.conjecture_id, at.lhs, at.rhs, at.satisfied, at.witness) == (
+        "C1", lhs, rhs, True, None
+    )
+    above = float(np.nextafter(lhs, np.inf))
+    over = judge("C1", [E21], above, rhs, 0.0, tol, 7)
+    assert not over.satisfied
+    assert over.witness == make_bundle("C1", [E21], above, rhs, 0.0, 7)
+
+
 def test_read_bundle_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all")

@@ -22,16 +22,13 @@ from commspectra import (
 from commspectra.reporting import (
     SCHEMA_VERSION,
     TOOL_VERSION,
-    bounds_section,
     build_report,
     fmt,
     jsonable,
     load_schema,
     report_json,
-    search_section,
     spectrum_section,
     validate_report,
-    verdict_section,
 )
 
 X0 = unit_gaussian(trial_rng(80, 0), 3)
@@ -55,6 +52,8 @@ def test_jsonable_arrays_and_nesting():
     json.dumps(out)  # everything is JSON-native
     with pytest.raises(TypeError):
         jsonable(object())
+    with pytest.raises(TypeError):
+        jsonable(SearchConfig)  # a dataclass type, not an instance
 
 
 def test_spectrum_section_contents():
@@ -69,12 +68,23 @@ def test_spectrum_section_contents():
 
 
 def test_bounds_and_verdict_sections():
-    b = jsonable(bounds_section(bound_report(X0)))
+    # the sections are the result dataclasses, serialized field by field
+    spec = double_commutator_spectrum(X0)
+    bounds = build_report(
+        "bounds", INPUTS, None, 1e-8, 0,
+        {"spectrum": spectrum_section(X0, spec), "bounds": bound_report(X0, spectrum=spec)},
+    )
+    b = bounds["bounds"]
+    assert set(b) == {"lambda1", "norm_scale", "bounds", "slacks", "all_proven_hold"}
     assert b["all_proven_hold"] is True
     assert set(b["bounds"]) == set(b["slacks"])
-    v = verdict_section(
-        check_lu_lemma(center_normalize([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]])
+    verdict = check_lu_lemma(center_normalize([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]])
+    check = build_report(
+        "check", INPUTS, None, 1e-8, 0,
+        {"kind": "lu", "verdicts": [verdict], "bundle_path": None},
     )
+    v = jsonable(verdict)
+    assert check["verdicts"] == [v]
     assert v["conjecture_id"] == "LU_LEMMA" and v["satisfied"] is True
     assert v["witness"] is None
     json.dumps(v)
@@ -82,11 +92,20 @@ def test_bounds_and_verdict_sections():
 
 def test_search_section_round_trips_through_json():
     result = ascend(SearchConfig(order=2, k=1, restarts=2, seed=0, max_iters=30))
-    section = search_section(result)
-    dumped = json.loads(json.dumps(section))
+    report = build_report(
+        "search", INPUTS, 0, 1e-8, 0, {"search": result, "bundle_path": None}
+    )
+    dumped = json.loads(report_json(report))["search"]
+    assert dumped == jsonable(result)
     assert dumped["best_objective"] == pytest.approx(4.0, abs=1e-6)
     assert dumped["violation"] is None
     assert len(dumped["restarts"]) == 2
+    assert dumped["restarts"][0] == {
+        "index": 0,
+        "first_objective": result.restarts[0].first_objective,
+        "last_objective": result.restarts[0].last_objective,
+        "iterations": result.restarts[0].iterations,
+    }
     assert set(dumped["best_matrix"]) == {"re", "im"}
 
 
