@@ -20,7 +20,6 @@ from .closed_forms import (
     is_maximal_pair,
     is_normal,
     make_maximal_pair,
-    normal_eigenvalues,
     normal_spectrum,
     rank_one_spectrum,
 )
@@ -32,7 +31,6 @@ from .conjectures import (
     check_isotropic_trace_bound,
     check_lu_lemma,
     check_numbers_lemma,
-    random_isotropic_family,
     reverify_bundle,
 )
 from .ensembles import (
@@ -87,7 +85,6 @@ from .spectra import (
     majorization_target,
     monitor_majorization,
     monitor_partial_sums,
-    paired_top_family,
     partial_sums,
 )
 from .verdicts import (

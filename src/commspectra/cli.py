@@ -61,10 +61,17 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _tol_type(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError("tolerance must be finite")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, tol_default: float = 1e-8) -> None:
     parser.add_argument("--json", action="store_true", help="emit the run report as JSON on stdout")
     parser.add_argument("--seed", type=_seed_type, default=None, help="root seed (u64)")
-    parser.add_argument("--tol", type=float, default=tol_default, help=f"tolerance (default {tol_default:g})")
+    parser.add_argument("--tol", type=_tol_type, default=tol_default, help=f"tolerance (default {tol_default:g})")
     parser.add_argument("--out", default=None, help="also write the report JSON to this path")
 
 
@@ -107,16 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="extremal search and random-ensemble sweeps")
     p.add_argument("--n", required=True, help="matrix order (comma-separated list for --objective sweep)")
     p.add_argument("--k", type=int, default=None, help="partial-sum index (sweep default: all)")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--init", choices=search_mod.INIT_KINDS, default="random_gaussian")
+    # None marks a flag as not given: cmd_search refuses one its objective cannot use
+    config = search_mod.SearchConfig
+    p.add_argument("--restarts", type=int, help=f"ascent restarts (default {config.restarts})")
+    p.add_argument("--max-iters", type=int, help=f"iterations per restart (default {config.max_iters})")
+    p.add_argument("--init", choices=search_mod.INIT_KINDS, help=f"ascent start (default {config.init})")
     p.add_argument("--matrix", default=None, help="matrix file for --init user_matrix")
     p.add_argument(
         "--objective",
         choices=("partial-sum", "lambda13", "sweep"),
         default="partial-sum",
     )
-    p.add_argument("--trials", type=int, default=1000, help="draws per order for --objective sweep")
+    p.add_argument("--trials", type=int, help="draws per order for --objective sweep (default 1000)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     p.add_argument("--bundle-out", default=None, help="where to write a violation bundle")
     _add_common(p)
@@ -333,6 +342,14 @@ def _search_seed(args) -> int:
 
 def cmd_search(args) -> int:
     orders = _parse_orders(args.n)
+    if args.objective == "sweep":
+        flags = {"--matrix": args.matrix, "--init": args.init,
+                 "--restarts": args.restarts, "--max-iters": args.max_iters}
+    else:
+        flags = {"--trials": args.trials}
+    unused = [flag for flag, value in flags.items() if value is not None]
+    if unused:
+        raise PreconditionError(f"--objective {args.objective} does not use {', '.join(unused)}")
     seed = _search_seed(args)
     inputs = []
     user_matrix = None
@@ -344,7 +361,7 @@ def cmd_search(args) -> int:
         sweep_report = search_mod.sweep(
             orders,
             k_rule="all" if args.k is None else args.k,
-            trials=args.trials,
+            trials=1000 if args.trials is None else args.trials,
             seed=seed,
             tol=args.tol,
             max_order=args.max_order,
@@ -357,7 +374,7 @@ def cmd_search(args) -> int:
             {"sweep": sweep_report, "bundle_path": bundle_path},
         )
         lines = [
-            f"sweep over orders {orders}, {args.trials} trials each "
+            f"sweep over orders {orders}, {sweep_report['trials_per_order']} trials each "
             f"({sweep_report['ensemble']})"
         ]
         for row in sweep_report["rows"]:
@@ -377,15 +394,14 @@ def cmd_search(args) -> int:
     if len(orders) != 1:
         raise PreconditionError("--objective partial-sum/lambda13 takes a single order")
     lambda13 = args.objective == "lambda13"
+    given = {"restarts": args.restarts, "max_iters": args.max_iters, "init": args.init}
     config = search_mod.SearchConfig(
         order=orders[0],
         k=(2 if lambda13 else 1) if args.k is None else args.k,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
         seed=seed,
-        init=args.init,
         matrix=user_matrix,
         max_order=args.max_order,
+        **{name: value for name, value in given.items() if value is not None},
     )
     result = (search_mod.lambda13_search if lambda13 else search_mod.ascend)(config)
     exit_code, bundle_path = _record_violation(args, result.violation)

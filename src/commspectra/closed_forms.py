@@ -2,12 +2,16 @@
 
 For unit Frobenius norm X:
 
-* normal X with eigenvalues x_i: the lifted spectrum is {|x_i - x_j|^2};
+* normal X with eigenvalues x_i: the lifted spectrum is {|x_i - x_j|^2}.
+  The x_i come from one general eigensolve: the eigenvalues of a normal
+  matrix are perfectly conditioned, so a backward-stable solve gives them
+  to rounding, repeated eigenvalues included;
 * rank-one X with t = |Tr X|^2: the spectrum is
   {2 - t, 2 - t} + {1 x (2n - 4)} + {0 x ((n-1)^2 + 1)};
-* lambda_1 = 2 exactly when X = U diag(X0, 0) U* with Tr X0 = 0, and the
-  witness (U, X0) is recoverable from the two-dimensional joint support of
-  X and X*.
+* lambda_1 = 2 exactly when X = U diag(X0, 0) U* with Tr X0 = 0. U is the
+  eigenbasis of X X* + X* X, which is then the projector onto the joint
+  support of X and X* (X0 X0* + X0* X0 = I for a traceless unit 2x2 X0),
+  so its top two eigenvectors are separated from the rest by a gap of 1.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from .matrices import (
     as_matrix,
     commutator,
     frobenius_norm,
-    herm_skew_split,
     normalized,
     same_order,
 )
@@ -40,54 +43,18 @@ def is_normal(X, rtol: float = NORMALITY_RTOL) -> bool:
     return float(np.linalg.norm(commutator(X, X.conj().T))) <= rtol * scale
 
 
-def normal_eigenvalues(X) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and a joint unitary eigenbasis of a normal matrix.
-
-    Diagonalizes the Hermitian part, then re-diagonalizes the skew part
-    inside each eigenvalue cluster; for normal X the two commute, so this
-    is an exact joint diagonalization. Returns (x, U) with X U = U diag(x).
-
-    :raises PreconditionError: if X is not normal (checked up front and
-        again through the final eigenpair residual)
-    """
-    X = as_matrix(X)
-    if not is_normal(X, rtol=1e-8):
-        raise PreconditionError("matrix is not normal")
-    n = X.shape[0]
-    A, B = herm_skew_split(X)
-    Bh = B / 1j
-    alpha_dec = eigensolver.eigh(A)
-    # work in ascending order so clustering is a single pass
-    alpha = alpha_dec.values[::-1].copy()
-    U = alpha_dec.vectors[:, ::-1].copy()
-    scale = max(1.0, float(np.abs(alpha).max(initial=0.0)))
-    x = np.empty(n, dtype=np.complex128)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and alpha[j] - alpha[j - 1] < 1e-8 * scale:
-            j += 1
-        Uc = U[:, i:j]
-        sub = eigensolver.eigh(Uc.conj().T @ Bh @ Uc)
-        U[:, i:j] = Uc @ sub.vectors
-        x[i:j] = alpha[i:j] + 1j * sub.values
-        i = j
-    resid = float(np.linalg.norm(X @ U - U * x))
-    if resid > 1e-8 * max(1.0, frobenius_norm(X)):
-        raise PreconditionError(
-            f"joint diagonalization residual {resid:.3e}; matrix is not normal enough"
-        )
-    return x, U
-
-
 def normal_spectrum(X) -> np.ndarray:
     """Closed-form lifted spectrum {|x_i - x_j|^2} of a normal X, descending.
 
     Values refer to the unit-normalized matrix, matching
     :func:`commspectra.spectra.double_commutator_spectrum`.
+
+    :raises PreconditionError: if X is not normal to 1e-8 relative
     """
     Xh = normalized(X)
-    x, _ = normal_eigenvalues(Xh)
+    if not is_normal(Xh, rtol=1e-8):
+        raise PreconditionError("matrix is not normal")
+    x = eigensolver.eigvals(Xh)
     diffs = np.abs(np.subtract.outer(x, x)) ** 2
     return np.sort(diffs.ravel())[::-1]
 
@@ -131,38 +98,6 @@ class EqualityWitness:
     trace_abs: float
 
 
-def _pivoted_orthonormal_basis(cols: np.ndarray, tol: float) -> list[np.ndarray]:
-    # modified Gram-Schmidt, pivot on the largest remaining norm, ties by index
-    R = cols.astype(np.complex128).copy()
-    basis: list[np.ndarray] = []
-    while True:
-        norms = np.linalg.norm(R, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = R[:, j] / norms[j]
-        basis.append(q)
-        R = R - np.outer(q, q.conj() @ R)
-    return basis
-
-
-def _complete_unitary(basis: list[np.ndarray], n: int) -> np.ndarray:
-    cols = list(basis)
-    for i in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[i] = 1.0
-        for q in cols:
-            e = e - q * np.vdot(q, e)
-        nrm = np.linalg.norm(e)
-        if nrm > 1e-8:
-            cols.append(e / nrm)
-        if len(cols) == n:
-            break
-    if len(cols) != n:  # pragma: no cover - canonical basis always completes
-        raise DegenerateSupportError("failed to complete the witness unitary")
-    return np.column_stack(cols)
-
-
 def detect_equality_case(
     X, spectrum: Spectrum | None = None, threshold: float = EQUALITY_THRESHOLD
 ) -> EqualityWitness | None:
@@ -172,19 +107,18 @@ def detect_equality_case(
         valid two-dimensional embedding exists at the residual tolerance
     """
     X = as_matrix(X)
-    n = X.shape[0]
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     lambda1 = float(spec.values[0])
     if lambda1 <= threshold:
         return None
     Xh = normalized(X)
-    basis = _pivoted_orthonormal_basis(np.hstack([Xh, Xh.conj().T]), tol=1e-8)
-    if len(basis) != 2:
+    Xs = Xh.conj().T
+    rank = int((eigensolver.svd(np.hstack([Xh, Xs])) > 1e-8).sum())
+    if rank != 2:
         raise DegenerateSupportError(
-            f"joint support has dimension {len(basis)}, expected 2 "
-            f"(lambda_1 = {lambda1!r})"
+            f"joint support has dimension {rank}, expected 2 (lambda_1 = {lambda1!r})"
         )
-    U = _complete_unitary(basis, n)
+    U = eigensolver.eigh(Xh @ Xs + Xs @ Xh).vectors
     Q = U[:, :2]
     X0 = Q.conj().T @ Xh @ Q
     residual = float(np.linalg.norm(Xh - Q @ X0 @ Q.conj().T))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError
-from .matrices import as_matrix, commutator, frobenius_inner, frobenius_norm, vec
+from .matrices import as_matrix, commutator, frobenius_inner, frobenius_norm
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
 from .verdicts import ConjectureVerdict, bundle_matrices, judge
 
@@ -219,48 +219,6 @@ def check_isotropic_trace_bound(
     lam_raw = spec.norm_scale * spec.values
     rhs = lam_raw[0 : 2 * m : 2].sum()
     return judge("ISOTROPIC", [X] + mats, lhs, rhs, max(orth, iso), tol, seed)
-
-
-def random_isotropic_family(X, m: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random orthonormal isotropic family of size m for T_X.
-
-    Each new member is a Gaussian draw projected off the span of the chosen
-    members and their pairing images [X, w]*; the diagonal condition
-    <[X, w]*, w> = 0 holds identically.
-    """
-    X = as_matrix(X)
-    n = X.shape[0]
-    if not 1 <= m <= (n * n) // 2:
-        raise PreconditionError(f"need 1 <= m <= {(n * n) // 2}, got {m}")
-    forbidden: list[np.ndarray] = []  # orthonormalized vec coordinates
-    out: list[np.ndarray] = []
-
-    def _project_off(v: np.ndarray) -> np.ndarray:
-        for q in forbidden:
-            v = v - q * np.vdot(q, v)
-        return v
-
-    def _push(v: np.ndarray) -> None:
-        v = _project_off(v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            forbidden.append(v / nrm)
-
-    attempts = 0
-    while len(out) < m:
-        attempts += 1
-        if attempts > 200 * m:  # pragma: no cover - dimension count prevents this
-            raise DegenerateInputError("could not extend the isotropic family")
-        cand = vec(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        cand = _project_off(cand)
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-6:
-            continue
-        w = (cand / nrm).reshape((n, n), order="F")
-        out.append(w)
-        _push(vec(w))
-        _push(vec(commutator(X, w).conj().T))
-    return out
 
 
 def reverify_bundle(bundle: dict) -> ConjectureVerdict:

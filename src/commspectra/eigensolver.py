@@ -1,4 +1,5 @@
-"""Deterministic Hermitian eigendecomposition and singular values.
+"""Deterministic Hermitian eigendecomposition, general eigenvalues and
+singular values.
 
 This is the only module that touches LAPACK (through numpy, and through
 ``ctypes`` for the subset solve); everything downstream consumes its
@@ -18,7 +19,9 @@ contracts:
   ``zheevr`` for that index range, a different driver from the full
   solve's ``zheevd``, so its bits belong to ``zheevr`` and the numpy build.
   Where numpy's LAPACK does not export ``zheevr`` it keeps the top ``m``
-  columns of the full solve instead.
+  columns of the full solve instead;
+* :func:`eigvals` returns the eigenvalues of a general square matrix from
+  LAPACK ``zgeev``, in LAPACK's order.
 """
 from __future__ import annotations
 
@@ -192,6 +195,15 @@ def eigvalsh(M) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
     return w[..., ::-1].copy()
+
+
+def eigvals(X) -> np.ndarray:
+    """Eigenvalues of a general square matrix, solved in complex128 (``zgeev``)."""
+    A = as_matrix(X)
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvals did not converge: {exc}") from exc
 
 
 def svd(X) -> np.ndarray:

@@ -289,10 +289,12 @@ def sweep(
     """
     if trials < 1:
         raise PreconditionError(f"sweep needs at least one trial, got {trials}")
+    orders = [int(n) for n in n_values]
+    if len(set(orders)) != len(orders):
+        raise PreconditionError(f"sweep names an order twice: {orders}")
     rows = []
     majorization_violations: list[dict] = []
-    for n in n_values:
-        n = int(n)
+    for n in orders:
         if n < 2:
             raise PreconditionError(f"sweep needs orders >= 2, got {n}")
         check_order_cap(n, max_order)

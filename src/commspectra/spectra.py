@@ -39,11 +39,8 @@ from .matrices import (
     as_matrix,
     as_stack,
     check_order_cap,
-    commutator,
     herm_skew_split,
     normalized,
-    unvec,
-    vec,
 )
 from .verdicts import ConjectureVerdict, holds, judge
 
@@ -173,75 +170,6 @@ def double_commutator_spectrum(X, max_order: int = DEFAULT_ORDER_CAP) -> Spectru
         pairing_ok=pairing_ok,
         norm_scale=float(batch.norm_scale[0]),
     )
-
-
-def paired_top_family(X, count: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Orthonormal eigenvector matrices spanning the top ``count`` eigenvalues.
-
-    ``count`` must be even. Within each positive eigenvalue cluster the family
-    is built in partner pairs (Y, [X,Y]*/sqrt(lambda)); kernel slots, when
-    reached, are filled with unpaired kernel basis matrices. Returns the
-    matrices and their eigenvalues.
-    """
-    X = as_matrix(X)
-    n = X.shape[0]
-    N = n * n
-    if count % 2 != 0 or count < 2:
-        raise PreconditionError(f"count must be a positive even number, got {count}")
-    if count > N:
-        raise PreconditionError(f"count {count} exceeds the lifted order {N}")
-    Xh = normalized(X)
-    dec = eigensolver.eigh(double_commutator_lift(Xh))
-    tol = cluster_tolerance(float(dec.values[0]))
-
-    chosen: list[np.ndarray] = []  # vec coordinates
-    chosen_vals: list[float] = []
-    i = 0
-    while len(chosen) < count and i < N:
-        j = i + 1
-        while j < N and dec.values[j - 1] - dec.values[j] < tol:
-            j += 1
-        cluster_vals = dec.values[i:j]
-        cluster_vecs = dec.vectors[:, i:j]
-        lam = float(cluster_vals.mean())
-        if lam <= tol:
-            # kernel: plain orthonormal columns, no pairing needed
-            for c in range(cluster_vecs.shape[1]):
-                if len(chosen) >= count:
-                    break
-                chosen.append(cluster_vecs[:, c])
-                chosen_vals.append(float(cluster_vals[c]))
-        else:
-            in_cluster: list[np.ndarray] = []
-            c = 0
-            while len(chosen) < count and c < cluster_vecs.shape[1]:
-                y = cluster_vecs[:, c].copy()
-                for q in in_cluster:
-                    y = y - q * np.vdot(q, y)
-                ny = np.linalg.norm(y)
-                c += 1
-                if ny < 0.5:
-                    # this column lives in the span already consumed by partners
-                    continue
-                y = y / ny
-                partner_mat = commutator(Xh, unvec(y, n)).conj().T / np.sqrt(lam)
-                p = vec(partner_mat)
-                for q in in_cluster + [y]:
-                    p = p - q * np.vdot(q, p)
-                npn = np.linalg.norm(p)
-                if npn < 0.5:  # pragma: no cover - even pairing guarantees room
-                    raise InvariantViolationError(
-                        "partner collapsed inside its eigenvalue cluster"
-                    )
-                p = p / npn
-                in_cluster.extend([y, p])
-                chosen.extend([y, p])
-                chosen_vals.extend([lam, lam])
-        i = j
-    if len(chosen) < count:  # pragma: no cover - count <= N rules this out
-        raise InvariantViolationError("could not assemble the requested family")
-    mats = [unvec(v, n) for v in chosen[:count]]
-    return mats, np.asarray(chosen_vals[:count], dtype=np.float64)
 
 
 def partial_sums(spectrum: Spectrum) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared test helpers: run Python (the CLI, the demos) of this checkout in a
-subprocess, and real test matrices of several classes."""
+subprocess, real test matrices of several classes, and random isotropic
+families."""
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from commspectra import commutator, unvec, vec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,3 +70,35 @@ def _real_matrices(n: int) -> dict:
 def real_matrices():
     """``real_matrices(n)`` maps a class name to a float64 order-n matrix."""
     return _real_matrices
+
+
+def _isotropic_family(X, m: int, rng) -> list:
+    """Random orthonormal family {w_i} of size m with <[X, w_i]*, w_j> = 0.
+
+    Each member is a complex Gaussian draw projected off the span of the
+    earlier members and their images [X, w]*; m <= n^2 / 2 leaves room.
+    """
+    n = X.shape[0]
+    basis = []  # orthonormal, column-major vec coordinates
+    out = []
+
+    def project(v):
+        for q in basis:
+            v = v - q * np.vdot(q, v)
+        return v
+
+    while len(out) < m:
+        v = project(vec(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        w = unvec(v / np.linalg.norm(v), n)
+        out.append(w)
+        for u in (vec(w), vec(commutator(X, w).conj().T)):
+            u = project(u)
+            if np.linalg.norm(u) > 1e-12:
+                basis.append(u / np.linalg.norm(u))
+    return out
+
+
+@pytest.fixture
+def isotropic_family():
+    """``isotropic_family(X, m, rng)`` draws a random isotropic family for T_X."""
+    return _isotropic_family

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from commspectra import (
+    haar_unitary,
     make_maximal_pair,
-    random_isotropic_family,
     read_bundle,
     reverify_bundle,
     save_matrix,
@@ -125,9 +125,9 @@ def test_check_lu_and_numbers_payloads(run_cli, tmp_path):
     assert "satisfied" in proc.stdout
 
 
-def test_check_isotropic_family_files(run_cli, tmp_path):
+def test_check_isotropic_family_files(run_cli, tmp_path, isotropic_family):
     X = unit_gaussian(trial_rng(91, 0), 2)
-    fam = random_isotropic_family(X, 2, trial_rng(91, 1))
+    fam = isotropic_family(X, 2, trial_rng(91, 1))
     paths = [tmp_path / "x.json", tmp_path / "w1.json", tmp_path / "w2.json"]
     for path, M in zip(paths, [X] + fam):
         save_matrix(path, M)
@@ -162,6 +162,15 @@ def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
          "--restarts", "1", "--seed", "1"),
         # a list that names no order
         ("search", "--objective", "sweep", "--n", ",", "--trials", "2", "--seed", "1"),
+        # a flag the objective cannot use is refused, not ignored
+        ("search", "--objective", "sweep", "--n", "2", "--init", "rank_one", "--seed", "1"),
+        ("search", "--objective", "sweep", "--n", "2", "--restarts", "5", "--seed", "1"),
+        ("search", "--objective", "sweep", "--n", "2", "--max-iters", "5", "--seed", "1"),
+        ("search", "--n", "2", "--trials", "5", "--restarts", "1", "--seed", "1"),
+        ("search", "--objective", "lambda13", "--n", "2", "--trials", "5",
+         "--restarts", "1", "--seed", "1"),
+        # an order named twice would repeat its rows and bundles
+        ("search", "--objective", "sweep", "--n", "2,3,2", "--trials", "2", "--seed", "1"),
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):
@@ -187,6 +196,38 @@ def test_zero_matrix_exits_2(run_cli, tmp_path):
 def test_negative_seed_rejected_by_parser(run_cli, matrix_file):
     proc = run_cli("spectrum", matrix_file, "--seed", "-1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("check", "conj4", "MATRIX"),
+        ("search", "--objective", "sweep", "--n", "2", "--trials", "2", "--seed", "1"),
+        ("verify-paper-example",),
+    ],
+    ids=["check", "sweep", "verify"],
+)
+def test_non_finite_tol_exits_2(run_cli, matrix_file, tmp_path, command, tol):
+    # before, nan turned every verdict into a violation and inf passed all
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = [matrix_file if a == "MATRIX" else a for a in command]
+    proc = run_cli(*argv, f"--tol={tol}", "--json", cwd=work)
+    assert proc.returncode == 2
+    assert "tolerance must be finite" in proc.stderr
+    assert proc.stdout == "" and not list(work.iterdir())  # no report, no bundle
+
+
+def test_search_sweep_refuses_a_matrix_file(run_cli, matrix_file, tmp_path):
+    # before, the file was listed in the report's inputs and then ignored
+    proc = run_cli(
+        "search", "--objective", "sweep", "--n", "2", "--trials", "2", "--seed", "1",
+        "--matrix", matrix_file, "--json", cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "--objective sweep does not use --matrix" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_example_default_tolerance(run_cli):
@@ -295,6 +336,18 @@ def test_closed_form_classifications(run_cli, tmp_path):
     proc = run_cli("closed-form", generic)
     assert proc.returncode == 0
     assert "classification: none" in proc.stdout
+
+
+def test_closed_form_on_a_normal_matrix_with_a_repeated_eigenvalue(run_cli, tmp_path):
+    # the Hermitian part has a twofold eigenvalue on which the skew part vanishes
+    U = haar_unitary(trial_rng(94, 0), 3)
+    path = tmp_path / "normal.json"
+    save_matrix(path, U @ np.diag([1, 1, 1j]) @ U.conj().T)
+    proc = run_cli("closed-form", path, "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["closed_form"]
+    assert report["classification"] == "normal"
+    assert report["normal_closed_form"]["max_abs_diff"] < 1e-12
 
 
 def test_closed_form_reports_equality_witness(run_cli, tmp_path):

@@ -11,10 +11,10 @@ from commspectra import (
     detect_equality_case,
     detect_rank_one,
     double_commutator_spectrum,
+    haar_unitary,
     is_maximal_pair,
     is_normal,
     make_maximal_pair,
-    normal_eigenvalues,
     normal_spectrum,
     rank_one_spectrum,
     random_normal_matrix,
@@ -23,6 +23,7 @@ from commspectra import (
     trial_rng,
     unit_gaussian,
 )
+from commspectra import eigensolver
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -33,27 +34,47 @@ def test_is_normal_classification():
     assert not is_normal(E21)
 
 
-def test_normal_eigenvalues_joint_diagonalization():
-    for t in range(30):
-        rng = trial_rng(40, t)
-        n = 2 + t % 5
-        X = random_normal_matrix(rng, n)
-        x, U = normal_eigenvalues(X)
-        assert np.linalg.norm(X @ U - U * x) < 1e-8
-        assert np.linalg.norm(U.conj().T @ U - np.eye(n)) < 1e-10
-
-
 def test_normal_eigenvalues_handles_degenerate_hermitian_part():
-    # Hermitian part is the identity (one cluster); the skew part resolves it
+    # Hermitian part is the identity (one cluster); the skew part splits it
     X = np.eye(2) + np.array([[0, 0.5j], [0.5j, 0]])
-    x, U = normal_eigenvalues(X)
-    assert np.linalg.norm(X @ U - U * x) < 1e-10
+    x = eigensolver.eigvals(X)
     np.testing.assert_allclose(np.sort(x.imag), [-0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(x.real, [1.0, 1.0], atol=1e-12)
+    # |x_1 - x_2|^2 / ||X||^2 = 1 / 2.5, twice
+    np.testing.assert_allclose(normal_spectrum(X), [0.4, 0.4, 0.0, 0.0], atol=1e-12)
 
 
 def test_normal_eigenvalues_rejects_non_normal():
     with pytest.raises(PreconditionError):
-        normal_eigenvalues(E21)
+        normal_spectrum(E21)
+
+
+def _clustered_normal(case):
+    rng = trial_rng(49, 0)
+    if case == "haar_1_1_i":
+        U = haar_unitary(rng, 3)
+        return U @ np.diag([1, 1, 1j]) @ U.conj().T
+    if case == "rotation_1_1_i":
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        return Q @ np.diag([1, 1, 1j]) @ Q.T
+    if case == "identity_plus_skew":
+        return np.eye(2) + np.array([[0, 0.5j], [0.5j, 0]])
+    if case == "haar_repeated":
+        U = haar_unitary(rng, 5)
+        return U @ np.diag([2 - 1j, 0.5, 0.5, 0.5, -1j]) @ U.conj().T
+    return (0.3 - 2j) * haar_unitary(rng, 4)  # every |x_i| equal
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["haar_1_1_i", "rotation_1_1_i", "identity_plus_skew", "haar_repeated", "scaled_unitary"],
+)
+def test_normal_spectrum_matches_dense_on_clustered_inputs(case):
+    X = _clustered_normal(case)
+    assert is_normal(X)
+    np.testing.assert_allclose(
+        normal_spectrum(X), double_commutator_spectrum(X).values, rtol=0, atol=1e-12
+    )
 
 
 def test_normal_spectrum_sharp_configuration():

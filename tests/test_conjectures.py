@@ -15,23 +15,32 @@ from commspectra import (
     check_lu_lemma,
     check_numbers_lemma,
     commutator,
+    double_commutator_lift,
     double_commutator_spectrum,
     make_bundle,
     make_maximal_pair,
     monitor_majorization,
     monitor_partial_sums,
     normalized,
-    paired_top_family,
     partial_sums,
-    random_isotropic_family,
     read_bundle,
     reverify_bundle,
     trial_rng,
     unit_gaussian,
+    unvec,
     write_bundle,
 )
+from commspectra import eigensolver
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
+
+
+def _top_family(X, count):
+    """Orthonormal eigenvector matrices of the top ``count`` eigenvalues of
+    T_X for X / ||X||; any such basis has energy equal to the partial sum."""
+    Xh = normalized(X)
+    dec = eigensolver.eigh(double_commutator_lift(Xh), top=count)
+    return [unvec(v, Xh.shape[0]) for v in dec.vectors.T]
 
 
 def test_conjecture_id_registry():
@@ -74,10 +83,7 @@ def test_check_conj2_random_families_hold():
         rng = trial_rng(51, t)
         n = 2 + t % 3
         B = unit_gaussian(rng, n)
-        # orthonormal family from the paired eigenvector construction
-        from commspectra import paired_top_family
-
-        fam, _ = paired_top_family(B, 2)
+        fam = _top_family(B, 2)
         v = check_conj2c(B, fam)
         assert v.hypotheses_residual < 1e-8
         assert v.satisfied
@@ -148,13 +154,13 @@ def test_check_numbers_lemma_hypothesis_errors():
         check_numbers_lemma([r], [r], np.ones((2, 2)))
 
 
-def test_isotropic_families_satisfy_trace_bound():
+def test_isotropic_families_satisfy_trace_bound(isotropic_family):
     for t in range(10):
         rng = trial_rng(53, t)
         n = 2 + t % 2
         X = unit_gaussian(rng, n)
         m = 1 + t % ((n * n) // 2)
-        fam = random_isotropic_family(X, m, rng)
+        fam = isotropic_family(X, m, rng)
         v = check_isotropic_trace_bound(X, fam)
         assert v.hypotheses_residual < 1e-8
         assert v.satisfied
@@ -171,10 +177,10 @@ def test_isotropic_rejects_non_isotropic_family():
 
 def _partial_sum_two_ways(X, k):
     """The 2k-partial eigenvalue sum of T_X for X / ||X||: from the spectrum,
-    and as the energy sum ||[Xhat, B_a]||^2 of the paired top family."""
+    and as the energy sum ||[Xhat, B_a]||^2 of an orthonormal top family."""
     Xh = normalized(X)
     direct = float(partial_sums(double_commutator_spectrum(Xh))[2 * k - 1])
-    mats, _ = paired_top_family(Xh, 2 * k)
+    mats = _top_family(Xh, 2 * k)
     return direct, sum(float(np.linalg.norm(commutator(Xh, Ba)) ** 2) for Ba in mats)
 
 
@@ -191,7 +197,7 @@ def test_cross_check_formulations_agree():
         assert abs(direct - fam) < 1e-7
 
 
-def _forced_bundles(tmp_path):
+def _forced_bundles(isotropic_family):
     """One violation bundle per conjecture id, forced by negative tolerance."""
     rng = trial_rng(56, 0)
     X = unit_gaussian(rng, 3)
@@ -207,13 +213,13 @@ def _forced_bundles(tmp_path):
     )
     r = 1.0 / np.sqrt(2.0)
     pairs["NUMBERS_LEMMA"] = check_numbers_lemma([r], [r], [[1.0]], tol=-100.0)
-    iso = random_isotropic_family(X, 2, trial_rng(56, 1))
+    iso = isotropic_family(X, 2, trial_rng(56, 1))
     pairs["ISOTROPIC"] = check_isotropic_trace_bound(X, iso, tol=-100.0)
     return pairs
 
 
-def test_every_bundle_reverifies_from_json_alone(tmp_path):
-    pairs = _forced_bundles(tmp_path)
+def test_every_bundle_reverifies_from_json_alone(tmp_path, isotropic_family):
+    pairs = _forced_bundles(isotropic_family)
     assert set(pairs) == set(CONJECTURE_IDS)
     for cid, verdict in pairs.items():
         assert not verdict.satisfied

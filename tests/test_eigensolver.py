@@ -78,6 +78,23 @@ def test_svd_rejects_non_finite():
         svd(np.array([[np.inf, 0], [0, 0]]))
 
 
+def test_eigvals_of_a_general_matrix(monkeypatch):
+    # upper triangular: the eigenvalues are the diagonal
+    T = np.array([[1j, 5.0, 2.0], [0, -2.0, 3j], [0, 0, 0.5]])
+    np.testing.assert_allclose(
+        np.sort_complex(eigensolver.eigvals(T)), np.sort_complex(np.diag(T)), atol=1e-12
+    )
+    with pytest.raises(PreconditionError):
+        eigensolver.eigvals(np.array([[np.nan, 0], [0, 0]]))
+
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigensolver.eigvals(T)
+
+
 def test_top_k_eigenvalue_sum_subadditivity():
     # sum of top-k eigenvalues is subadditive over Hermitian sums
     for t in range(20):

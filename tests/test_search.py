@@ -202,6 +202,12 @@ def test_sweep_rejects_zero_trials():
         sweep([2], trials=0)
 
 
+def test_sweep_rejects_an_order_named_twice():
+    # a repeated order would repeat its rows and their violation bundles
+    with pytest.raises(PreconditionError, match="order twice"):
+        sweep([2, 3, 2], trials=1)
+
+
 def test_sweep_is_deterministic():
     a = sweep([2], k_rule=1, trials=5, seed=11)
     b = sweep([2], k_rule=1, trials=5, seed=11)

@@ -20,12 +20,12 @@ from commspectra import (
     majorization_target,
     monitor_majorization,
     monitor_partial_sums,
-    paired_top_family,
     partial_sums,
     random_rank_one,
     random_traceless_embedded,
     trial_rng,
     unit_gaussian,
+    unvec,
 )
 from commspectra import eigensolver
 from commspectra.spectra import _cluster, majorization_batch, spectral_batch
@@ -119,8 +119,8 @@ def test_eigen_partner_shares_value_and_is_orthogonal():
     rng = trial_rng(32, 0)
     X = unit_gaussian(rng, 4)
     spec = double_commutator_spectrum(X)
-    mats, vals = paired_top_family(X, 2)
-    Y, lam = mats[0], float(vals[0])
+    dec = eigensolver.eigh(double_commutator_lift(X), top=2)
+    Y, lam = unvec(dec.vectors[:, 0], 4), float(dec.values[0])
     partner = _partner(X, Y, lam)
     assert frobenius_norm(partner) == pytest.approx(1.0, abs=1e-6)
     assert abs(np.vdot(partner, Y)) < 1e-8
@@ -129,40 +129,6 @@ def test_eigen_partner_shares_value_and_is_orthogonal():
     assert frobenius_norm(resid) < 1e-8
     np.testing.assert_allclose(_partner(X, partner, lam), -Y, atol=1e-8)
     assert spec.values[0] == pytest.approx(lam, abs=1e-10)
-
-
-def test_paired_top_family_structure():
-    mats, vals = paired_top_family(E21, 4)
-    np.testing.assert_allclose(vals, [2, 2, 0, 0], atol=1e-10)
-    gram = np.array(
-        [[np.vdot(a.ravel(), b.ravel()) for b in mats] for a in mats]
-    )
-    assert np.linalg.norm(gram - np.eye(4)) < 1e-10
-    # the family's commutator energy equals the partial eigenvalue sum
-    energy = sum(np.linalg.norm(commutator(E21, B)) ** 2 for B in mats)
-    assert energy == pytest.approx(4.0, abs=1e-9)
-
-
-def test_paired_top_family_random_consistency():
-    for t in range(8):
-        rng = trial_rng(33, t)
-        n = 2 + t % 3
-        X = unit_gaussian(rng, n)
-        spec = double_commutator_spectrum(X)
-        count = 2 * (1 + t % 2)
-        mats, vals = paired_top_family(X, count)
-        np.testing.assert_allclose(vals, spec.values[:count], atol=1e-8)
-        energy = sum(np.linalg.norm(commutator(X, B)) ** 2 for B in mats)
-        assert energy == pytest.approx(float(spec.values[:count].sum()), abs=1e-7)
-
-
-def test_paired_top_family_rejects_bad_counts():
-    with pytest.raises(PreconditionError):
-        paired_top_family(E21, 3)
-    with pytest.raises(PreconditionError):
-        paired_top_family(E21, 0)
-    with pytest.raises(PreconditionError):
-        paired_top_family(E21, 6)
 
 
 def test_partial_sums_monotone_and_total():
