@@ -3,12 +3,15 @@
 Subcommands: ``spectrum``, ``bounds``, ``check <kind>``, ``closed-form``,
 ``search``, ``verify-paper-example``. Shared flags: ``--json`` (emit the run
 report on stdout), ``--seed`` (u64 root seed; commands that draw randomness
-log an entropy seed when it is omitted), ``--tol`` (slack and hypothesis
-tolerance), ``--out`` (also write the report JSON to a file).
+log an entropy seed when it is omitted), ``--out`` (also write the report
+JSON to a file). Each subcommand is a runner, which loads the inputs and
+computes the report sections, and a text renderer of the finished report
+(:data:`COMMANDS`); :func:`main` decides the exit code (:func:`exit_code`),
+writes the bundle and builds the one report.
 
 Exit codes: 0 success, 1 conjecture violation found (the violation bundle is
 written to ``--bundle-out`` or a default path), 2 input or hypothesis error,
-3 numerical failure.
+3 numerical failure, a broken proven bound included.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import argparse
 import functools
 import secrets
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,12 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-CHECK_KINDS = ("conj1", "conj2", "conj2c", "conj4", "lu", "numbers", "isotropic")
+# check kind -> conjecture id; conjectures.CHECKERS gives each its checker
+CHECK_KINDS = dict(
+    conj1="C1", conj2="C2", conj2c="C2C", conj4="C4",
+    lu="LU_LEMMA", numbers="NUMBERS_LEMMA", isotropic="ISOTROPIC",
+)
+DEFAULT_TOL = 1e-8
 
 # Built-in 3x3 reference example (entries quoted to 4 decimals) and the two
 # values cited for it: the first-four eigenvalue sum and the certificate
@@ -68,10 +77,9 @@ def _tol_type(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, tol_default: float = 1e-8) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit the run report as JSON on stdout")
     parser.add_argument("--seed", type=_seed_type, default=None, help="root seed (u64)")
-    parser.add_argument("--tol", type=_tol_type, default=tol_default, help=f"tolerance (default {tol_default:g})")
     parser.add_argument("--out", default=None, help="also write the report JSON to this path")
 
 
@@ -86,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="matrix file (JSON {n, re, im} or text rows of a+bi tokens)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bounds", help="evaluate the proven bound ladder for one matrix file")
     p.add_argument("path", help="matrix file")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     _add_common(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("check", help="run one inequality checker on explicit inputs")
     p.add_argument("kind", choices=CHECK_KINDS)
@@ -103,18 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
         "conj4: one matrix; isotropic: X then family) or one payload file (lu, numbers)",
     )
     p.add_argument("--bundle-out", default=None, help="where to write a violation bundle")
+    p.add_argument("--tol", type=_tol_type, default=DEFAULT_TOL, help="verdict tolerance (default 1e-08)")
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("closed-form", help="classify a matrix and compare closed-form spectra")
     p.add_argument("path", help="matrix file")
     _add_common(p)
-    p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("search", help="extremal search and random-ensemble sweeps")
     p.add_argument("--n", required=True, help="matrix order (comma-separated list for --objective sweep)")
     p.add_argument("--k", type=int, default=None, help="partial-sum index (sweep default: all)")
-    # None marks a flag as not given: cmd_search refuses one its objective cannot use
+    # None marks a flag as not given: run_search refuses one its objective cannot use
     config = search_mod.SearchConfig
     p.add_argument("--restarts", type=int, help=f"ascent restarts (default {config.restarts})")
     p.add_argument("--max-iters", type=int, help=f"iterations per restart (default {config.max_iters})")
@@ -128,15 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="draws per order for --objective sweep (default 1000)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     p.add_argument("--bundle-out", default=None, help="where to write a violation bundle")
+    p.add_argument("--tol", type=_tol_type, help="verdict tolerance for --objective sweep (default 1e-08)")
     _add_common(p)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
         "verify-paper-example",
         help="recompute the two cited values for the built-in 3x3 reference example",
     )
-    _add_common(p, tol_default=1e-3)
-    p.set_defaults(func=cmd_verify_example)
+    p.add_argument("--tol", type=_tol_type, default=1e-3, help="largest accepted error (default 0.001)")
+    _add_common(p)
 
     return parser
 
@@ -147,35 +152,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _input_digest(path) -> dict:
-    return {"path": str(path), "sha256": matrixio.sha256_digest(path)}
+@dataclass(frozen=True)
+class Run:
+    """What a runner hands back to :func:`main`."""
+
+    sections: dict  # report sections; result dataclasses serialize as they are
+    paths: tuple = ()  # input files, digested into the report's inputs
+    tol: float | None = None  # the verdict tolerance applied, if any
+    bundle: dict | None = None  # the first violation found, if any
 
 
-def _emit(args, report: dict, lines: list[str]) -> int:
-    text = reporting.report_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        print("\n".join(lines))
-    return int(report["exit_code"])
+def exit_code(run: Run) -> int:
+    """The exit code of a run that finished: 2 for a verdict whose hypotheses
+    residual is over tolerance (never stricter than the library's own, so a
+    negative --tol forces violations without exit 2), 3 for a missed
+    reference check, 1 for a bundle, else 0."""
+    if any(
+        v.hypotheses_residual > max(run.tol, conjectures.HYPOTHESIS_TOL)
+        for v in run.sections.get("verdicts", ())
+    ):
+        return EXIT_INPUT
+    reference = run.sections.get("reference_check")
+    if reference is not None and not reference["ok"]:
+        return EXIT_NUMERICAL
+    return EXIT_OK if run.bundle is None else EXIT_VIOLATION
 
 
-def _record_violation(args, bundle) -> tuple[int, str | None]:
-    """Write a violation bundle and return (exit code, bundle path).
-
-    ``(EXIT_OK, None)`` when ``bundle`` is None. The path is ``--bundle-out``
-    or ``violation-<id>.json`` in the working directory.
-    """
-    if bundle is None:
-        return EXIT_OK, None
-    path = args.bundle_out or f"violation-{bundle['conjecture_id'].lower()}.json"
-    write_bundle(path, bundle)
-    return EXIT_VIOLATION, path
+def run_spectrum(args) -> Run:
+    X = matrixio.load_matrix(args.path)
+    spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
+    return Run({"spectrum": reporting.spectrum_section(X, spec)}, (args.path,))
 
 
-def _spectrum_lines(section: dict) -> list[str]:
+def render_spectrum(report: dict) -> list[str]:
+    section = report["spectrum"]
     clusters = ", ".join(f"{fmt(v)} x{m}" for v, m in section["clusters"])
     return [
         f"order {section['order']}, norm scale {fmt(section['norm_scale'])} "
@@ -188,111 +198,65 @@ def _spectrum_lines(section: dict) -> list[str]:
     ]
 
 
-def cmd_spectrum(args) -> int:
-    X = matrixio.load_matrix(args.path)
-    spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
-    section = reporting.spectrum_section(X, spec)
-    report = reporting.build_report(
-        "spectrum", [_input_digest(args.path)], args.seed, args.tol, EXIT_OK,
-        {"spectrum": section},
-    )
-    return _emit(args, report, _spectrum_lines(section))
-
-
-def cmd_bounds(args) -> int:
+def run_bounds(args) -> Run:
     X = matrixio.load_matrix(args.path)
     spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
     br = spectra.bound_report(X, spectrum=spec)
-    exit_code = EXIT_OK if br.all_proven_hold else EXIT_VIOLATION
-    report = reporting.build_report(
-        "bounds", [_input_digest(args.path)], args.seed, args.tol, exit_code,
-        {
-            "spectrum": reporting.spectrum_section(X, spec),
-            "bounds": br,
-        },
+    if not br.all_proven_hold:
+        raise InvariantViolationError(
+            f"a proven bound failed: smallest slack {fmt(min(br.slacks.values()))}"
+        )
+    return Run(
+        {"spectrum": reporting.spectrum_section(X, spec), "bounds": br}, (args.path,)
     )
-    lines = [f"lambda_1 = {fmt(br.lambda1)} (norm scale {fmt(br.norm_scale)})"]
+
+
+def render_bounds(report: dict) -> list[str]:
+    br = report["bounds"]
+    lines = [f"lambda_1 = {fmt(br['lambda1'])} (norm scale {fmt(br['norm_scale'])})"]
     for name in ("bw", "norm22", "cx", "min_bound", "lambda13_weak"):
         lines.append(
-            f"{name}: bound {fmt(br.bounds[name])}, slack {fmt(br.slacks[name])}"
+            f"{name}: bound {fmt(br['bounds'][name])}, slack {fmt(br['slacks'][name])}"
         )
-    lines.append(f"k1_entrywise: min slack {fmt(br.slacks['k1_entrywise'])}")
-    lines.append(f"partial_sum_weak: min slack {fmt(br.slacks['partial_sum_weak'])}")
-    lines.append(f"all proven bounds hold: {br.all_proven_hold}")
-    return _emit(args, report, lines)
+    for name in ("k1_entrywise", "partial_sum_weak"):
+        lines.append(f"{name}: min slack {fmt(br['slacks'][name])}")
+    return lines + [f"all proven bounds hold: {br['all_proven_hold']}"]
 
 
-def _run_check(args):
+def run_check(args) -> Run:
     kind, paths = args.kind, args.paths
-
-    def _need(count: int, what: str) -> None:
-        if len(paths) != count:
-            raise PreconditionError(f"check {kind} takes {what}, got {len(paths)} paths")
-
-    if kind == "lu":
-        _need(1, "one payload file")
-        etas, r = matrixio.load_check_payload(paths[0], "lu")
-        return conjectures.check_lu_lemma(etas, r, tol=args.tol, seed=args.seed)
-    if kind == "numbers":
-        _need(1, "one payload file")
-        etas, omegas, r = matrixio.load_check_payload(paths[0], "numbers")
-        return conjectures.check_numbers_lemma(etas, omegas, r, tol=args.tol, seed=args.seed)
-    mats = [matrixio.load_matrix(p) for p in paths]
-    if kind == "conj1":
-        return conjectures.check_conj1(mats, tol=args.tol, seed=args.seed)
-    if kind == "conj2" or kind == "conj2c":
-        if len(paths) < 2:
-            raise PreconditionError(f"check {kind} takes a pivot file then family files")
-        checker = conjectures.check_conj2 if kind == "conj2" else conjectures.check_conj2c
-        return checker(mats[0], mats[1:], tol=args.tol, seed=args.seed)
-    if kind == "conj4":
-        _need(1, "one matrix file")
-        return spectra.monitor_majorization(mats[0], tol=args.tol, seed=args.seed)
-    if len(paths) < 2:
-        raise PreconditionError("check isotropic takes the matrix X then family files")
-    return conjectures.check_isotropic_trace_bound(
-        mats[0], mats[1:], tol=args.tol, seed=args.seed
-    )
-
-
-def cmd_check(args) -> int:
-    verdict = _run_check(args)
-    inputs = [_input_digest(p) for p in args.paths]
-    # never stricter than the library's own hypothesis tolerance, so a
-    # negative --tol forces inequality violations without tripping exit 2
-    hypothesis_tol = max(args.tol, conjectures.HYPOTHESIS_TOL)
-    if verdict.hypotheses_residual > hypothesis_tol:
-        exit_code, bundle_path = EXIT_INPUT, None
+    if kind in ("lu", "numbers"):
+        if len(paths) != 1:
+            raise PreconditionError(f"check {kind} takes one payload file, got {len(paths)} paths")
+        # the scalar lemmas' bundle layout: each vector as a row, then r
+        *vectors, r = matrixio.load_check_payload(paths[0], kind)
+        mats = [v.reshape(1, -1) for v in vectors] + [r]
     else:
-        exit_code, bundle_path = _record_violation(args, verdict.witness)
-    report = reporting.build_report(
-        "check", inputs, args.seed, args.tol, exit_code,
-        {
-            "kind": args.kind,
-            "verdicts": [verdict],
-            "bundle_path": bundle_path,
-        },
-    )
-    status = "satisfied" if verdict.satisfied else "VIOLATED"
+        mats = [matrixio.load_matrix(p) for p in paths]
+    verdict = conjectures.run_checker(CHECK_KINDS[kind], mats, tol=args.tol, seed=args.seed)
+    return Run({"kind": kind, "verdicts": [verdict]}, tuple(paths), args.tol, verdict.witness)
+
+
+def render_check(report: dict) -> list[str]:
+    verdict = report["verdicts"][0]
+    status = "satisfied" if verdict["satisfied"] else "VIOLATED"
     lines = [
-        f"{verdict.conjecture_id}: lhs {fmt(verdict.lhs)} vs rhs {fmt(verdict.rhs)} "
+        f"{verdict['conjecture_id']}: lhs {fmt(verdict['lhs'])} vs rhs {fmt(verdict['rhs'])} "
         f"-> {status}",
-        f"hypotheses residual: {fmt(verdict.hypotheses_residual)}",
+        f"hypotheses residual: {fmt(verdict['hypotheses_residual'])}",
     ]
-    if exit_code == EXIT_INPUT:
+    if report["exit_code"] == EXIT_INPUT:
         lines.append("hypotheses residual exceeds the tolerance; verdict not trusted")
-    if bundle_path:
-        lines.append(f"violation bundle written to {bundle_path}")
-    return _emit(args, report, lines)
+    return lines
 
 
-def cmd_closed_form(args) -> int:
+def run_closed_form(args) -> Run:
     X = matrixio.load_matrix(args.path)
-    summary = closed_forms.closed_form_summary(X)
-    report = reporting.build_report(
-        "closed-form", [_input_digest(args.path)], args.seed, args.tol, EXIT_OK,
-        {"closed_form": summary},
-    )
+    return Run({"closed_form": closed_forms.closed_form_summary(X)}, (args.path,))
+
+
+def render_closed_form(report: dict) -> list[str]:
+    summary = report["closed_form"]
     lines = [
         f"order {summary['order']}, classification: {summary['classification']}",
         f"normal: {summary['is_normal']}, rank one: {summary['is_rank_one']}",
@@ -319,7 +283,7 @@ def cmd_closed_form(args) -> int:
         )
     else:
         lines.append(f"equality threshold passed but no witness: {eq['detail']}")
-    return _emit(args, report, lines)
+    return lines
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -332,64 +296,35 @@ def _parse_orders(text: str) -> list[int]:
     return orders
 
 
-def _search_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(64)
-    print(f"seed: {seed} (entropy; pass --seed {seed} to replay)", file=sys.stderr)
-    return seed
-
-
-def cmd_search(args) -> int:
+def run_search(args) -> Run:
     orders = _parse_orders(args.n)
-    if args.objective == "sweep":
+    sweep = args.objective == "sweep"
+    if sweep:
         flags = {"--matrix": args.matrix, "--init": args.init,
                  "--restarts": args.restarts, "--max-iters": args.max_iters}
     else:
-        flags = {"--trials": args.trials}
+        flags = {"--trials": args.trials, "--tol": args.tol}
     unused = [flag for flag, value in flags.items() if value is not None]
     if unused:
         raise PreconditionError(f"--objective {args.objective} does not use {', '.join(unused)}")
-    seed = _search_seed(args)
-    inputs = []
-    user_matrix = None
-    if args.matrix is not None:
-        user_matrix = matrixio.load_matrix(args.matrix)
-        inputs.append(_input_digest(args.matrix))
+    if args.seed is None:
+        args.seed = secrets.randbits(64)
+        print(f"seed: {args.seed} (entropy; pass --seed {args.seed} to replay)", file=sys.stderr)
+    user_matrix = None if args.matrix is None else matrixio.load_matrix(args.matrix)
 
-    if args.objective == "sweep":
-        sweep_report = search_mod.sweep(
+    if sweep:
+        tol = DEFAULT_TOL if args.tol is None else args.tol
+        result = search_mod.sweep(
             orders,
             k_rule="all" if args.k is None else args.k,
             trials=1000 if args.trials is None else args.trials,
-            seed=seed,
-            tol=args.tol,
+            seed=args.seed,
+            tol=tol,
             max_order=args.max_order,
         )
-        bundles = [b for row in sweep_report["rows"] for b in row["violations"]]
-        bundles.extend(sweep_report["majorization_violations"])
-        exit_code, bundle_path = _record_violation(args, bundles[0] if bundles else None)
-        report = reporting.build_report(
-            "search", inputs, seed, args.tol, exit_code,
-            {"sweep": sweep_report, "bundle_path": bundle_path},
-        )
-        lines = [
-            f"sweep over orders {orders}, {sweep_report['trials_per_order']} trials each "
-            f"({sweep_report['ensemble']})"
-        ]
-        for row in sweep_report["rows"]:
-            lines.append(
-                f"n={row['n']} k={row['k']}: max f = {fmt(row['max_f'])} "
-                f"(conjectured {fmt(row['bound_conjectured'])}, "
-                f"proven {fmt(row['bound_proven'])}), "
-                f"violations: {len(row['violations'])}"
-            )
-        lines.append(
-            f"majorization violations: {len(sweep_report['majorization_violations'])}"
-        )
-        if bundle_path:
-            lines.append(f"violation bundle written to {bundle_path}")
-        return _emit(args, report, lines)
+        bundles = [b for row in result["rows"] for b in row["violations"]]
+        bundles.extend(result["majorization_violations"])
+        return Run({"sweep": result}, tol=tol, bundle=bundles[0] if bundles else None)
 
     if len(orders) != 1:
         raise PreconditionError("--objective partial-sum/lambda13 takes a single order")
@@ -398,39 +333,53 @@ def cmd_search(args) -> int:
     config = search_mod.SearchConfig(
         order=orders[0],
         k=(2 if lambda13 else 1) if args.k is None else args.k,
-        seed=seed,
+        seed=args.seed,
         matrix=user_matrix,
         max_order=args.max_order,
         **{name: value for name, value in given.items() if value is not None},
     )
     result = (search_mod.lambda13_search if lambda13 else search_mod.ascend)(config)
-    exit_code, bundle_path = _record_violation(args, result.violation)
-    report = reporting.build_report(
-        "search", inputs, seed, args.tol, exit_code,
-        {"search": result, "bundle_path": bundle_path},
-    )
-    lines = [
-        f"objective {result.objective} (order {result.order}, k {result.k}): "
-        f"best = {fmt(result.best_objective)}",
-        f"conjectured bound {fmt(result.conjectured_bound)}, "
-        f"proven bound {fmt(result.proven_bound)}, "
-        f"gap to conjecture {fmt(result.gap_to_conjecture)}",
-        f"monotone ascent: {result.monotone_ok}, restarts: {len(result.restarts)}",
+    paths = () if args.matrix is None else (args.matrix,)
+    # the ascent judges its own breaches at a fixed margin
+    return Run({"search": result}, paths, search_mod.VIOLATION_MARGIN, result.violation)
+
+
+def render_search(report: dict) -> list[str]:
+    if "sweep" in report:
+        sweep = report["sweep"]
+        orders = list(dict.fromkeys(row["n"] for row in sweep["rows"]))
+        lines = [
+            f"sweep over orders {orders}, {sweep['trials_per_order']} trials each "
+            f"({sweep['ensemble']})"
+        ]
+        for row in sweep["rows"]:
+            lines.append(
+                f"n={row['n']} k={row['k']}: max f = {fmt(row['max_f'])} "
+                f"(conjectured {fmt(row['bound_conjectured'])}, "
+                f"proven {fmt(row['bound_proven'])}), "
+                f"violations: {len(row['violations'])}"
+            )
+        lines.append(f"majorization violations: {len(sweep['majorization_violations'])}")
+        return lines
+    result = report["search"]
+    return [
+        f"objective {result['objective']} (order {result['order']}, k {result['k']}): "
+        f"best = {fmt(result['best_objective'])}",
+        f"conjectured bound {fmt(result['conjectured_bound'])}, "
+        f"proven bound {fmt(result['proven_bound'])}, "
+        f"gap to conjecture {fmt(result['gap_to_conjecture'])}",
+        f"monotone ascent: {result['monotone_ok']}, restarts: {len(result['restarts'])}",
     ]
-    if bundle_path:
-        lines.append(f"violation bundle written to {bundle_path}")
-    return _emit(args, report, lines)
 
 
-def cmd_verify_example(args) -> int:
+def run_verify_example(args) -> Run:
     X = REFERENCE_MATRIX
     spec = spectra.double_commutator_spectrum(X)
     first_four = float(spec.norm_scale * spec.values[:4].sum())
     certificate = spectra.first_four_sum_bound(X)
-    err_sum = abs(first_four - REFERENCE_FIRST_FOUR)
-    err_cert = abs(certificate - REFERENCE_CERTIFICATE)
-    ok = max(err_sum, err_cert) <= args.tol
-    exit_code = EXIT_OK if ok else EXIT_NUMERICAL
+    max_error = max(
+        abs(first_four - REFERENCE_FIRST_FOUR), abs(certificate - REFERENCE_CERTIFICATE)
+    )
     section = {
         "matrix": X,
         "first_four_sum": first_four,
@@ -438,36 +387,67 @@ def cmd_verify_example(args) -> int:
         "certificate": certificate,
         "certificate_expected": REFERENCE_CERTIFICATE,
         "tolerance": args.tol,
-        "max_abs_error": max(err_sum, err_cert),
-        "ok": ok,
+        "max_abs_error": max_error,
+        "ok": max_error <= args.tol,
     }
-    report = reporting.build_report(
-        "verify-paper-example", [], args.seed, args.tol, exit_code,
-        {"reference_check": section},
-    )
-    lines = [
-        f"first-four eigenvalue sum: {fmt(first_four)} "
-        f"(expected {REFERENCE_FIRST_FOUR}, error {fmt(err_sum)})",
-        f"certificate 4(s1^2+s2^2)+phi: {fmt(certificate)} "
-        f"(expected {REFERENCE_CERTIFICATE}, error {fmt(err_cert)})",
-        f"within tolerance {fmt(args.tol)}: {ok}",
+    return Run({"reference_check": section}, tol=args.tol)
+
+
+def render_verify_example(report: dict) -> list[str]:
+    s = report["reference_check"]
+    return [
+        f"first-four eigenvalue sum: {fmt(s['first_four_sum'])} "
+        f"(expected {s['first_four_expected']}, "
+        f"error {fmt(abs(s['first_four_sum'] - s['first_four_expected']))})",
+        f"certificate 4(s1^2+s2^2)+phi: {fmt(s['certificate'])} "
+        f"(expected {s['certificate_expected']}, "
+        f"error {fmt(abs(s['certificate'] - s['certificate_expected']))})",
+        f"within tolerance {fmt(s['tolerance'])}: {s['ok']}",
     ]
-    return _emit(args, report, lines)
+
+
+# subcommand -> (runner, text renderer)
+COMMANDS = {
+    "spectrum": (run_spectrum, render_spectrum),
+    "bounds": (run_bounds, render_bounds),
+    "check": (run_check, render_check),
+    "closed-form": (run_closed_form, render_closed_form),
+    "search": (run_search, render_search),
+    "verify-paper-example": (run_verify_example, render_verify_example),
+}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    runner, render = COMMANDS[args.command]
     try:
-        return args.func(args)
+        run = runner(args)
+        code = exit_code(run)
+        bundle_path = None
+        if code == EXIT_VIOLATION:
+            bundle_path = args.bundle_out or f"violation-{run.bundle['conjecture_id'].lower()}.json"
+            write_bundle(bundle_path, run.bundle)
+        if hasattr(args, "bundle_out"):  # a command that can write a bundle says where it went
+            run.sections["bundle_path"] = bundle_path
+        inputs = [{"path": str(p), "sha256": matrixio.sha256_digest(p)} for p in run.paths]
+        report = reporting.build_report(args.command, inputs, args.seed, run.tol, code, run.sections)
+        text = reporting.report_json(report)
+        if args.out:
+            Path(args.out).write_text(text)
     except (ConvergenceError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CommSpectraError, ValueError) as exc:
+    except (CommSpectraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.json:
+        sys.stdout.write(text)
+    else:
+        lines = render(report)
+        if bundle_path:
+            lines.append(f"violation bundle written to {bundle_path}")
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

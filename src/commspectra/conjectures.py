@@ -1,32 +1,35 @@
 """Checkers for commutator-norm inequalities, proven and conjectured.
 
-Registry of ids (see :mod:`commspectra.verdicts` for the bundle format):
+Registry of ids (see :mod:`commspectra.verdicts` for the bundle format).
+:data:`CHECKERS` gives each id its checker and the layout of its bundle
+matrices; :func:`run_checker` and :func:`reverify_bundle` read it.
 
 ==============  ============================================================
-id              statement checked / bundle matrix layout
+id              statement checked
 ==============  ============================================================
 C1              sum_{a,b} ||[B_a, B_b]||^2 <= (sum_a ||B_a||^2)^2 under
-                Tr(B_a [B_c, B_b]) = 0 for all triples; bundle = the family
+                Tr(B_a [B_c, B_b]) = 0 for all triples
 C2              sum_a ||[B, B_a]||^2 <= (max_a ||B_a||^2 +
                 sum_a ||B_a||^2) ||B||^2 under pairwise orthogonality of the
-                family and Tr(B_a [B, B_b]) = 0; bundle = [B, family...]
+                family and Tr(B_a [B, B_b]) = 0
 C2A             partial sums of the lifted spectrum <= 2k + 2 (monitored in
-                :mod:`commspectra.spectra`); bundle = [X]
+                :mod:`commspectra.spectra`)
 C2C             like C2 with only the orthogonality condition and rhs
-                coefficient 2 max + sum; bundle = [B, family...]
+                coefficient 2 max + sum
 C4              weak majorization by the rank-one profile (monitored in
-                :mod:`commspectra.spectra`); bundle = [X]
+                :mod:`commspectra.spectra`)
 LU_LEMMA        sum_{i<j} |eta_i - eta_j|^2 r_ij <= sum r + max r for
-                centered unit eta, r >= 0 (proven); bundle = [eta row, r]
+                centered unit eta, r >= 0 (proven)
 NUMBERS_LEMMA   sum eta_i omega_j r_ij <= sqrt(m)/2 for nonneg eta, omega
-                with total square sum 1 and 0/1 r, m = sum r (proven);
-                bundle = [eta row, omega row, r]
+                with total square sum 1 and 0/1 r, m = sum r (proven)
 ISOTROPIC       sum_i <T_X w_i, w_i> <= sum_i lambda_{2i-1}(T_X) for an
-                orthonormal isotropic family {w_i} (proven);
-                bundle = [X, w_1, ..., w_m]
+                orthonormal isotropic family {w_i} (proven)
 ==============  ============================================================
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -221,42 +224,58 @@ def check_isotropic_trace_bound(
     return judge("ISOTROPIC", [X] + mats, lhs, rhs, max(orth, iso), tol, seed)
 
 
+def _real(M: np.ndarray, what: str) -> np.ndarray:
+    if np.abs(M.imag).max(initial=0.0) > 1e-12:
+        raise ParseError(f"{what} payload must be real")
+    return M.real
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Where a checker's arguments sit in a bundle's list of matrices."""
+
+    text: str  # the layout as error messages name it
+    count: int  # matrices it needs; the least count when ``family`` is set
+    family: bool  # whether a family of any length ends the list
+    split: Callable[[list], tuple]  # the matrices -> the checker's positional arguments
+
+
+_ONE = Layout("one matrix [X]", 1, False, lambda m: (m[0],))
+_FAMILY = Layout("a family [B_1, ...]", 1, True, lambda m: (m,))
+_PIVOT_FAMILY = Layout("a pivot and a family [B, B_1, ...]", 2, True, lambda m: (m[0], m[1:]))
+_X_FAMILY = Layout("X and a family [X, w_1, ...]", 2, True, lambda m: (m[0], m[1:]))
+_ETA_R = Layout("[eta row, r]", 2, False, lambda m: (m[0].ravel(), _real(m[1], "r")))
+_ETA_OMEGA_R = Layout("[eta row, omega row, r]", 3, False, lambda m: (
+    _real(m[0], "eta").ravel(), _real(m[1], "omega").ravel(), _real(m[2], "r")
+))
+
+# Every statement by id: its checker and the layout of its bundle matrices.
+CHECKERS = {
+    "C1": (check_conj1, _FAMILY),
+    "C2": (check_conj2, _PIVOT_FAMILY),
+    "C2A": (monitor_partial_sums, _ONE),
+    "C2C": (check_conj2c, _PIVOT_FAMILY),
+    "C4": (monitor_majorization, _ONE),
+    "LU_LEMMA": (check_lu_lemma, _ETA_R),
+    "NUMBERS_LEMMA": (check_numbers_lemma, _ETA_OMEGA_R),
+    "ISOTROPIC": (check_isotropic_trace_bound, _X_FAMILY),
+}
+
+
+def run_checker(
+    conjecture_id: str, matrices: list, tol: float = 1e-8, seed: int | None = None
+) -> ConjectureVerdict:
+    """Check one statement on matrices laid out as in its bundle."""
+    if not isinstance(conjecture_id, str) or conjecture_id not in CHECKERS:
+        raise ParseError(f"unknown conjecture id {conjecture_id!r}")
+    checker, layout = CHECKERS[conjecture_id]
+    m = len(matrices)
+    if m < layout.count or (m > layout.count and not layout.family):
+        raise ParseError(f"{conjecture_id} takes {layout.text}, got {m} matrices")
+    return checker(*layout.split(matrices), tol=tol, seed=seed)
+
+
 def reverify_bundle(bundle: dict) -> ConjectureVerdict:
     """Recompute a bundle's verdict from its serialized matrices alone."""
-    cid = bundle.get("conjecture_id")
     mats = bundle_matrices(bundle)
-    seed = bundle.get("seed")
-
-    def _real(M: np.ndarray, what: str) -> np.ndarray:
-        if np.abs(M.imag).max(initial=0.0) > 1e-12:
-            raise ParseError(f"{what} payload must be real")
-        return M.real
-
-    if cid == "C1":
-        return check_conj1(mats, seed=seed)
-    if cid == "C2":
-        return check_conj2(mats[0], mats[1:], seed=seed)
-    if cid == "C2C":
-        return check_conj2c(mats[0], mats[1:], seed=seed)
-    if cid == "C2A":
-        return monitor_partial_sums(mats[0], seed=seed)
-    if cid == "C4":
-        return monitor_majorization(mats[0], seed=seed)
-    if cid == "LU_LEMMA":
-        if len(mats) != 2:
-            raise ParseError("LU_LEMMA bundles carry [eta, r]")
-        return check_lu_lemma(mats[0].ravel(), _real(mats[1], "r"), seed=seed)
-    if cid == "NUMBERS_LEMMA":
-        if len(mats) != 3:
-            raise ParseError("NUMBERS_LEMMA bundles carry [eta, omega, r]")
-        return check_numbers_lemma(
-            _real(mats[0], "eta").ravel(),
-            _real(mats[1], "omega").ravel(),
-            _real(mats[2], "r"),
-            seed=seed,
-        )
-    if cid == "ISOTROPIC":
-        if len(mats) < 2:
-            raise ParseError("ISOTROPIC bundles carry [X, w_1, ...]")
-        return check_isotropic_trace_bound(mats[0], mats[1:], seed=seed)
-    raise ParseError(f"unknown conjecture id {cid!r}")
+    return run_checker(bundle.get("conjecture_id"), mats, seed=bundle.get("seed"))

@@ -29,7 +29,7 @@ from .errors import InvariantViolationError
 from .spectra import Spectrum, partial_sums
 from .verdicts import matrix_payload
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_VERSION = __version__
 
 
@@ -57,9 +57,7 @@ def jsonable(obj):
     Complex arrays and scalars become ``{re, im}`` payloads; real arrays
     become nested float lists; a dataclass becomes a dict of its fields.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, np.bool_):
         return bool(obj)
@@ -100,14 +98,16 @@ def build_report(
     command: str,
     inputs: list[dict],
     seed: int | None,
-    tol: float,
+    tol: float | None,
     exit_code: int,
     sections: dict,
 ) -> dict:
     """Assemble and validate one run report.
 
-    ``sections`` holds the per-command payloads (spectrum, bounds, verdicts,
-    closed_form, search, sweep, reference_check, kind, bundle_path).
+    ``tol`` is the verdict tolerance the command applied (None if it judged
+    no statement). ``sections`` holds the per-command payloads (spectrum,
+    bounds, verdicts, closed_form, search, sweep, reference_check, kind,
+    bundle_path).
     """
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -115,7 +115,7 @@ def build_report(
         "command": command,
         "inputs": inputs,
         "seed": None if seed is None else int(seed),
-        "tol": float(tol),
+        "tol": None if tol is None else float(tol),
         "timing": None,
         "exit_code": int(exit_code),
     }

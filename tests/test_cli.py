@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, report schema, determinism, bundles."""
+import dataclasses
 import json
 
 import numpy as np
@@ -14,8 +15,9 @@ from commspectra import (
     trial_rng,
     unit_gaussian,
 )
-from commspectra import cli
+from commspectra import cli, spectra
 from commspectra.reporting import validate_report
+from commspectra.search import VIOLATION_MARGIN
 
 
 @pytest.fixture
@@ -171,6 +173,10 @@ def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
          "--restarts", "1", "--seed", "1"),
         # an order named twice would repeat its rows and bundles
         ("search", "--objective", "sweep", "--n", "2,3,2", "--trials", "2", "--seed", "1"),
+        # the ascent judges breaches at its own fixed margin: --tol is refused
+        ("search", "--n", "3", "--k", "1", "--restarts", "2", "--seed", "5", "--tol", "-100"),
+        ("search", "--objective", "lambda13", "--n", "2", "--restarts", "1", "--seed", "1",
+         "--tol", "1e-3"),
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):
@@ -406,3 +412,239 @@ def test_main_reused_in_one_process_matches_subprocess_runs(
 
 def test_build_parser_returns_a_new_parser_each_call():
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.fixture
+def cli_main(capsys, monkeypatch, tmp_path):
+    """``cli_main(*argv)`` runs ``cli.main`` in this process from the empty
+    working directory ``tmp_path / "work"``; returns (exit code, stdout, stderr)."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+
+    def run(*argv):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+@pytest.fixture
+def exact_files(tmp_path):
+    """Input files with exactly representable entries, by name."""
+    def unit(i, j, n=3):
+        M = np.zeros((n, n))
+        M[i, j] = 1.0
+        return M
+
+    u = np.zeros((3, 1), dtype=complex)
+    u[0] = 1.0
+    v = np.array([[0.5], [np.sqrt(0.75)], [0.0]], dtype=complex)
+    matrices = {
+        "e12": unit(0, 1),
+        "e11": unit(0, 0),
+        "jordan": unit(0, 1) + unit(1, 2),
+        "diag": np.diag([1.0, -1.0, 0.0]),
+        "normal": np.diag([2.0, -1.0, -1.0]) / np.sqrt(6.0),
+        "rank_one": u @ v.conj().T,
+    }
+    files = {}
+    for name, M in matrices.items():
+        files[name] = tmp_path / f"{name}.json"
+        save_matrix(files[name], M)
+    r = 1.0 / np.sqrt(2.0)
+    payloads = {
+        "lu": {"etas": [r, -r], "r": [[0.0, 2.0], [0.0, 0.0]]},
+        "numbers": {"etas": [r], "omegas": [r], "r": [[1.0]]},
+    }
+    for name, payload in payloads.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(payload))
+    return files
+
+
+# Text output line by line, as the report-only renderers must reproduce it. A
+# line ending in "..." pins its prefix: rounding-level residuals and the
+# ascent and sweep floats.
+PINNED_TEXT = [
+    (("spectrum", "e12"), 0, [
+        "order 3, norm scale 1 (eigenvalues refer to X / ||X||)",
+        "values: 2 2 1 1 0 0 0 0 0",
+        "clusters: 2 x2, 1 x2, 0 x5",
+        "pairing_ok: True",
+        "trace identity residual: ...",
+        "partial sums: 2 4 5 6 6 6 6 6 6",
+    ]),
+    (("bounds", "e12"), 0, [
+        "lambda_1 = 2 (norm scale 1)",
+        "bw: bound 2, slack 0",
+        "norm22: bound 2, slack 0",
+        "cx: bound 2, slack 0",
+        "min_bound: bound 2, slack 0",
+        "lambda13_weak: bound 3.58113883, slack 0.5811388301",
+        "k1_entrywise: min slack 0",
+        "partial_sum_weak: min slack 1",
+        "all proven bounds hold: True",
+    ]),
+    (("check", "conj2", "e12", "e11"), 0, [
+        "C2: lhs 1 vs rhs 2 -> satisfied",
+        "hypotheses residual: 0",
+    ]),
+    (("check", "conj4", "e12", "--tol", "-100"), 1, [
+        "C4: lhs 2 vs rhs 2 -> VIOLATED",
+        "hypotheses residual: 0",
+        "violation bundle written to violation-c4.json",
+    ]),
+    (("check", "conj2", "e12", "e11", "e11"), 2, [
+        "C2: lhs 2 vs rhs 3 -> satisfied",
+        "hypotheses residual: 1",
+        "hypotheses residual exceeds the tolerance; verdict not trusted",
+    ]),
+    (("closed-form", "jordan"), 0, [
+        "order 3, classification: none",
+        "normal: False, rank one: False",
+        "extremal equality lambda_1 = 2: not attained",
+    ]),
+    (("closed-form", "normal"), 0, [
+        "order 3, classification: normal",
+        "normal: True, rank one: False",
+        "normal closed form matches dense spectrum to ...",
+        "extremal equality lambda_1 = 2: not attained",
+    ]),
+    (("closed-form", "rank_one"), 0, [
+        "order 3, classification: rank_one",
+        "normal: False, rank one: True",
+        "rank-one closed form (|Tr X|^2 = 0.25) matches dense spectrum to ...",
+        "extremal equality lambda_1 = 2: not attained",
+    ]),
+    (("closed-form", "diag"), 0, [
+        "order 3, classification: normal",
+        "normal: True, rank one: False",
+        "normal closed form matches dense spectrum to ...",
+        "extremal equality attained: lambda_1 = 2, witness residual ...",
+    ]),
+    (("verify-paper-example",), 0, [
+        "first-four eigenvalue sum: 5.981388706 (expected 5.9814, error ...",
+        "certificate 4(s1^2+s2^2)+phi: 7.055432047 (expected 7.0554, error ...",
+        "within tolerance 0.001: True",
+    ]),
+    (("verify-paper-example", "--tol", "1e-9"), 3, [
+        "first-four eigenvalue sum: 5.981388706 (expected 5.9814, error ...",
+        "certificate 4(s1^2+s2^2)+phi: 7.055432047 (expected 7.0554, error ...",
+        "within tolerance 1e-09: False",
+    ]),
+    (("search", "--n", "2", "--k", "1", "--restarts", "3", "--seed", "5"), 0, [
+        "objective partial_sum (order 2, k 1): best = ...",
+        "conjectured bound 4, proven bound 4, gap to conjecture ...",
+        "monotone ascent: True, restarts: 3",
+    ]),
+    (("search", "--objective", "lambda13", "--n", "2", "--restarts", "3", "--max-iters", "40",
+      "--seed", "1"), 0, [
+        "objective lambda13 (order 2, k 2): best = ...",
+        "conjectured bound 3, proven bound 3.58113883, gap to conjecture ...",
+        "monotone ascent: True, restarts: 3",
+    ]),
+    (("search", "--objective", "sweep", "--n", "2", "--trials", "2", "--seed", "1",
+      "--tol", "-100"), 1, [
+        "sweep over orders [2], 2 trials each (unit gaussian, alternating complex/real)",
+        "n=2 k=1: max f = ...",
+        "n=2 k=2: max f = ...",
+        "majorization violations: 2",
+        "violation bundle written to violation-c2a.json",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines", PINNED_TEXT, ids=[" ".join(argv) for argv, _, _ in PINNED_TEXT]
+)
+def test_text_output_is_pinned(cli_main, exact_files, argv, code, lines):
+    got_code, out, _ = cli_main(*[exact_files.get(a, a) for a in argv])
+    assert got_code == code
+    got = out.splitlines()
+    assert len(got) == len(lines), out
+    for have, want in zip(got, lines):
+        if want.endswith("..."):
+            assert have.startswith(want[:-3]), (have, want)
+        else:
+            assert have == want
+
+
+def test_bounds_exits_3_when_a_proven_bound_fails(cli_main, exact_files, monkeypatch, tmp_path):
+    # a proven bound is an invariant: broken numerics, not a violation bundle
+    real = spectra.bound_report
+    monkeypatch.setattr(
+        spectra,
+        "bound_report",
+        lambda X, spectrum=None: dataclasses.replace(
+            real(X, spectrum=spectrum), all_proven_hold=False
+        ),
+    )
+    code, out, err = cli_main("bounds", exact_files["e12"], "--json", "--out", "report.json")
+    assert code == 3
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not list((tmp_path / "work").iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bounds", "closed-form"])
+def test_commands_that_judge_nothing_refuse_tol(cli_main, exact_files, command):
+    code, out, err = cli_main(command, exact_files["e12"], "--tol", "1e-3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
+
+
+def test_report_tol_is_the_tolerance_applied(cli_main, exact_files):
+    def tol(*argv):
+        code, out, _ = cli_main(*argv, "--json")
+        assert code == 0
+        return json.loads(out)["tol"]
+
+    e12 = exact_files["e12"]
+    for command in ("spectrum", "bounds", "closed-form"):
+        assert tol(command, e12) is None
+    assert tol("check", "conj4", e12) == 1e-8
+    assert tol("check", "conj4", e12, "--tol", "0.5") == 0.5
+    assert tol("verify-paper-example") == 1e-3
+    assert tol("search", "--objective", "sweep", "--n", "2", "--trials", "2", "--seed", "1") == 1e-8
+    assert tol("search", "--n", "2", "--restarts", "1", "--max-iters", "20", "--seed", "1") == (
+        VIOLATION_MARGIN
+    )
+
+
+# Inputs of every check kind, by exact_files name: the right number, and a
+# wrong one.
+CHECK_INPUTS = {
+    "conj1": (["e12"], []),
+    "conj2": (["e12", "e11"], ["e12"]),
+    "conj2c": (["e12", "e11"], ["e12"]),
+    "conj4": (["e12"], ["e12", "e11"]),
+    "lu": (["lu"], ["lu", "lu"]),
+    "numbers": (["numbers"], ["numbers", "numbers"]),
+    "isotropic": (["e12", "e12", "e11"], ["e12"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(cli.CHECK_KINDS))
+def test_check_bundle_reverifies_through_the_checker_table(cli_main, exact_files, kind):
+    right, wrong = CHECK_INPUTS[kind]
+    code, out, _ = cli_main(
+        "check", kind, *[exact_files[name] for name in right],
+        "--tol", "-100", "--bundle-out", "bundle.json", "--json",
+    )
+    assert code == 1
+    verdict = json.loads(out)["verdicts"][0]
+    again = reverify_bundle(read_bundle("bundle.json"))
+    assert again.conjecture_id == verdict["conjecture_id"] == cli.CHECK_KINDS[kind]
+    assert again.lhs == pytest.approx(verdict["lhs"], abs=1e-9)
+    assert again.rhs == pytest.approx(verdict["rhs"], abs=1e-9)
+
+    code, out, err = cli_main("check", kind, *[exact_files[name] for name in wrong], "--json")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err

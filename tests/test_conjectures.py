@@ -31,6 +31,7 @@ from commspectra import (
     write_bundle,
 )
 from commspectra import eigensolver
+from commspectra.conjectures import CHECKERS, run_checker
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -244,6 +245,26 @@ def test_bundle_construction_validation():
         make_bundle("C1", [], 0.0, 0.0, 0.0, None)
     with pytest.raises(ParseError):
         reverify_bundle({"conjecture_id": "??", "matrices": [], "m": 0})
+
+
+def test_checker_table_covers_every_id_and_refuses_other_layouts():
+    assert set(CHECKERS) == set(CONJECTURE_IDS)
+    X = np.array([[0, 1], [0, 0]], dtype=complex)
+    row = np.ones((1, 2))
+    for cid, bad in [
+        ("C1", []),
+        ("C2", [X]),
+        ("C2C", [X]),
+        ("C2A", [X, X]),
+        ("C4", [X, X]),
+        ("LU_LEMMA", [row]),
+        ("NUMBERS_LEMMA", [row, row, np.ones((2, 2)), X]),
+        ("ISOTROPIC", [X]),
+    ]:
+        with pytest.raises(ParseError, match=f"^{cid} takes"):
+            run_checker(cid, bad)
+    with pytest.raises(ParseError, match="unknown conjecture id"):
+        run_checker(["C1"], [X])
 
 
 def test_judge_boundary_is_inclusive():

@@ -131,7 +131,7 @@ def test_validate_report_rejects_malformed_documents():
         "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(X0, spec)}
     )
     for breakage in (
-        {"schema_version": 2},
+        {"schema_version": 1},
         {"command": "meditate"},
         {"exit_code": 7},
         {"timing": 1.5},
