@@ -77,6 +77,14 @@ def _tol_type(text: str) -> float:
     return value
 
 
+def _error_bound_type(text: str) -> float:
+    """A tolerance that is not negative: no error is below zero."""
+    value = _tol_type(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("an error bound cannot be negative")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit the run report as JSON on stdout")
     parser.add_argument("--seed", type=_seed_type, default=None, help="root seed (u64)")
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper-example",
         help="recompute the two cited values for the built-in 3x3 reference example",
     )
-    p.add_argument("--tol", type=_tol_type, default=1e-3, help="largest accepted error (default 0.001)")
+    p.add_argument("--tol", type=_error_bound_type, default=1e-3, help="largest accepted error (default 0.001)")
     _add_common(p)
 
     return parser
@@ -181,7 +189,7 @@ def exit_code(run: Run) -> int:
 def run_spectrum(args) -> Run:
     X = matrixio.load_matrix(args.path)
     spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
-    return Run({"spectrum": reporting.spectrum_section(X, spec)}, (args.path,))
+    return Run({"spectrum": reporting.spectrum_section(spec)}, (args.path,))
 
 
 def render_spectrum(report: dict) -> list[str]:
@@ -206,9 +214,7 @@ def run_bounds(args) -> Run:
         raise InvariantViolationError(
             f"a proven bound failed: smallest slack {fmt(min(br.slacks.values()))}"
         )
-    return Run(
-        {"spectrum": reporting.spectrum_section(X, spec), "bounds": br}, (args.path,)
-    )
+    return Run({"spectrum": reporting.spectrum_section(spec), "bounds": br}, (args.path,))
 
 
 def render_bounds(report: dict) -> list[str]:

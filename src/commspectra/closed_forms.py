@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .errors import DegenerateInputError, DegenerateSupportError, PreconditionError
-from .matrices import (
-    as_matrix,
-    commutator,
-    frobenius_norm,
-    normalized,
-    same_order,
-)
+from .errors import DegenerateSupportError, PreconditionError
+from .matrices import commutator, frobenius_norm, normalized, same_order
 from .spectra import Spectrum, double_commutator_spectrum
 
 NORMALITY_RTOL = 1e-10
@@ -37,10 +31,9 @@ WITNESS_RESIDUAL_TOL = 1e-7
 
 
 def is_normal(X, rtol: float = NORMALITY_RTOL) -> bool:
-    """True when [X, X*] vanishes to ``rtol`` relative to ||X||^2."""
-    X = as_matrix(X)
-    scale = max(frobenius_norm(X) ** 2, 1e-300)
-    return float(np.linalg.norm(commutator(X, X.conj().T))) <= rtol * scale
+    """True when ||[Xh, Xh*]|| <= ``rtol`` for Xh = X / ||X|| (X nonzero)."""
+    Xh = normalized(X)
+    return frobenius_norm(commutator(Xh, Xh.conj().T)) <= rtol
 
 
 def normal_spectrum(X) -> np.ndarray:
@@ -106,12 +99,11 @@ def detect_equality_case(
     :raises DegenerateSupportError: if lambda_1 passes the threshold but no
         valid two-dimensional embedding exists at the residual tolerance
     """
-    X = as_matrix(X)
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     lambda1 = float(spec.values[0])
     if lambda1 <= threshold:
         return None
-    Xh = normalized(X)
+    Xh = spec.matrix
     Xs = Xh.conj().T
     rank = int((eigensolver.svd(np.hstack([Xh, Xs])) > 1e-8).sum())
     if rank != 2:
@@ -155,27 +147,24 @@ def is_maximal_pair(X, Y, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether the pair attains the commutator-norm maximum.
 
     Returns (attained, ratio) with ratio = ||[X,Y]||^2 / (2 ||X||^2 ||Y||^2),
-    which never exceeds 1 beyond rounding.
+    computed on the unit matrices, which never exceeds 1 beyond rounding.
     """
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    same_order(X, Y)
-    nx, ny = frobenius_norm(X), frobenius_norm(Y)
-    if nx == 0.0 or ny == 0.0:
-        raise DegenerateInputError("maximal-pair check needs nonzero matrices")
-    ratio = float(np.linalg.norm(commutator(X, Y)) ** 2 / (2.0 * nx**2 * ny**2))
+    Xh, Yh = normalized(X), normalized(Y)
+    same_order(Xh, Yh)
+    ratio = frobenius_norm(commutator(Xh, Yh)) ** 2 / 2.0
     return bool(ratio >= 1.0 - tol), ratio
 
 
 def closed_form_summary(X) -> dict:
     """Classify X and compare every applicable closed form with the dense
-    spectrum; used by the command-line ``closed-form`` report."""
-    X = as_matrix(X)
+    spectrum; used by the command-line ``closed-form`` report. Every test
+    judges the dense spectrum's unit matrix: :func:`normalized` of X gives
+    ``spec.matrix`` bit for bit."""
     spec = double_commutator_spectrum(X)
     normal_flag = is_normal(X)
     r1_flag, t = detect_rank_one(X)
     out: dict = {
-        "order": X.shape[0],
+        "order": spec.order,
         "is_normal": normal_flag,
         "is_rank_one": r1_flag,
         "classification": "rank_one" if r1_flag else ("normal" if normal_flag else "none"),
@@ -189,7 +178,7 @@ def closed_form_summary(X) -> dict:
             "max_abs_diff": float(np.abs(cf - spec.values).max()),
         }
     if r1_flag:
-        cf = rank_one_spectrum(X.shape[0], t)
+        cf = rank_one_spectrum(spec.order, t)
         out["rank_one_closed_form"] = {
             "trace_abs_sq": t,
             "values": cf,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError
+from .matrices import normalized
 
 
 def trial_rng(seed: int, *indices: int) -> np.random.Generator:
@@ -27,11 +28,7 @@ def gaussian_matrix(rng: np.random.Generator, n: int, real: bool = False) -> np.
 
 def unit_gaussian(rng: np.random.Generator, n: int, real: bool = False) -> np.ndarray:
     """Gaussian draw scaled to unit Frobenius norm."""
-    G = gaussian_matrix(rng, n, real=real)
-    nrm = np.linalg.norm(G)
-    if nrm == 0.0:  # pragma: no cover - probability zero
-        raise DegenerateInputError("degenerate Gaussian draw")
-    return G / nrm
+    return normalized(gaussian_matrix(rng, n, real=real))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -46,16 +43,14 @@ def random_normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm normal matrix U diag(d) U* with complex Gaussian d."""
     U = haar_unitary(rng, n)
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    X = (U * d) @ U.conj().T
-    return X / np.linalg.norm(X)
+    return normalized((U * d) @ U.conj().T)
 
 
 def random_rank_one(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-norm rank-one matrix u v*."""
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    X = np.outer(u, v.conj())
-    return X / np.linalg.norm(X)
+    return normalized(np.outer(u, v.conj()))
 
 
 def random_traceless_embedded(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -67,10 +62,6 @@ def random_traceless_embedded(rng: np.random.Generator, n: int) -> np.ndarray:
     if n < 2:
         raise DegenerateInputError("need n >= 2 for an embedded 2x2 block")
     G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    X0 = G - (np.trace(G) / 2) * np.eye(2)
-    nrm = np.linalg.norm(X0)
-    if nrm == 0.0:  # pragma: no cover - probability zero
-        raise DegenerateInputError("degenerate traceless draw")
-    X0 = X0 / nrm
+    X0 = normalized(G - (np.trace(G) / 2) * np.eye(2))
     U = haar_unitary(rng, n)
     return U[:, :2] @ X0 @ U[:, :2].conj().T

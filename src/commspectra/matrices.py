@@ -6,6 +6,9 @@ validator :func:`as_stack` keeps a float64 input float64, so the
 double-commutator lift and ``eigvalsh`` keep float64 for real input and
 LAPACK solves it in real arithmetic. ``vec`` stacks columns (Fortran order),
 the convention under which vec(A Y B) = (B^T kron A) vec(Y).
+
+:func:`frobenius_norm` is the library's one ||X||_F and :func:`normalized`
+its one X / ||X||; both take a matrix or a stack.
 """
 from __future__ import annotations
 
@@ -75,17 +78,22 @@ def frobenius_inner(A, B) -> complex:
     return complex(np.vdot(B, A))
 
 
-def frobenius_norm(X) -> float:
-    return float(np.linalg.norm(np.asarray(X)))
+def frobenius_norm(X):
+    """||X||_F of a matrix (a float) or of each matrix of a stack (..., n, n)."""
+    nrm = np.linalg.norm(X, axis=(-2, -1))
+    return float(nrm) if nrm.ndim == 0 else nrm
 
 
 def normalized(X) -> np.ndarray:
-    """Return X / ||X||_F; a zero matrix is a degenerate input."""
-    X = as_matrix(X)
-    nrm = frobenius_norm(X)
-    if nrm == 0.0:
+    """X / ||X||_F (complex128) of a matrix or of each matrix of a stack.
+
+    :raises DegenerateInputError: if a matrix is zero
+    """
+    X = as_stack(np.asarray(X, dtype=np.complex128))
+    nrm = np.asarray(frobenius_norm(X))
+    if not nrm.all():
         raise DegenerateInputError("cannot normalize the zero matrix")
-    return X / nrm
+    return X / nrm[..., None, None]
 
 
 def commutator(X, Y) -> np.ndarray:

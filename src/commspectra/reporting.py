@@ -4,7 +4,8 @@ The ``bounds``, ``verdicts`` and ``search`` sections are the result
 dataclasses themselves (``BoundReport``, ``ConjectureVerdict``,
 ``SearchResult``): :func:`jsonable` serializes any dataclass field by field,
 so their keys are the fields. :func:`spectrum_section` stays a function
-because it derives fields the ``Spectrum`` does not hold.
+because it derives fields the ``Spectrum`` does not hold, such as the
+trace-identity residual, computed from the unit matrix ``Spectrum.matrix``.
 
 Every command-line invocation assembles one report dict, validated against
 the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
@@ -80,9 +81,9 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def spectrum_section(X: np.ndarray, spec: Spectrum) -> dict:
+def spectrum_section(spec: Spectrum) -> dict:
     n = spec.order
-    trace_target = 2.0 * n - 2.0 * abs(np.trace(X)) ** 2 / spec.norm_scale
+    trace_target = 2.0 * n - 2.0 * abs(np.trace(spec.matrix)) ** 2
     return {
         "order": n,
         "values": spec.values.tolist(),

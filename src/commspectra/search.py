@@ -24,7 +24,7 @@ from . import ensembles
 from .errors import InvariantViolationError, PreconditionError
 from .lifted import double_commutator_lift
 from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, normalized, unvec
-from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, spectral_batch
+from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
 from .verdicts import holds, judge, make_bundle, matrix_payload
 from . import eigensolver
 
@@ -201,8 +201,7 @@ def ascend(config: SearchConfig) -> SearchResult:
     """
     validate_config(config)
     n, k = config.order, config.k
-    proven = float(min(2 * k + 1 + 2 * np.sqrt(k), 2.0 * n))
-    conjectured = float(2 * k + 2)
+    conjectured, proven = map(float, partial_sum_caps(k, n))
     best_obj = -np.inf
     best_X: np.ndarray | None = None
     traces: list[RestartTrace] = []
@@ -276,11 +275,13 @@ def sweep(
 ) -> dict:
     """Random-ensemble monitor sweep over orders and partial-sum indices.
 
-    Draws alternate complex (even trial index) and real (odd) unit Gaussian
-    matrices. Per trial the proven ladder is asserted hard; a C2A breach at
-    some k lands as a bundle in that (n, k) row, and weak-majorization (C4)
-    breaches, which are not tied to a single k, go to the report's top-level
-    ``majorization_violations``. ``k_rule`` is "all" or one int k.
+    Draws alternate complex (even trial index) and real (odd) Gaussian
+    matrices, normalized once by the spectral core, so each is bit for bit
+    ``ensembles.unit_gaussian`` of its trial stream. Per trial the proven
+    ladder is asserted hard; a C2A breach at some k lands as a bundle in
+    that (n, k) row, and weak-majorization (C4) breaches, which are not tied
+    to a single k, go to the report's top-level ``majorization_violations``.
+    ``k_rule`` is "all" or one int k.
 
     Each order's trials run through the batched spectral core in chunks of
     at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
@@ -304,7 +305,7 @@ def sweep(
             if not 1 <= k <= N // 2:
                 raise PreconditionError(f"k = {k} out of range for order {n}")
         cols = 2 * np.asarray(ks, dtype=np.intp) - 1
-        caps = 2.0 * np.asarray(ks, dtype=np.float64) + 2.0
+        caps, proven = partial_sum_caps(ks, n)
         max_f = np.full(len(ks), -np.inf)
         argmax: list[np.ndarray | None] = [None] * len(ks)
         row_violations: list[list[dict]] = [[] for _ in ks]
@@ -312,7 +313,7 @@ def sweep(
         for start in range(0, trials, step):
             X = np.stack(
                 [
-                    ensembles.unit_gaussian(ensembles.trial_rng(seed, n, t), n, real=bool(t % 2))
+                    ensembles.gaussian_matrix(ensembles.trial_rng(seed, n, t), n, real=bool(t % 2))
                     for t in range(start, min(start + step, trials))
                 ]
             )
@@ -331,18 +332,18 @@ def sweep(
             top = f[best, np.arange(len(ks))]
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
-                argmax[j] = X[best[j]]
+                argmax[j] = spec.matrices[best[j]]
             c2a = ~holds(f, caps, tol)
             c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
             for i in np.flatnonzero(c2a.any(axis=1) | ~c4_ok):
                 for j, k in enumerate(ks):
                     if c2a[i, j]:
                         row_violations[j].append(
-                            make_bundle("C2A", [X[i]], f[i, j], caps[j], 0.0, seed)
+                            make_bundle("C2A", [spec.matrices[i]], f[i, j], caps[j], 0.0, seed)
                         )
                 if not c4_ok[i]:
                     majorization_violations.append(
-                        make_bundle("C4", [normalized(X[i])], c4_lhs[i], c4_rhs[i], 0.0, seed)
+                        make_bundle("C4", [spec.matrices[i]], c4_lhs[i], c4_rhs[i], 0.0, seed)
                     )
         for j, k in enumerate(ks):
             rows.append(
@@ -352,8 +353,8 @@ def sweep(
                     "trials": trials,
                     "max_f": float(max_f[j]),
                     "argmax_matrix": None if argmax[j] is None else matrix_payload(argmax[j]),
-                    "bound_conjectured": float(2 * k + 2),
-                    "bound_proven": float(min(2 * k + 1 + 2 * np.sqrt(k), 2.0 * n)),
+                    "bound_conjectured": float(caps[j]),
+                    "bound_proven": float(proven[j]),
                     "violations": row_violations[j],
                 }
             )

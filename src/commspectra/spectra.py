@@ -19,6 +19,10 @@ Everything runs on stacks (B, n, n) through one batched core:
 real arithmetic, the positivity and trace invariants), :func:`ladder_batch`
 (the bound ladder and prefix sums) and :func:`majorization_batch` (the C4
 monitor). The per-matrix functions are batches of one.
+
+X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
+carries it as ``matrix``, and the ladder, the monitors and their bundles
+read it, so every verdict refers to exactly the matrix that was judged.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ import numpy as np
 
 from . import eigensolver
 from .errors import (
-    DegenerateInputError,
     InvariantViolationError,
     OrderMismatchError,
     PreconditionError,
@@ -37,8 +40,8 @@ from .lifted import double_commutator_lift
 from .matrices import (
     DEFAULT_ORDER_CAP,
     as_matrix,
-    as_stack,
     check_order_cap,
+    frobenius_norm,
     herm_skew_split,
     normalized,
 )
@@ -60,13 +63,15 @@ class Spectrum:
     ``clusters`` holds (representative value, multiplicity) per group under
     :func:`cluster_tolerance`; ``pairing_ok`` records whether every positive
     cluster has even multiplicity; ``norm_scale`` is the ||X||^2 divided out
-    (multiply ``values`` by it to recover the spectrum of the raw input).
+    (multiply ``values`` by it to recover the spectrum of the raw input);
+    ``matrix`` is the unit matrix X / ||X|| the values belong to.
     """
 
     values: np.ndarray
     clusters: tuple[tuple[float, int], ...]
     pairing_ok: bool
     norm_scale: float
+    matrix: np.ndarray
 
     @property
     def order(self) -> int:
@@ -101,14 +106,6 @@ class SpectralBatch:
     failures: tuple[str | None, ...]
 
 
-def _unit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X / ||X|| and ||X|| for each matrix of a stack (B, n, n)."""
-    nrm = np.linalg.norm(X, axis=(-2, -1))
-    if not nrm.all():
-        raise DegenerateInputError("the zero matrix has no normalized spectrum")
-    return X / nrm[:, None, None], nrm
-
-
 def spectral_batch(X) -> SpectralBatch:
     """Spectra of T_X for every matrix of a stack (B, n, n).
 
@@ -118,12 +115,10 @@ def spectral_batch(X) -> SpectralBatch:
     invariants are reported in ``failures``, not raised, so callers can
     order them with their own checks.
     """
-    # the normalized matrices stay complex128 whatever the input dtype, so
-    # the ladder computed from them does not depend on it
-    X = as_stack(np.asarray(X, dtype=np.complex128))
+    X = np.asarray(X)
     if X.ndim != 3:
         raise OrderMismatchError(f"expected a stack (B, n, n), got shape {X.shape}")
-    Xh, nrm = _unit(X)
+    Xh = normalized(X)  # complex128 for any input, so the ladder does not depend on it
     n = X.shape[-1]
     # a matrix with no imaginary part gets the real lift and LAPACK's real
     # symmetric solver; deciding per row gives a matrix the same bits alone
@@ -143,9 +138,7 @@ def spectral_batch(X) -> SpectralBatch:
             if lost[i]
             else f"trace identity failed: sum {sums[i]!r} vs {targets[i]!r}"
         )
-    return SpectralBatch(
-        matrices=Xh, values=values, norm_scale=nrm**2, failures=tuple(failures)
-    )
+    return SpectralBatch(Xh, values, frobenius_norm(X) ** 2, tuple(failures))
 
 
 def double_commutator_spectrum(X, max_order: int = DEFAULT_ORDER_CAP) -> Spectrum:
@@ -169,6 +162,7 @@ def double_commutator_spectrum(X, max_order: int = DEFAULT_ORDER_CAP) -> Spectru
         clusters=clusters,
         pairing_ok=pairing_ok,
         norm_scale=float(batch.norm_scale[0]),
+        matrix=batch.matrices[0],
     )
 
 
@@ -184,6 +178,14 @@ def partial_sums(spectrum: Spectrum) -> np.ndarray:
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.maximum(values, 0.0), axis=-1)
+
+
+def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Caps on the top-2k eigenvalue sum of T_X for unit X of order n, per k:
+    the conjectured 2k + 2 (id C2A) and the proven min(2k + 1 + 2 sqrt(k), 2n).
+    """
+    k = np.asarray(k, dtype=np.float64)
+    return 2.0 * k + 2.0, np.minimum(2.0 * k + 1.0 + 2.0 * np.sqrt(k), 2.0 * n)
 
 
 def majorization_target(n: int) -> np.ndarray:
@@ -300,14 +302,13 @@ def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
     """Evaluate every proven bound and its slack for X / ||X|| (a batch of one).
 
     ``spectrum`` may be passed to reuse a precomputed
-    :func:`double_commutator_spectrum` of the same X.
+    :func:`double_commutator_spectrum` of the same X; the ladder reads its
+    unit matrix.
     """
-    X = as_matrix(X)
-    if X.shape[0] < 2:
-        raise PreconditionError("the bound ladder needs n >= 2")
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    Xh, _ = _unit(X[None])
-    ladder = ladder_batch(Xh, spec.values[None])
+    if spec.order < 2:
+        raise PreconditionError("the bound ladder needs n >= 2")
+    ladder = ladder_batch(spec.matrix[None], spec.values[None])
     return BoundReport(
         lambda1=float(spec.values[0]),
         norm_scale=spec.norm_scale,
@@ -346,22 +347,19 @@ def monitor_partial_sums(
     X, spectrum: Spectrum | None = None, tol: float = 1e-8, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor the open bound sum(top 2k) <= 2k + 2 for every k (id C2A)."""
-    X = as_matrix(X)
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     prefix = partial_sums(spec)
-    N = spec.values.size
-    ks = np.arange(1, N // 2 + 1)
+    ks = np.arange(1, spec.values.size // 2 + 1)
     lhs_all = prefix[2 * ks - 1]
-    rhs_all = 2.0 * ks + 2.0
+    rhs_all, _ = partial_sum_caps(ks, spec.order)
     worst = int(np.argmax(lhs_all - rhs_all))
-    return judge("C2A", [normalized(X)], lhs_all[worst], rhs_all[worst], 0.0, tol, seed)
+    return judge("C2A", [spec.matrix], lhs_all[worst], rhs_all[worst], 0.0, tol, seed)
 
 
 def monitor_majorization(
     X, spectrum: Spectrum | None = None, tol: float = 1e-8, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor weak majorization by the rank-one profile (id C4)."""
-    X = as_matrix(X)
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     _, lhs, rhs = majorization_batch(spec.values[None], tol=tol)
-    return judge("C4", [normalized(X)], lhs[0], rhs[0], 0.0, tol, seed)
+    return judge("C4", [spec.matrix], lhs[0], rhs[0], 0.0, tol, seed)

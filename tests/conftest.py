@@ -20,12 +20,13 @@ def _run_python(*argv, cwd=None) -> subprocess.CompletedProcess:
     The child's PYTHONPATH starts with the absolute path of this checkout's
     ``src`` (existing entries are kept after it), so it imports the working
     tree's ``commspectra`` from any ``cwd``, ahead of any installed copy.
+    The child runs with ``-W error``, as pytest runs the tests in-process.
     """
     env = dict(os.environ)
     rest = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *rest])
     return subprocess.run(
-        [sys.executable, *map(str, argv)],
+        [sys.executable, "-W", "error", *map(str, argv)],
         capture_output=True,
         text=True,
         cwd=cwd,

@@ -177,6 +177,8 @@ def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
         ("search", "--n", "3", "--k", "1", "--restarts", "2", "--seed", "5", "--tol", "-100"),
         ("search", "--objective", "lambda13", "--n", "2", "--restarts", "1", "--seed", "1",
          "--tol", "1e-3"),
+        # an error bound below zero can never hold: refused, not a numerical failure
+        ("verify-paper-example", "--tol", "-1"),
     ],
 )
 def test_input_errors_exit_2(run_cli, argv):

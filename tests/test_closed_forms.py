@@ -34,6 +34,17 @@ def test_is_normal_classification():
     assert not is_normal(E21)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-160])
+def test_is_normal_judges_the_unit_matrix_at_any_scale(scale):
+    # ||[X, X*]|| of the raw input underflows to zero at these scales
+    G = unit_gaussian(trial_rng(63, 0), 4)
+    assert not is_normal(scale * G)
+    assert is_normal(scale * np.diag([1.0, 2j, -3.0]))
+    assert not is_normal(scale * E21)
+    with pytest.raises(DegenerateInputError):
+        is_normal(np.zeros((3, 3)))
+
+
 def test_normal_eigenvalues_handles_degenerate_hermitian_part():
     # Hermitian part is the identity (one cluster); the skew part splits it
     X = np.eye(2) + np.array([[0, 0.5j], [0.5j, 0]])

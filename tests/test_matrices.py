@@ -67,6 +67,13 @@ def test_normalized_unit_norm_and_zero_rejection():
     assert frobenius_norm(normalized(X)) == pytest.approx(1.0)
     with pytest.raises(DegenerateInputError):
         normalized(np.zeros((3, 3)))
+    # a stack is normalized matrix by matrix, with the bits of each alone
+    stack = np.stack([X, 3.0 * X.T, X.real])
+    np.testing.assert_array_equal(frobenius_norm(stack), [frobenius_norm(M) for M in stack])
+    for got, M in zip(normalized(stack), stack):
+        assert got.tobytes() == normalized(M).tobytes()
+    with pytest.raises(DegenerateInputError):
+        normalized(np.stack([X, np.zeros((4, 4))]))
 
 
 def test_double_commutator_is_psd_quadratic_form():

@@ -58,7 +58,7 @@ def test_jsonable_arrays_and_nesting():
 
 def test_spectrum_section_contents():
     spec = double_commutator_spectrum(X0)
-    section = jsonable(spectrum_section(X0, spec))
+    section = jsonable(spectrum_section(spec))
     assert section["order"] == 3
     assert len(section["values"]) == 9
     assert section["trace_residual"] < 1e-9
@@ -72,7 +72,7 @@ def test_bounds_and_verdict_sections():
     spec = double_commutator_spectrum(X0)
     bounds = build_report(
         "bounds", INPUTS, None, 1e-8, 0,
-        {"spectrum": spectrum_section(X0, spec), "bounds": bound_report(X0, spectrum=spec)},
+        {"spectrum": spectrum_section(spec), "bounds": bound_report(X0, spectrum=spec)},
     )
     b = bounds["bounds"]
     assert set(b) == {"lambda1", "norm_scale", "bounds", "slacks", "all_proven_hold"}
@@ -117,7 +117,7 @@ def test_build_report_produces_schema_valid_documents():
         seed=None,
         tol=1e-8,
         exit_code=0,
-        sections={"spectrum": spectrum_section(X0, spec)},
+        sections={"spectrum": spectrum_section(spec)},
     )
     assert report["schema_version"] == SCHEMA_VERSION
     assert report["version"] == TOOL_VERSION
@@ -128,7 +128,7 @@ def test_build_report_produces_schema_valid_documents():
 def test_validate_report_rejects_malformed_documents():
     spec = double_commutator_spectrum(X0)
     good = build_report(
-        "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(X0, spec)}
+        "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(spec)}
     )
     for breakage in (
         {"schema_version": 1},
@@ -179,10 +179,10 @@ def test_importing_the_package_does_not_load_jsonschema():
 def test_report_json_is_byte_deterministic_and_sorted():
     spec = double_commutator_spectrum(X0)
     r1 = build_report(
-        "spectrum", INPUTS, 5, 1e-8, 0, {"spectrum": spectrum_section(X0, spec)}
+        "spectrum", INPUTS, 5, 1e-8, 0, {"spectrum": spectrum_section(spec)}
     )
     r2 = build_report(
-        "spectrum", INPUTS, 5, 1e-8, 0, {"spectrum": spectrum_section(X0, spec)}
+        "spectrum", INPUTS, 5, 1e-8, 0, {"spectrum": spectrum_section(spec)}
     )
     s1, s2 = report_json(r1), report_json(r2)
     assert s1 == s2

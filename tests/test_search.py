@@ -186,6 +186,26 @@ def test_sweep_row_structure_and_clean_run():
         assert set(row["argmax_matrix"]) == {"re", "im"}
 
 
+def test_sweep_bundles_hold_the_unit_matrices_it_judged():
+    from commspectra import gaussian_matrix, trial_rng
+    from commspectra.spectra import spectral_batch
+    from commspectra.verdicts import matrix_payload
+
+    report = sweep([2, 3], trials=10, seed=4, tol=-100.0)
+    rows, c4 = iter(report["rows"]), iter(report["majorization_violations"])
+    for n in (2, 3):
+        draws = [gaussian_matrix(trial_rng(4, n, t), n, real=bool(t % 2)) for t in range(10)]
+        batch = spectral_batch(np.stack(draws))
+        units = [[matrix_payload(M)] for M in batch.matrices]
+        prefix = np.cumsum(np.maximum(batch.values, 0.0), axis=-1)
+        for k in range(1, n * n // 2 + 1):
+            row = next(rows)
+            assert [b["matrices"] for b in row["violations"]] == units
+            assert [row["argmax_matrix"]] == units[int(np.argmax(prefix[:, 2 * k - 1]))]
+        assert [next(c4)["matrices"] for _ in range(10)] == units
+    assert next(rows, None) is None and next(c4, None) is None
+
+
 def test_sweep_k_rule_variants():
     assert [r["k"] for r in sweep([3], k_rule=2, trials=2, seed=0)["rows"]] == [2]
     report = sweep([2, 3], k_rule=1, trials=2, seed=0)
@@ -257,7 +277,8 @@ def _reference_sweep(n_values, k_rule, trials, seed, tol):
                     found[j].append(make_bundle("C2A", [X], f, float(2 * k + 2), 0.0, seed))
             verdict = monitor_majorization(X, spectrum=spec, tol=tol, seed=seed)
             if not verdict.satisfied:
-                c4.append(verdict.witness)
+                # the sweep's unit matrix is X itself, normalized once
+                c4.append(make_bundle("C4", [X], verdict.lhs, verdict.rhs, 0.0, seed))
         rows += [
             (n, k, max_f[j], matrix_payload(argmax[j]), found[j]) for j, k in enumerate(ks)
         ]

@@ -20,6 +20,7 @@ from commspectra import (
     majorization_target,
     monitor_majorization,
     monitor_partial_sums,
+    normalized,
     partial_sums,
     random_rank_one,
     random_traceless_embedded,
@@ -28,7 +29,8 @@ from commspectra import (
     unvec,
 )
 from commspectra import eigensolver
-from commspectra.spectra import _cluster, majorization_batch, spectral_batch
+from commspectra.spectra import _cluster, majorization_batch, partial_sum_caps, spectral_batch
+from commspectra.verdicts import matrix_payload
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -229,6 +231,51 @@ def test_monitors_emit_bundles_under_forcing_tolerance():
     assert v.witness["seed"] == 5
     v4 = monitor_majorization(X, tol=-10.0)
     assert not v4.satisfied and v4.witness["conjecture_id"] == "C4"
+
+
+def test_bundles_hold_the_unit_matrix_whose_spectrum_was_judged():
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        X = 10.0 ** rng.uniform(-3, 3) * G
+        spec = double_commutator_spectrum(X)
+        assert spec.matrix.tobytes() == spectral_batch(X[None]).matrices[0].tobytes()
+        assert spec.matrix.tobytes() == normalized(X).tobytes()
+        for monitor in (monitor_partial_sums, monitor_majorization):
+            witness = monitor(X, spectrum=spec, tol=-100.0).witness
+            assert witness["matrices"] == [matrix_payload(spec.matrix)]
+
+
+def test_a_spectrum_op_normalizes_once(monkeypatch):
+    import commspectra
+
+    X = unit_gaussian(trial_rng(62, 0), 5)
+    calls = []
+    real = commspectra.matrices.normalized
+
+    def counted(M):
+        calls.append(None)
+        return real(M)
+
+    for name in ("matrices", "spectra", "closed_forms", "search", "ensembles"):
+        module = getattr(commspectra, name)
+        if getattr(module, "normalized", None) is real:
+            monkeypatch.setattr(module, "normalized", counted)
+    spec = double_commutator_spectrum(X)
+    bound_report(X, spectrum=spec)
+    monitor_partial_sums(X, spectrum=spec)
+    monitor_majorization(X, spectrum=spec)
+    assert len(calls) == 1
+
+
+def test_partial_sum_caps():
+    for n in range(2, 7):
+        ks = np.arange(1, n * n // 2 + 1)
+        conjectured, proven = partial_sum_caps(ks, n)
+        for k, c, p in zip(ks.tolist(), conjectured, proven):
+            assert c == 2 * k + 2
+            assert p == min(2 * k + 1 + 2 * math.sqrt(k), 2 * n)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 16])
