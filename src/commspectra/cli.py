@@ -172,13 +172,10 @@ class Run:
 
 def exit_code(run: Run) -> int:
     """The exit code of a run that finished: 2 for a verdict whose hypotheses
-    residual is over tolerance (never stricter than the library's own, so a
-    negative --tol forces violations without exit 2), 3 for a missed
-    reference check, 1 for a bundle, else 0."""
-    if any(
-        v.hypotheses_residual > max(run.tol, conjectures.HYPOTHESIS_TOL)
-        for v in run.sections.get("verdicts", ())
-    ):
+    do not hold (:attr:`ConjectureVerdict.hypotheses_hold`, a scale-free
+    residual against one threshold that ``--tol`` does not move), 3 for a
+    missed reference check, 1 for a bundle, else 0."""
+    if not all(v.hypotheses_hold for v in run.sections.get("verdicts", ())):
         return EXIT_INPUT
     reference = run.sections.get("reference_check")
     if reference is not None and not reference["ok"]:

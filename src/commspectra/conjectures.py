@@ -4,26 +4,40 @@ Registry of ids (see :mod:`commspectra.verdicts` for the bundle format).
 :data:`CHECKERS` gives each id its checker and the layout of its bundle
 matrices; :func:`run_checker` and :func:`reverify_bundle` read it.
 
+Each verdict's ``hypotheses_residual`` (res. below) says how far the inputs
+are from the side conditions. It is scale-free: matrix conditions are read
+on the unit matrices M^ = M / ||M||_F (:func:`~commspectra.matrices.normalized`),
+so scaling a family moves lhs and rhs but not the residual. One threshold,
+:data:`commspectra.verdicts.HYPOTHESIS_TOL`, decides whether the hypotheses
+hold; a checker raises only for malformed input (shapes, non-finite entries,
+negative weights, a non-0/1 pattern, an oversized isotropic family, a zero
+C2/C2C pivot or member).
+
 ==============  ============================================================
-id              statement checked
+id              statement checked; hypotheses residual
 ==============  ============================================================
 C1              sum_{a,b} ||[B_a, B_b]||^2 <= (sum_a ||B_a||^2)^2 under
-                Tr(B_a [B_c, B_b]) = 0 for all triples
+                Tr(B_a [B_c, B_b]) = 0 for all triples;
+                res. max |Tr(B^_a [B^_c, B^_b])|, a zero member staying zero
 C2              sum_a ||[B, B_a]||^2 <= (max_a ||B_a||^2 +
                 sum_a ||B_a||^2) ||B||^2 under pairwise orthogonality of the
-                family and Tr(B_a [B, B_b]) = 0
+                family and Tr(B_a [B, B_b]) = 0;
+                res. the C2C res. or max |Tr(B^_a [B^, B^_b])| if larger
 C2A             partial sums of the lifted spectrum <= 2k + 2 (monitored in
-                :mod:`commspectra.spectra`)
+                :mod:`commspectra.spectra`); res. 0
 C2C             like C2 with only the orthogonality condition and rhs
-                coefficient 2 max + sum
+                coefficient 2 max + sum; res. max_{a != b} |<B^_a, B^_b>|
 C4              weak majorization by the rank-one profile (monitored in
-                :mod:`commspectra.spectra`)
+                :mod:`commspectra.spectra`); res. 0
 LU_LEMMA        sum_{i<j} |eta_i - eta_j|^2 r_ij <= sum r + max r for
-                centered unit eta, r >= 0 (proven)
+                centered unit eta, r >= 0 (proven);
+                res. max(|sum eta|, |sum |eta|^2 - 1|)
 NUMBERS_LEMMA   sum eta_i omega_j r_ij <= sqrt(m)/2 for nonneg eta, omega
-                with total square sum 1 and 0/1 r, m = sum r (proven)
+                with total square sum 1 and 0/1 r, m = sum r (proven);
+                res. |sum eta^2 + sum omega^2 - 1|
 ISOTROPIC       sum_i <T_X w_i, w_i> <= sum_i lambda_{2i-1}(T_X) for an
-                orthonormal isotropic family {w_i} (proven)
+                orthonormal isotropic family {w_i} (proven); res. the max
+                of |<w_i, w_j> - delta_ij| and |<[X^, w_i]*, w_j>|
 ==============  ============================================================
 """
 from __future__ import annotations
@@ -34,56 +48,47 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError
-from .matrices import as_matrix, commutator, frobenius_inner, frobenius_norm
+from .matrices import as_matrix, frobenius_norm, normalized
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
 from .verdicts import ConjectureVerdict, bundle_matrices, judge
 
-HYPOTHESIS_TOL = 1e-8
 
-
-def _family(Bs, min_size: int = 1) -> list[np.ndarray]:
+def _stack(Bs, lead: np.ndarray | None = None) -> np.ndarray:
+    """The family as one (m, n, n) stack, m >= 1, of the order of ``lead`` if given."""
     mats = [as_matrix(B, f"B[{i}]") for i, B in enumerate(Bs)]
-    if len(mats) < min_size:
-        raise PreconditionError(f"need at least {min_size} matrices, got {len(mats)}")
-    n = mats[0].shape[0]
-    for M in mats[1:]:
-        if M.shape[0] != n:
-            raise PreconditionError("family members must share one order")
-    return mats
+    if not mats:
+        raise PreconditionError("need at least one family member")
+    shape = mats[0].shape if lead is None else lead.shape
+    if any(M.shape != shape for M in mats):
+        raise PreconditionError(f"every matrix must have the shape {shape}")
+    return np.stack(mats)
+
+
+def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[A_a, B_b] for every a, b: stacks (a, n, n) and (b, n, n) give (a, b, n, n)."""
+    A, B = A[:, None], B[None]
+    return A @ B - B @ A
+
+
+def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A_a, B_b> = Tr(A_a B_b*) for every a, b: stacks (a, n, n) and (b, n, n) give (a, b)."""
+    return np.einsum("aij,bij->ab", A, B.conj())
+
+
+def _trace(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Tr(A_a C_...) for a stack (a, n, n) and a stack (..., n, n), as (a, ...)."""
+    return np.einsum("aij,...ji->a...", A, C)
 
 
 def check_conj1(Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
     """All-pairs commutator energy against total energy squared (id C1)."""
-    mats = _family(Bs, min_size=1)
-    resid = 0.0
-    for Ba in mats:
-        for Bb in mats:
-            for Bc in mats:
-                resid = max(resid, abs(np.trace(Ba @ commutator(Bc, Bb))))
-    lhs = sum(
-        float(np.linalg.norm(commutator(Ba, Bb)) ** 2) for Ba in mats for Bb in mats
-    )
-    total = sum(frobenius_norm(B) ** 2 for B in mats)
-    return judge("C1", mats, lhs, total**2, resid, tol, seed)
-
-
-def _pivot_family(B, Bs) -> tuple[np.ndarray, list[np.ndarray]]:
-    B = as_matrix(B, "B")
-    mats = _family(Bs, min_size=1)
-    if mats[0].shape[0] != B.shape[0]:
-        raise PreconditionError("pivot and family must share one order")
-    if frobenius_norm(B) == 0.0 or any(frobenius_norm(M) == 0.0 for M in mats):
-        raise DegenerateInputError("pivot and family members must be nonzero")
-    return B, mats
-
-
-def _pairwise_orth_residual(mats: list[np.ndarray]) -> float:
-    resid = 0.0
-    for i, Ba in enumerate(mats):
-        for j, Bb in enumerate(mats):
-            if i != j:
-                resid = max(resid, abs(frobenius_inner(Ba, Bb)))
-    return resid
+    B = _stack(Bs)
+    norms = frobenius_norm(B)
+    U = np.zeros_like(B)
+    U[norms > 0] = normalized(B[norms > 0])
+    resid = np.abs(_trace(U, _comm(U, U))).max()
+    lhs = (frobenius_norm(_comm(B, B)) ** 2).sum()
+    return judge("C1", list(B), lhs, (norms**2).sum() ** 2, resid, tol, seed)
 
 
 def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVerdict:
@@ -92,17 +97,21 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     C2 has c = 1 and both side conditions in the hypotheses residual; C2C
     has c = 2 and orthogonality only.
     """
-    B, mats = _pivot_family(B, Bs)
-    resid = _pairwise_orth_residual(mats)
+    B = as_matrix(B, "B")
+    F = _stack(Bs, B)
+    norms = frobenius_norm(F)
+    if frobenius_norm(B) == 0.0 or not norms.all():
+        raise DegenerateInputError("pivot and family members must be nonzero")
+    U = normalized(F)
+    G = _gram(U, U)
+    resid = np.abs(G - np.diag(np.diag(G))).max()
     if cid == "C2":
-        for Ba in mats:
-            for Bb in mats:
-                resid = max(resid, abs(np.trace(Ba @ commutator(B, Bb))))
-    lhs = sum(float(np.linalg.norm(commutator(B, Ba)) ** 2) for Ba in mats)
-    norms_sq = [frobenius_norm(Ba) ** 2 for Ba in mats]
+        resid = max(resid, np.abs(_trace(U, _comm(normalized(B)[None], U)[0])).max())
+    lhs = (frobenius_norm(_comm(B[None], F)) ** 2).sum()
+    norms_sq = norms**2
     coef = 1.0 if cid == "C2" else 2.0
-    rhs = (coef * max(norms_sq) + sum(norms_sq)) * frobenius_norm(B) ** 2
-    return judge(cid, [B] + mats, lhs, rhs, resid, tol, seed)
+    rhs = (coef * norms_sq.max() + norms_sq.sum()) * frobenius_norm(B) ** 2
+    return judge(cid, [B, *F], lhs, rhs, resid, tol, seed)
 
 
 def check_conj2(B, Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
@@ -141,19 +150,12 @@ def check_lu_lemma(etas, r, tol: float = 1e-8, seed: int | None = None) -> Conje
         raise PreconditionError("non-finite input")
     if R[np.triu_indices_from(R, k=1)].min(initial=0.0) < 0.0:
         raise PreconditionError("weights must be nonnegative")
-    center_resid = abs(e.sum())
-    norm_resid = abs(np.linalg.norm(e) ** 2 - 1.0)
-    if center_resid > 1e-10 or norm_resid > 1e-10:
-        raise PreconditionError(
-            f"eta must be centered and unit: |sum| = {center_resid:.3e}, "
-            f"|1 - sum of squares| = {norm_resid:.3e}; see center_normalize()"
-        )
     iu = np.triu_indices(e.size, k=1)
     w = R[iu]
     diffs = np.abs(e[iu[0]] - e[iu[1]]) ** 2
     lhs = (diffs * w).sum()
     rhs = w.sum() + (w.max() if w.size else 0.0)
-    resid = max(center_resid, norm_resid)
+    resid = max(abs(e.sum()), abs(np.linalg.norm(e) ** 2 - 1.0))
     return judge("LU_LEMMA", [e.reshape(1, -1), R], lhs, rhs, resid, tol, seed)
 
 
@@ -173,10 +175,6 @@ def check_numbers_lemma(
     if not np.isin(R, (0.0, 1.0)).all():
         raise PreconditionError("r must be a 0/1 pattern")
     norm_resid = abs(e @ e + o @ o - 1.0)
-    if norm_resid > 1e-10:
-        raise PreconditionError(
-            f"need sum of squares 1, off by {norm_resid:.3e}"
-        )
     m = int(R.sum())
     lhs = np.clip(e, 0.0, None) @ R @ np.clip(o, 0.0, None)
     rhs = np.sqrt(m) / 2.0
@@ -195,33 +193,19 @@ def check_isotropic_trace_bound(
     family size, on the scale of X as given.
     """
     X = as_matrix(X, "X")
-    mats = _family(W, min_size=1)
-    n = X.shape[0]
-    if mats[0].shape[0] != n:
-        raise PreconditionError("X and the family must share one order")
-    m = len(mats)
+    W = _stack(W, X)
+    n, m = X.shape[0], W.shape[0]
     if 2 * m > n * n:
         raise PreconditionError(
             f"an isotropic family has at most {n * n // 2} members, got {m}"
         )
-    orth = 0.0
-    for i, wi in enumerate(mats):
-        for j, wj in enumerate(mats):
-            g = frobenius_inner(wi, wj)
-            orth = max(orth, abs(g - (1.0 if i == j else 0.0)))
-    if orth > HYPOTHESIS_TOL:
-        raise PreconditionError(f"family is not orthonormal: residual {orth:.3e}")
-    images = [commutator(X, wi).conj().T for wi in mats]
-    iso = max(
-        abs(frobenius_inner(img, wj)) for img in images for wj in mats
-    )
-    if iso > HYPOTHESIS_TOL:
-        raise PreconditionError(f"family is not isotropic: residual {iso:.3e}")
-    lhs = sum(float(np.linalg.norm(commutator(X, wi)) ** 2) for wi in mats)
     spec = double_commutator_spectrum(X)
-    lam_raw = spec.norm_scale * spec.values
-    rhs = lam_raw[0 : 2 * m : 2].sum()
-    return judge("ISOTROPIC", [X] + mats, lhs, rhs, max(orth, iso), tol, seed)
+    images = _comm(spec.matrix[None], W)[0]  # [X^, w_i]
+    orth = np.abs(_gram(W, W) - np.eye(m)).max()
+    iso = np.abs(_trace(W, images)).max()  # |<[X^, w_i]*, w_j>| = |Tr(w_j [X^, w_i])|
+    lhs = spec.norm_scale * (frobenius_norm(images) ** 2).sum()
+    rhs = (spec.norm_scale * spec.values)[0 : 2 * m : 2].sum()
+    return judge("ISOTROPIC", [X, *W], lhs, rhs, max(orth, iso), tol, seed)
 
 
 def _real(M: np.ndarray, what: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import InvariantViolationError
 from .spectra import Spectrum, partial_sums
 from .verdicts import matrix_payload
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TOOL_VERSION = __version__
 
 

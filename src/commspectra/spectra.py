@@ -348,6 +348,8 @@ def monitor_partial_sums(
 ) -> ConjectureVerdict:
     """Monitor the open bound sum(top 2k) <= 2k + 2 for every k (id C2A)."""
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
+    if spec.order < 2:
+        raise PreconditionError(f"the partial-sum monitor needs n >= 2, got {spec.order}")
     prefix = partial_sums(spec)
     ks = np.arange(1, spec.values.size // 2 + 1)
     lhs_all = prefix[2 * ks - 1]

@@ -8,6 +8,11 @@ decisions) and :func:`judge` turns one decision into a
 the rule, such as error-bounded three-valued verdicts (ROADMAP item 6),
 edits these two functions only.
 
+The hypotheses hold when the scale-free ``hypotheses_residual`` is at most
+:data:`HYPOTHESIS_TOL`, whatever the verdict tolerance
+(:attr:`ConjectureVerdict.hypotheses_hold`); only then is a violation a
+counterexample with a bundle.
+
 A violation bundle is a JSON object holding everything needed to re-verify
 the claimed violation from the file alone:
 
@@ -21,7 +26,7 @@ per-id layout is documented in :mod:`commspectra.conjectures`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,9 @@ CONJECTURE_IDS = (
     "ISOTROPIC",     # isotropic-subspace trace bound (proven)
 )
 
+# one threshold for every id and scale: the residuals are scale-free (conjectures.py)
+HYPOTHESIS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
@@ -46,7 +54,7 @@ class ConjectureVerdict:
 
     ``hypotheses_residual`` reports how well the inputs satisfied the
     statement's side conditions; ``witness`` carries a violation bundle when
-    the inequality failed, else None.
+    the inequality failed under hypotheses that hold, else None.
     """
 
     conjecture_id: str
@@ -55,6 +63,11 @@ class ConjectureVerdict:
     rhs: float
     satisfied: bool
     witness: dict | None = field(default=None)
+
+    @property
+    def hypotheses_hold(self) -> bool:
+        """Whether the side conditions held: residual <= HYPOTHESIS_TOL."""
+        return self.hypotheses_residual <= HYPOTHESIS_TOL
 
 
 def matrix_payload(M) -> dict:
@@ -114,13 +127,12 @@ def judge(
     tol: float,
     seed: int | None,
 ) -> ConjectureVerdict:
-    """Decide one statement; a violated verdict carries its bundle."""
+    """Decide one statement; a violation whose hypotheses hold carries its bundle."""
     lhs, rhs, resid = float(lhs), float(rhs), float(hypotheses_residual)
-    satisfied = bool(holds(lhs, rhs, tol))
-    witness = (
-        None if satisfied else make_bundle(conjecture_id, matrices, lhs, rhs, resid, seed)
-    )
-    return ConjectureVerdict(conjecture_id, resid, lhs, rhs, satisfied, witness)
+    verdict = ConjectureVerdict(conjecture_id, resid, lhs, rhs, bool(holds(lhs, rhs, tol)))
+    if verdict.satisfied or not verdict.hypotheses_hold:
+        return verdict
+    return replace(verdict, witness=make_bundle(conjecture_id, matrices, lhs, rhs, resid, seed))
 
 
 def bundle_matrices(bundle: dict) -> list[np.ndarray]:

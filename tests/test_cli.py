@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, determinism, bundles."""
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from commspectra import (
     sha256_digest,
     trial_rng,
     unit_gaussian,
+    unvec,
+    vec,
 )
 from commspectra import cli, spectra
 from commspectra.reporting import validate_report
 from commspectra.search import VIOLATION_MARGIN
+from commspectra.verdicts import HYPOTHESIS_TOL
 
 
 @pytest.fixture
@@ -139,7 +143,7 @@ def test_check_isotropic_family_files(run_cli, tmp_path, isotropic_family):
 
 
 def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
-    # non-orthonormal family: the checker refuses rather than misreporting
+    # non-orthonormal family: the hypotheses do not hold, so the verdict is not trusted
     X = unit_gaussian(trial_rng(92, 0), 2)
     paths = [tmp_path / "x.json", tmp_path / "w1.json", tmp_path / "w2.json"]
     for path, M in zip(paths, [X, X, X]):
@@ -449,6 +453,7 @@ def exact_files(tmp_path):
     matrices = {
         "e12": unit(0, 1),
         "e11": unit(0, 0),
+        "e21": unit(1, 0),
         "jordan": unit(0, 1) + unit(1, 2),
         "diag": np.diag([1.0, -1.0, 0.0]),
         "normal": np.diag([2.0, -1.0, -1.0]) / np.sqrt(6.0),
@@ -650,3 +655,77 @@ def test_check_bundle_reverifies_through_the_checker_table(cli_main, exact_files
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+# Per check kind, a family that meets its side conditions and one that does
+# not. The scale multiplies every matrix, or X alone for isotropic.
+SCALE_CASES = [
+    ("conj1", True), ("conj1", False), ("conj2", True), ("conj2", False),
+    ("conj2c", True), ("conj2c", False), ("isotropic", True), ("isotropic", False),
+]
+
+
+def _scale_case(kind, meets, isotropic_family):
+    """(scaled, unscaled) matrices of one case."""
+    g = [unit_gaussian(trial_rng(95, t), 3) for t in range(4)]
+    if kind == "isotropic":
+        X = unit_gaussian(trial_rng(95, 4), 2)
+        return [X], isotropic_family(X, 2, trial_rng(95, 5)) if meets else [X, X]
+    if not meets:
+        return g[:3], []
+    if kind != "conj2c":  # by cyclicity of the trace, two C1 members or one
+        return g[:2], []    # C2 member (an orthogonal family) meet the trace conditions
+    Q, _ = np.linalg.qr(np.stack([vec(M) for M in g[1:3]], axis=1))
+    return [g[0], *(unvec(q, 3) for q in Q.T)], []  # an orthonormal family
+
+
+@pytest.mark.parametrize("kind, meets", SCALE_CASES, ids=[f"{k}-{m}" for k, m in SCALE_CASES])
+def test_hypotheses_verdict_is_scale_free(
+    cli_main, tmp_path, isotropic_family, kind, meets
+):
+    # the residual reads unit matrices, so a scale moves neither it nor the exit code
+    scaled, fixed = _scale_case(kind, meets, isotropic_family)
+    seen = []
+    for scale in (1e-4, 1.0, 1e4):
+        paths = []
+        for i, M in enumerate([scale * M for M in scaled] + fixed):
+            paths.append(tmp_path / f"{scale:g}_{i}.json")
+            save_matrix(paths[-1], M)
+        code, out, _ = cli_main("check", kind, *paths, "--json")
+        seen.append((code, json.loads(out)["verdicts"][0]["hypotheses_residual"]))
+    assert [code for code, _ in seen] == [0 if meets else 2] * 3
+    residuals = [r for _, r in seen]
+    assert (max(residuals) <= HYPOTHESIS_TOL) == meets
+    assert max(residuals) - min(residuals) <= 1e-12
+
+
+# Inputs that break a continuous side condition, by exact_files name, or as
+# a payload for the scalar lemmas.
+UNMET_HYPOTHESES = {
+    "conj1": ["e12", "e21", "e11"],  # Tr(E11 [E12, E21]) = 1
+    "conj2": ["e12", "e11", "e11"],  # <E11, E11> = 1
+    "conj2c": ["e12", "e11", "e11"],
+    "isotropic": ["e12", "e12", "e12"],
+    "lu": {"etas": [1.0, 0.0], "r": [[0.0, 1.0], [0.0, 0.0]]},  # not centered
+    "numbers": {"etas": [1.0], "omegas": [1.0], "r": [[1.0]]},  # square sum 2
+}
+
+
+@pytest.mark.parametrize("kind", list(UNMET_HYPOTHESES))
+def test_unmet_hypotheses_exit_2_with_a_report_and_no_bundle(cli_main, exact_files, kind):
+    inputs = UNMET_HYPOTHESES[kind]
+    if isinstance(inputs, dict):
+        Path("payload.json").write_text(json.dumps(inputs))
+        paths = ["payload.json"]
+    else:
+        paths = [exact_files[name] for name in inputs]
+    for tol in ([], ["--tol", "-100"]):  # even a forced breach writes no bundle
+        code, out, _ = cli_main("check", kind, *paths, *tol, "--bundle-out", "b.json", "--json")
+        assert code == 2
+        report = json.loads(out)
+        validate_report(report)
+        verdict = report["verdicts"][0]
+        assert verdict["hypotheses_residual"] > HYPOTHESIS_TOL
+        assert verdict["witness"] is None and report["bundle_path"] is None
+        assert not Path("b.json").exists()
+        assert not list(Path().glob("violation-*.json"))

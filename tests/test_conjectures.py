@@ -55,6 +55,9 @@ def test_check_conj1_commuting_family_is_tight_at_zero():
     v = check_conj1(diag)
     assert v.satisfied and v.lhs == 0.0 and v.hypotheses_residual == 0.0
     assert v.rhs == pytest.approx((2.0 + 2.0) ** 2)
+    # a zero member has no unit matrix; it stays zero in the residual
+    v = check_conj1(diag + [np.zeros((3, 3))])
+    assert v.satisfied and v.hypotheses_residual == 0.0
 
 
 def test_check_conj1_energy_matches_direct_computation():
@@ -127,8 +130,13 @@ def test_check_lu_lemma_equality_and_random_sweep():
 
 
 def test_check_lu_lemma_hypothesis_errors():
-    with pytest.raises(PreconditionError):
-        check_lu_lemma([1.0, -1.0], [[0.0, 1.0], [0.0, 0.0]])  # not unit
+    # not unit: |sum |eta|^2 - 1| = 1 is reported, and a forced breach has no bundle
+    v = check_lu_lemma([1.0, -1.0], [[0.0, 1.0], [0.0, 0.0]], tol=-100.0)
+    assert v.hypotheses_residual == pytest.approx(1.0)
+    assert not v.hypotheses_hold and not v.satisfied and v.witness is None
+    # not centered: |sum eta| = 1
+    v = check_lu_lemma([1.0, 0.0], [[0.0, 1.0], [0.0, 0.0]], tol=-100.0)
+    assert v.hypotheses_residual == pytest.approx(1.0) and v.witness is None
     with pytest.raises(PreconditionError):
         check_lu_lemma(center_normalize([1.0, -1.0]), [[0.0, -1.0], [0.0, 0.0]])
     with pytest.raises(PreconditionError):
@@ -149,8 +157,9 @@ def test_check_numbers_lemma_hypothesis_errors():
         check_numbers_lemma([-r], [r], [[1.0]])
     with pytest.raises(PreconditionError):
         check_numbers_lemma([r], [r], [[0.5]])
-    with pytest.raises(PreconditionError):
-        check_numbers_lemma([1.0], [1.0], [[1.0]])  # square sum 2, not 1
+    v = check_numbers_lemma([1.0], [1.0], [[1.0]], tol=-100.0)  # square sum 2, not 1
+    assert v.hypotheses_residual == pytest.approx(1.0)
+    assert not v.hypotheses_hold and not v.satisfied and v.witness is None
     with pytest.raises(PreconditionError):
         check_numbers_lemma([r], [r], np.ones((2, 2)))
 
@@ -170,9 +179,10 @@ def test_isotropic_families_satisfy_trace_bound(isotropic_family):
 def test_isotropic_rejects_non_isotropic_family():
     rng = trial_rng(54, 0)
     X = unit_gaussian(rng, 2)
-    with pytest.raises(PreconditionError):
-        check_isotropic_trace_bound(X, [X, X])  # not orthonormal
-    with pytest.raises(PreconditionError):
+    v = check_isotropic_trace_bound(X, [X, X], tol=-100.0)  # not orthonormal: <X, X> = 1
+    assert v.hypotheses_residual == pytest.approx(1.0)
+    assert not v.hypotheses_hold and not v.satisfied and v.witness is None
+    with pytest.raises(PreconditionError):  # 3 members exceed the cap n^2 / 2 = 2
         check_isotropic_trace_bound(X, [unit_gaussian(rng, 2) for _ in range(3)])
 
 
@@ -290,6 +300,15 @@ def test_read_bundle_rejects_garbage(tmp_path):
     path.write_text("{\"no_id\": 1}")
     with pytest.raises(ParseError):
         read_bundle(path)
+
+
+def test_partial_sum_monitor_refuses_order_one():
+    # no k with 1 <= k <= n^2 / 2: refused, as bound_report and the C4 profile are
+    with pytest.raises(PreconditionError, match="n >= 2"):
+        monitor_partial_sums(np.array([[2.0]]))
+    bundle = make_bundle("C2A", [np.array([[1.0]])], 0.0, 4.0, 0.0, None)
+    with pytest.raises(PreconditionError, match="n >= 2"):
+        reverify_bundle(bundle)
 
 
 def test_monitor_verdict_consistency_with_spectrum():
