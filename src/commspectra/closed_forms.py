@@ -30,10 +30,27 @@ EQUALITY_THRESHOLD = 2.0 - 1e-6
 WITNESS_RESIDUAL_TOL = 1e-7
 
 
+def _normality_defect(Xh) -> float:
+    return frobenius_norm(commutator(Xh, Xh.conj().T))
+
+
+def _normal_values(Xh) -> np.ndarray:
+    if _normality_defect(Xh) > 1e-8:
+        raise PreconditionError("matrix is not normal")
+    x = eigensolver.eigvals(Xh)
+    diffs = np.abs(np.subtract.outer(x, x)) ** 2
+    return np.sort(diffs.ravel())[::-1]
+
+
+def _rank_one(Xh) -> tuple[bool, float]:
+    s = eigensolver.svd(Xh)
+    is_r1 = bool(s.size == 1 or s[1] <= RANK_ONE_RTOL * s[0])
+    return is_r1, float(abs(np.trace(Xh)) ** 2)
+
+
 def is_normal(X, rtol: float = NORMALITY_RTOL) -> bool:
     """True when ||[Xh, Xh*]|| <= ``rtol`` for Xh = X / ||X|| (X nonzero)."""
-    Xh = normalized(X)
-    return frobenius_norm(commutator(Xh, Xh.conj().T)) <= rtol
+    return _normality_defect(normalized(X)) <= rtol
 
 
 def normal_spectrum(X) -> np.ndarray:
@@ -44,20 +61,12 @@ def normal_spectrum(X) -> np.ndarray:
 
     :raises PreconditionError: if X is not normal to 1e-8 relative
     """
-    Xh = normalized(X)
-    if not is_normal(Xh, rtol=1e-8):
-        raise PreconditionError("matrix is not normal")
-    x = eigensolver.eigvals(Xh)
-    diffs = np.abs(np.subtract.outer(x, x)) ** 2
-    return np.sort(diffs.ravel())[::-1]
+    return _normal_values(normalized(X))
 
 
 def detect_rank_one(X) -> tuple[bool, float]:
     """(is rank one, |Tr Xhat|^2) using the s_2/s_1 < 1e-8 cutoff."""
-    Xh = normalized(X)
-    s = eigensolver.svd(Xh)
-    is_r1 = bool(s.size == 1 or s[1] <= RANK_ONE_RTOL * s[0])
-    return is_r1, float(abs(np.trace(Xh)) ** 2)
+    return _rank_one(normalized(X))
 
 
 def rank_one_spectrum(n: int, trace_abs_sq: float) -> np.ndarray:
@@ -158,11 +167,12 @@ def is_maximal_pair(X, Y, tol: float = 1e-8) -> tuple[bool, float]:
 def closed_form_summary(X) -> dict:
     """Classify X and compare every applicable closed form with the dense
     spectrum; used by the command-line ``closed-form`` report. Every test
-    judges the dense spectrum's unit matrix: :func:`normalized` of X gives
-    ``spec.matrix`` bit for bit."""
+    judges the dense spectrum's unit matrix ``spec.matrix``, which is
+    :func:`normalized` of X bit for bit, so X is normalized once."""
     spec = double_commutator_spectrum(X)
-    normal_flag = is_normal(X)
-    r1_flag, t = detect_rank_one(X)
+    Xh = spec.matrix
+    normal_flag = _normality_defect(Xh) <= NORMALITY_RTOL
+    r1_flag, t = _rank_one(Xh)
     out: dict = {
         "order": spec.order,
         "is_normal": normal_flag,
@@ -172,7 +182,7 @@ def closed_form_summary(X) -> dict:
         "norm_scale": spec.norm_scale,
     }
     if normal_flag:
-        cf = normal_spectrum(X)
+        cf = _normal_values(Xh)
         out["normal_closed_form"] = {
             "values": cf,
             "max_abs_diff": float(np.abs(cf - spec.values).max()),

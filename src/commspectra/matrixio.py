@@ -1,15 +1,19 @@
-"""Matrix and payload file I/O.
+"""File formats and the library's one JSON codec.
 
-Two on-disk matrix formats are accepted:
+Every JSON file the library reads or writes (matrix files, check payloads,
+violation bundles, run reports) goes through this module:
+:func:`matrix_payload` is the one ``{"re": [[...]], "im": [[...]]}`` encoder,
+:func:`payload_matrix` the one decoder (``im`` optional, bits kept as
+written), :func:`read_json` the one reader and :func:`write_json` the one
+writer of the one serialization, :func:`json_text`. Any defect of a file
+(unreadable, invalid JSON, a missing or non-numeric field, re/im shapes
+that differ, a non-finite entry) raises ``ParseError``.
 
-* JSON ``{"n": int, "re": [[...]], "im": [[...]]}`` with ``im`` optional
-  (defaults to zeros); written by :func:`save_matrix`;
-* a whitespace text format, one matrix row per line, entries as ``a+bi``
-  tokens (``i``, ``I`` or ``j`` mark the imaginary unit); read-only.
-
-Both parsers reject non-finite entries. Scalar-lemma check payloads
-(``lu``, ``numbers``) are JSON objects documented in
-:func:`load_check_payload`.
+:func:`load_matrix` tells its two formats apart by content, not extension:
+JSON ``{"n": int, "re": ..., "im": ...}`` (a payload with its order, written
+by :func:`save_matrix`) starts with ``{``; otherwise each line is a matrix
+row of ``a+bi`` tokens (``i``, ``I`` or ``j`` mark the imaginary unit).
+Scalar-lemma check payloads are documented in :func:`load_check_payload`.
 """
 from __future__ import annotations
 
@@ -27,36 +31,68 @@ def sha256_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _finite_or_raise(M: np.ndarray, path) -> np.ndarray:
+def _finite(M: np.ndarray, where) -> np.ndarray:
     if not np.isfinite(M).all():
-        raise ParseError(f"{path}: non-finite entries are not accepted")
+        raise ParseError(f"{where}: non-finite entries are not accepted")
     return M
 
 
-def _matrix_from_json(obj, path) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object with n/re/im")
+def _numeric(obj, key: str, where) -> np.ndarray:
     try:
-        n = int(obj["n"])
+        return np.asarray(obj[key], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or bad field 'n'") from exc
-    if n < 1:
-        raise ParseError(f"{path}: n must be positive, got {n}")
-    if "re" not in obj:
-        raise ParseError(f"{path}: missing field 're'")
+        raise ParseError(f"{where}: missing or non-numeric field {key!r}") from exc
+
+
+def matrix_payload(M) -> dict:
+    """JSON-ready {re, im} encoding of a complex matrix (or row vector)."""
+    M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
+    return {"re": M.real.tolist(), "im": M.imag.tolist()}
+
+
+def payload_matrix(obj, where, flat: bool = False) -> np.ndarray:
+    """Decode a ``{re, im}`` payload into a complex matrix, or into a vector
+    with ``flat`` (both parts raveled); ``im`` absent or null reads as zeros.
+
+    :raises ParseError: on a missing or non-numeric field, re/im shapes
+        that differ or do not make a matrix, or a non-finite entry
+    """
+    re = _numeric(obj, "re", where)
+    im = np.zeros_like(re) if obj.get("im") is None else _numeric(obj, "im", where)
+    if flat:
+        re, im = re.ravel(), im.ravel()
+    if re.shape != im.shape or re.ndim != (1 if flat else 2):
+        raise ParseError(f"{where}: bad re/im shapes {re.shape}/{im.shape}")
+    M = np.empty(re.shape, dtype=np.complex128)
+    M.real, M.imag = re, im  # not re + 1j * im, which loses the sign of a zero
+    return _finite(M, where)
+
+
+def _read_text(path) -> str:
     try:
-        re_part = np.asarray(obj["re"], dtype=np.float64)
-        im_raw = obj.get("im")
-        im_part = (
-            np.zeros((n, n)) if im_raw is None else np.asarray(im_raw, dtype=np.float64)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: re/im must be numeric arrays") from exc
-    if re_part.shape != (n, n) or im_part.shape != (n, n):
-        raise ParseError(
-            f"{path}: array shapes {re_part.shape}/{im_part.shape} do not match n = {n}"
-        )
-    return _finite_or_raise(re_part + 1j * im_part, path)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_json(path, text: str | None = None):
+    """The JSON value of a file, parsed from ``text`` if it was read already.
+
+    :raises ParseError: if the file cannot be read or is not valid JSON
+    """
+    try:
+        return json.loads(_read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def json_text(obj) -> str:
+    """Deterministic JSON text: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json_text(obj))
 
 
 def _token_to_complex(token: str, path, row: int, col: int) -> complex:
@@ -70,16 +106,10 @@ def _token_to_complex(token: str, path, row: int, col: int) -> complex:
 
 
 def _matrix_from_text(text: str, path) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        rows.append(
-            [
-                _token_to_complex(tok, path, len(rows), c)
-                for c, tok in enumerate(line.split())
-            ]
-        )
+    rows = [
+        [_token_to_complex(tok, path, r, c) for c, tok in enumerate(line.split())]
+        for r, line in enumerate(line for line in text.splitlines() if line.strip())
+    ]
     if not rows:
         raise ParseError(f"{path}: no matrix rows found")
     width = len(rows[0])
@@ -87,29 +117,32 @@ def _matrix_from_text(text: str, path) -> np.ndarray:
         raise ParseError(f"{path}: rows have unequal lengths")
     if len(rows) != width:
         raise ParseError(f"{path}: matrix must be square, got {len(rows)}x{width}")
-    return _finite_or_raise(np.asarray(rows, dtype=np.complex128), path)
+    return _finite(np.asarray(rows, dtype=np.complex128), path)
 
 
 def load_matrix(path) -> np.ndarray:
     """Load a square complex matrix from a JSON or text matrix file.
 
-    The format is detected from the content (JSON starts with ``{``), not
-    the extension.
-
-    :raises ParseError: on any structural or numeric problem
+    :raises ParseError: on any structural or numeric problem, including an
+        ``n`` that is not an integer (a boolean, or a float with a fraction)
     """
-    p = Path(path)
+    text = _read_text(path)
+    if not text.lstrip().startswith("{"):
+        return _matrix_from_text(text, path)
+    obj = read_json(path, text)  # text starting with "{" parses to an object
+    raw = obj.get("n")
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        return _matrix_from_json(obj, path)
-    return _matrix_from_text(text, path)
+        n = int(raw)  # an integral float or a numeral string is accepted
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: missing or bad field 'n'") from exc
+    if isinstance(raw, bool) or (isinstance(raw, float) and n != raw):
+        raise ParseError(f"{path}: n must be an integer, got {raw!r}")
+    if n < 1:
+        raise ParseError(f"{path}: n must be positive, got {n}")
+    M = payload_matrix(obj, path)
+    if M.shape != (n, n):
+        raise ParseError(f"{path}: array shape {M.shape} does not match n = {n}")
+    return M
 
 
 def save_matrix(path, X) -> None:
@@ -117,26 +150,18 @@ def save_matrix(path, X) -> None:
     M = np.atleast_2d(np.asarray(X, dtype=np.complex128))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParseError(f"only square matrices are saved, got shape {M.shape}")
-    payload = {"n": int(M.shape[0]), "re": M.real.tolist(), "im": M.imag.tolist()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"n": int(M.shape[0]), **matrix_payload(M)})
 
 
-def _real_vector(obj, path, key) -> np.ndarray:
-    try:
-        v = np.asarray(obj[key], dtype=np.float64).ravel()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or bad field {key!r}") from exc
-    return _finite_or_raise(v, path)
+def _real_vector(obj, key: str, path) -> np.ndarray:
+    return _finite(_numeric(obj, key, path).ravel(), path)
 
 
 def _weight_matrix(obj, path) -> np.ndarray:
-    try:
-        R = np.asarray(obj["r"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or bad field 'r'") from exc
+    R = _numeric(obj, "r", path)
     if R.ndim != 2:
         raise ParseError(f"{path}: 'r' must be a 2-D array")
-    return _finite_or_raise(R, path)
+    return _finite(R, path)
 
 
 def load_check_payload(path, kind: str):
@@ -149,35 +174,20 @@ def load_check_payload(path, kind: str):
     * ``kind="numbers"``: ``{"etas": [...], "omegas": [...], "r": [[...]]}``
       with real entries; returns ``(etas, omegas, r)``.
     """
-    p = Path(path)
-    try:
-        obj = json.loads(p.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if kind == "lu":
         raw = obj.get("etas")
         if isinstance(raw, dict):
-            re_part = _real_vector(raw, path, "re")
-            im_raw = raw.get("im")
-            im_part = (
-                np.zeros_like(re_part)
-                if im_raw is None
-                else _real_vector(raw, path, "im")
-            )
-            if re_part.shape != im_part.shape:
-                raise ParseError(f"{path}: etas re/im lengths differ")
-            etas = re_part + 1j * im_part
+            etas = payload_matrix(raw, f"{path}: etas", flat=True)
         else:
-            etas = _real_vector(obj, path, "etas").astype(np.complex128)
+            etas = _real_vector(obj, "etas", path).astype(np.complex128)
         return etas, _weight_matrix(obj, path)
     if kind == "numbers":
         return (
-            _real_vector(obj, path, "etas"),
-            _real_vector(obj, path, "omegas"),
+            _real_vector(obj, "etas", path),
+            _real_vector(obj, "omegas", path),
             _weight_matrix(obj, path),
         )
     raise ParseError(f"unknown payload kind {kind!r}")

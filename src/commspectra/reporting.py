@@ -12,32 +12,33 @@ the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
 any field change). The validator is built once per process: the schema is
 checked against its metaschema on first use, not on every report, and
 ``jsonschema`` is imported only then, not by ``import commspectra``.
-Reports are deterministic for fixed inputs and seed: keys are sorted,
-floats keep full precision, and ``timing`` is always null so repeated runs
-are byte-identical.
+Reports are deterministic for fixed inputs and seed: they are written by
+the one JSON serialization of :mod:`commspectra.matrixio` (sorted keys, full
+float precision), complex arrays take its ``{re, im}`` encoding, and
+``timing`` is always null so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .errors import InvariantViolationError
+from .matrixio import json_text, matrix_payload, read_json
 from .spectra import Spectrum, partial_sums
-from .verdicts import matrix_payload
 
 SCHEMA_VERSION = 3
 TOOL_VERSION = __version__
+report_json = json_text  # reports, bundles and matrix files share one serialization
 
 
 @functools.cache
 def load_schema() -> dict:
-    text = resources.files("commspectra").joinpath("report_schema.json").read_text()
-    return json.loads(text)
+    path = resources.files("commspectra").joinpath("report_schema.json")
+    return read_json(path, path.read_text())
 
 
 @functools.cache
@@ -132,10 +133,6 @@ def validate_report(report: dict) -> None:
     error = best_match(_validator().iter_errors(report))
     if error is not None:
         raise InvariantViolationError(f"report failed schema validation: {error.message}")
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def fmt(x: float) -> str:

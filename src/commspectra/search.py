@@ -25,7 +25,8 @@ from .errors import InvariantViolationError, PreconditionError
 from .lifted import double_commutator_lift
 from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, normalized, unvec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
-from .verdicts import holds, judge, make_bundle, matrix_payload
+from .matrixio import matrix_payload
+from .verdicts import holds, judge
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
@@ -281,7 +282,8 @@ def sweep(
     ladder is asserted hard; a C2A breach at some k lands as a bundle in
     that (n, k) row, and weak-majorization (C4) breaches, which are not tied
     to a single k, go to the report's top-level ``majorization_violations``.
-    ``k_rule`` is "all" or one int k.
+    Every bundle is the witness of a :func:`verdicts.judge` verdict, as in
+    the monitors. ``k_rule`` is "all" or one int k.
 
     Each order's trials run through the batched spectral core in chunks of
     at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
@@ -333,18 +335,14 @@ def sweep(
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
                 argmax[j] = spec.matrices[best[j]]
-            c2a = ~holds(f, caps, tol)
+            # holds() flags the chunk's breaches; judge() decides each on the same floats
+            for i, j in zip(*np.nonzero(~holds(f, caps, tol))):
+                verdict = judge("C2A", [spec.matrices[i]], f[i, j], caps[j], 0.0, tol, seed)
+                row_violations[j].append(verdict.witness)
             c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
-            for i in np.flatnonzero(c2a.any(axis=1) | ~c4_ok):
-                for j, k in enumerate(ks):
-                    if c2a[i, j]:
-                        row_violations[j].append(
-                            make_bundle("C2A", [spec.matrices[i]], f[i, j], caps[j], 0.0, seed)
-                        )
-                if not c4_ok[i]:
-                    majorization_violations.append(
-                        make_bundle("C4", [spec.matrices[i]], c4_lhs[i], c4_rhs[i], 0.0, seed)
-                    )
+            for i in np.flatnonzero(~c4_ok):
+                verdict = judge("C4", [spec.matrices[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
+                majorization_violations.append(verdict.witness)
         for j, k in enumerate(ks):
             rows.append(
                 {

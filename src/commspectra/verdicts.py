@@ -4,9 +4,11 @@ Every statement checked has the shape "lhs <= rhs under hypotheses", and one
 rule decides all of them: the statement holds when ``lhs <= rhs + tol``.
 :func:`holds` applies the rule (elementwise on arrays, for batched
 decisions) and :func:`judge` turns one decision into a
-:class:`ConjectureVerdict`, the only place a verdict is built. A change of
-the rule, such as error-bounded three-valued verdicts (ROADMAP item 6),
-edits these two functions only.
+:class:`ConjectureVerdict`, the only place a verdict is built. It is also
+the only caller of :func:`make_bundle` in the library: every bundle, those
+of ``search.sweep`` included, is a verdict's witness. A change of the rule,
+such as error-bounded three-valued verdicts (ROADMAP item 6), edits these
+two functions only.
 
 The hypotheses hold when the scale-free ``hypotheses_residual`` is at most
 :data:`HYPOTHESIS_TOL`, whatever the verdict tolerance
@@ -21,17 +23,17 @@ the claimed violation from the file alone:
 
 ``m`` is len(matrices) and ``n`` is the order of matrices[0]. Payloads that
 are really vectors (the scalar lemmas) are stored as 1 x k row matrices; the
-per-id layout is documented in :mod:`commspectra.conjectures`.
+per-id layout is documented in :mod:`commspectra.conjectures`. The matrices
+and the file go through the one JSON codec of :mod:`commspectra.matrixio`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
+from .matrixio import matrix_payload, payload_matrix, read_json, write_json
 
 CONJECTURE_IDS = (
     "C1",            # family commutator-energy bound
@@ -68,24 +70,6 @@ class ConjectureVerdict:
     def hypotheses_hold(self) -> bool:
         """Whether the side conditions held: residual <= HYPOTHESIS_TOL."""
         return self.hypotheses_residual <= HYPOTHESIS_TOL
-
-
-def matrix_payload(M) -> dict:
-    """JSON-ready {re, im} encoding of a complex matrix (or row vector)."""
-    M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
-    return {"re": M.real.tolist(), "im": M.imag.tolist()}
-
-
-def payload_matrix(obj: dict) -> np.ndarray:
-    re = np.asarray(obj.get("re"), dtype=np.float64)
-    im_raw = obj.get("im")
-    im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=np.float64)
-    if re.shape != im.shape or re.ndim != 2:
-        raise ParseError(f"bad matrix payload shapes: re {re.shape}, im {im.shape}")
-    M = re + 1j * im
-    if not np.isfinite(M).all():
-        raise ParseError("matrix payload contains non-finite entries")
-    return M
 
 
 def make_bundle(
@@ -141,18 +125,16 @@ def bundle_matrices(bundle: dict) -> list[np.ndarray]:
         raise ParseError("bundle has no matrices")
     if len(mats) != bundle.get("m"):
         raise ParseError("bundle m does not match len(matrices)")
-    return [payload_matrix(obj) for obj in mats]
+    return [payload_matrix(obj, f"bundle matrix {i}") for i, obj in enumerate(mats)]
 
 
 def write_bundle(path, bundle: dict) -> None:
-    Path(path).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    write_json(path, bundle)
 
 
 def read_bundle(path) -> dict:
-    try:
-        bundle = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bundle is not valid JSON: {exc}") from exc
+    """:raises ParseError: if the file cannot be read, is not JSON or has no conjecture_id"""
+    bundle = read_json(path)
     if not isinstance(bundle, dict) or "conjecture_id" not in bundle:
-        raise ParseError("bundle is missing conjecture_id")
+        raise ParseError(f"{path}: bundle is missing conjecture_id")
     return bundle

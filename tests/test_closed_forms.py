@@ -1,4 +1,6 @@
 """Closed-form spectra, the equality witness, and maximal pairs."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from commspectra import (
     trial_rng,
     unit_gaussian,
 )
-from commspectra import eigensolver
+from commspectra import eigensolver, matrices
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -221,3 +223,27 @@ def test_closed_form_summary_sections():
     assert s["equality"] == {"detected": False}
     s = closed_form_summary(random_traceless_embedded(rng, 4))
     assert s["equality"]["detected"] and s["equality"]["witness_valid"]
+
+
+def test_closed_forms_normalize_once(monkeypatch):
+    # every module that bound matrices.normalized counts its calls
+    calls = []
+    original = matrices.normalized
+
+    def counting(X):
+        calls.append(1)
+        return original(X)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("commspectra") and getattr(mod, "normalized", None) is original:
+            monkeypatch.setattr(mod, "normalized", counting)
+    normal = np.diag([1.0, 1j, -1.0])
+    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    for X in (normal, unit_gaussian(trial_rng(48, 1), 3).real, E12):
+        calls.clear()
+        closed_form_summary(X)
+        assert len(calls) == 1
+    for fn, X in ((normal_spectrum, normal), (detect_rank_one, E12), (is_normal, normal)):
+        calls.clear()
+        fn(X)
+        assert len(calls) == 1, fn.__name__

@@ -32,6 +32,7 @@ from commspectra import (
 )
 from commspectra import eigensolver
 from commspectra.conjectures import CHECKERS, run_checker
+from commspectra.verdicts import bundle_matrices
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -255,6 +256,10 @@ def test_bundle_construction_validation():
         make_bundle("C1", [], 0.0, 0.0, 0.0, None)
     with pytest.raises(ParseError):
         reverify_bundle({"conjecture_id": "??", "matrices": [], "m": 0})
+    # a matrix payload that is not numeric, not an object or not 2-D
+    for payload in ({"re": [["x"]]}, [[1.0]], {"re": [1.0, 0.0]}, {"re": [[1.0]], "im": [[0.0, 0.0]]}):
+        with pytest.raises(ParseError):
+            reverify_bundle({"conjecture_id": "C4", "m": 1, "matrices": [payload]})
 
 
 def test_checker_table_covers_every_id_and_refuses_other_layouts():
@@ -300,6 +305,25 @@ def test_read_bundle_rejects_garbage(tmp_path):
     path.write_text("{\"no_id\": 1}")
     with pytest.raises(ParseError):
         read_bundle(path)
+    with pytest.raises(ParseError):
+        read_bundle(tmp_path / "missing.json")
+    path.write_bytes(b"\xff\xfe{")  # not UTF-8
+    with pytest.raises(ParseError):
+        read_bundle(path)
+
+
+def test_bundle_file_round_trip_is_bit_exact(tmp_path):
+    X = unit_gaussian(trial_rng(58, 0), 3)
+    edges = np.array([[0.0, -0.0], [5e-324, -1.7976931348623157e308]])
+    Z = np.empty((2, 2), dtype=complex)
+    Z.real, Z.imag = edges, edges[::-1]
+    bundle = make_bundle("C1", [X, Z, np.array([[1.0, -0.0]])], 1.0, 0.5, 0.0, 3)
+    path = tmp_path / "b.json"
+    write_bundle(path, bundle)
+    back = read_bundle(path)
+    assert back == bundle
+    for M, N in zip(bundle_matrices(back), [X, Z, np.array([[1.0, -0.0]])]):
+        assert M.dtype == np.complex128 and M.tobytes() == N.astype(complex).tobytes()
 
 
 def test_partial_sum_monitor_refuses_order_one():

@@ -22,6 +22,16 @@ def test_json_round_trip_is_exact(tmp_path):
     save_matrix(path, X)
     Y = load_matrix(path)
     assert np.array_equal(X, Y)  # float -> repr -> float is lossless
+    # edge values, down to the sign of a zero: compare the bits
+    edges = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1.7976931348623157e308, -1.0], [1.0, 2.0, 3.0]])
+    E = np.empty((3, 3), dtype=complex)
+    E.real, E.imag = edges, edges.T
+    for M in (E, edges):
+        save_matrix(path, M)
+        assert load_matrix(path).tobytes() == M.astype(complex).tobytes()
+    # a real-only matrix with im omitted
+    path.write_text(json.dumps({"n": 3, "re": edges.tolist()}))
+    assert load_matrix(path).tobytes() == edges.astype(complex).tobytes()
 
 
 def test_json_im_field_is_optional(tmp_path):
@@ -78,6 +88,11 @@ def test_text_format_rejections(tmp_path, content):
         json.dumps({"n": 1, "re": [["x"]]}),  # non-numeric
         '{"n": 1, "re": [[NaN]]}',  # non-finite literal
         '{"n": 1, "re": [[Infinity]]}',
+        json.dumps({"n": 2.5, "re": [[1, 0], [0, 1]]}),  # n not an integer
+        json.dumps({"n": True, "re": [[1]]}),  # n a boolean
+        '{"n": Infinity, "re": [[1]]}',
+        json.dumps({"n": 1, "re": [1.0]}),  # not a matrix
+        json.dumps({"n": 1, "re": {"a": 1}}),
     ],
 )
 def test_json_format_rejections(tmp_path, payload):
@@ -87,9 +102,21 @@ def test_json_format_rejections(tmp_path, payload):
         load_matrix(path)
 
 
+def test_json_n_accepted_forms(tmp_path):
+    # an integral float and a numeral string are still read as the order
+    path = tmp_path / "m.json"
+    for n in (2.0, "2", 2):
+        path.write_text(json.dumps({"n": n, "re": [[1, 0], [0, 1]]}))
+        assert np.array_equal(load_matrix(path), np.eye(2))
+
+
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_matrix(tmp_path / "does-not-exist.json")
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")  # not UTF-8
+    with pytest.raises(ParseError):
+        load_matrix(path)
 
 
 def test_save_matrix_rejects_non_square(tmp_path):
@@ -130,6 +157,11 @@ def test_lu_payload_real_and_complex_forms(tmp_path):
     etas, _ = load_check_payload(path, "lu")
     assert np.array_equal(etas, np.array([1.0 + 0j, -1.0 + 0j]))
 
+    # each part is raveled before the lengths are compared
+    path.write_text(json.dumps({"etas": {"re": [[0.5], [-0.5]], "im": [0.5, -0.5]}, "r": [[0, 1], [0, 0]]}))
+    etas, _ = load_check_payload(path, "lu")
+    assert np.array_equal(etas, np.array([0.5 + 0.5j, -0.5 - 0.5j]))
+
 
 def test_numbers_payload(tmp_path):
     path = tmp_path / "num.json"
@@ -148,6 +180,9 @@ def test_numbers_payload(tmp_path):
         (json.dumps({"etas": [1.0]}), "lu"),  # missing r
         (json.dumps({"etas": [1.0], "r": [1.0]}), "lu"),  # r not 2-D
         (json.dumps({"etas": {"re": [1.0], "im": [1.0, 2.0]}, "r": [[1.0]]}), "lu"),
+        (json.dumps({"etas": {"re": ["x"]}, "r": [[1.0]]}), "lu"),
+        (json.dumps({"etas": {"im": [1.0]}, "r": [[1.0]]}), "lu"),  # missing re
+        ('{"etas": {"re": [NaN]}, "r": [[1.0]]}', "lu"),
         (json.dumps({"etas": [1.0], "r": [[1.0]]}), "numbers"),  # missing omegas
         (json.dumps({"etas": [1.0], "omegas": [1.0], "r": [[1.0]]}), "frequencies"),
     ],
