@@ -52,9 +52,8 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .lifted import commutator_lift, double_commutator_lift
+from .lifted import MAX_LIFT_ENTRIES, commutator_lift, double_commutator_lift
 from .matrices import (
-    DEFAULT_ORDER_CAP,
     apply_double_commutator,
     commutator,
     frobenius_inner,
@@ -64,7 +63,7 @@ from .matrices import (
     unvec,
     vec,
 )
-from .matrixio import load_check_payload, load_matrix, save_matrix, sha256_digest
+from .matrixio import load_check_payload, load_matrix, save_matrix
 from .search import (
     RestartTrace,
     SearchConfig,

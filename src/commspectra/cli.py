@@ -32,9 +32,8 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from .matrices import DEFAULT_ORDER_CAP
 from .reporting import fmt
-from .verdicts import write_bundle
+from .verdicts import DEFAULT_TOL, write_bundle
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -46,7 +45,6 @@ CHECK_KINDS = dict(
     conj1="C1", conj2="C2", conj2c="C2C", conj4="C4",
     lu="LU_LEMMA", numbers="NUMBERS_LEMMA", isotropic="ISOTROPIC",
 )
-DEFAULT_TOL = 1e-8
 
 # Built-in 3x3 reference example (entries quoted to 4 decimals) and the two
 # values cited for it: the first-four eigenvalue sum and the certificate
@@ -100,12 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues of the lifted operator for one matrix file")
     p.add_argument("path", help="matrix file (JSON {n, re, im} or text rows of a+bi tokens)")
-    p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     _add_common(p)
 
     p = sub.add_parser("bounds", help="evaluate the proven bound ladder for one matrix file")
     p.add_argument("path", help="matrix file")
-    p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     _add_common(p)
 
     p = sub.add_parser("check", help="run one inequality checker on explicit inputs")
@@ -139,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="partial-sum",
     )
     p.add_argument("--trials", type=int, help="draws per order for --objective sweep (default 1000)")
-    p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP, help="raise the order cap")
     p.add_argument("--bundle-out", default=None, help="where to write a violation bundle")
     p.add_argument("--tol", type=_tol_type, help="verdict tolerance for --objective sweep (default 1e-08)")
     _add_common(p)
@@ -165,7 +160,7 @@ class Run:
     """What a runner hands back to :func:`main`."""
 
     sections: dict  # report sections; result dataclasses serialize as they are
-    paths: tuple = ()  # input files, digested into the report's inputs
+    inputs: tuple = ()  # the report's {path, sha256} of each input file (see _load)
     tol: float | None = None  # the verdict tolerance applied, if any
     bundle: dict | None = None  # the first violation found, if any
 
@@ -183,10 +178,16 @@ def exit_code(run: Run) -> int:
     return EXIT_OK if run.bundle is None else EXIT_VIOLATION
 
 
+def _load(load, path, *args):
+    """``load(path, *args)`` from one read, and its report entry: the digest of the bytes parsed."""
+    text, digest = matrixio.read_input(path)
+    return load(path, *args, text=text), {"path": str(path), "sha256": digest}
+
+
 def run_spectrum(args) -> Run:
-    X = matrixio.load_matrix(args.path)
-    spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
-    return Run({"spectrum": reporting.spectrum_section(spec)}, (args.path,))
+    X, source = _load(matrixio.load_matrix, args.path)
+    spec = spectra.double_commutator_spectrum(X)
+    return Run({"spectrum": reporting.spectrum_section(spec)}, (source,))
 
 
 def render_spectrum(report: dict) -> list[str]:
@@ -204,14 +205,14 @@ def render_spectrum(report: dict) -> list[str]:
 
 
 def run_bounds(args) -> Run:
-    X = matrixio.load_matrix(args.path)
-    spec = spectra.double_commutator_spectrum(X, max_order=args.max_order)
+    X, source = _load(matrixio.load_matrix, args.path)
+    spec = spectra.double_commutator_spectrum(X)
     br = spectra.bound_report(X, spectrum=spec)
     if not br.all_proven_hold:
         raise InvariantViolationError(
             f"a proven bound failed: smallest slack {fmt(min(br.slacks.values()))}"
         )
-    return Run({"spectrum": reporting.spectrum_section(spec), "bounds": br}, (args.path,))
+    return Run({"spectrum": reporting.spectrum_section(spec), "bounds": br}, (source,))
 
 
 def render_bounds(report: dict) -> list[str]:
@@ -232,12 +233,12 @@ def run_check(args) -> Run:
         if len(paths) != 1:
             raise PreconditionError(f"check {kind} takes one payload file, got {len(paths)} paths")
         # the scalar lemmas' bundle layout: each vector as a row, then r
-        *vectors, r = matrixio.load_check_payload(paths[0], kind)
-        mats = [v.reshape(1, -1) for v in vectors] + [r]
+        (*vectors, r), source = _load(matrixio.load_check_payload, paths[0], kind)
+        mats, inputs = [v.reshape(1, -1) for v in vectors] + [r], (source,)
     else:
-        mats = [matrixio.load_matrix(p) for p in paths]
-    verdict = conjectures.run_checker(CHECK_KINDS[kind], mats, tol=args.tol, seed=args.seed)
-    return Run({"kind": kind, "verdicts": [verdict]}, tuple(paths), args.tol, verdict.witness)
+        mats, inputs = zip(*(_load(matrixio.load_matrix, p) for p in paths))
+    verdict = conjectures.run_checker(CHECK_KINDS[kind], list(mats), tol=args.tol, seed=args.seed)
+    return Run({"kind": kind, "verdicts": [verdict]}, inputs, args.tol, verdict.witness)
 
 
 def render_check(report: dict) -> list[str]:
@@ -254,8 +255,8 @@ def render_check(report: dict) -> list[str]:
 
 
 def run_closed_form(args) -> Run:
-    X = matrixio.load_matrix(args.path)
-    return Run({"closed_form": closed_forms.closed_form_summary(X)}, (args.path,))
+    X, source = _load(matrixio.load_matrix, args.path)
+    return Run({"closed_form": closed_forms.closed_form_summary(X)}, (source,))
 
 
 def render_closed_form(report: dict) -> list[str]:
@@ -313,7 +314,10 @@ def run_search(args) -> Run:
     if args.seed is None:
         args.seed = secrets.randbits(64)
         print(f"seed: {args.seed} (entropy; pass --seed {args.seed} to replay)", file=sys.stderr)
-    user_matrix = None if args.matrix is None else matrixio.load_matrix(args.matrix)
+    user_matrix, inputs = None, ()
+    if args.matrix is not None:
+        user_matrix, source = _load(matrixio.load_matrix, args.matrix)
+        inputs = (source,)
 
     if sweep:
         tol = DEFAULT_TOL if args.tol is None else args.tol
@@ -323,7 +327,6 @@ def run_search(args) -> Run:
             trials=1000 if args.trials is None else args.trials,
             seed=args.seed,
             tol=tol,
-            max_order=args.max_order,
         )
         bundles = [b for row in result["rows"] for b in row["violations"]]
         bundles.extend(result["majorization_violations"])
@@ -338,13 +341,11 @@ def run_search(args) -> Run:
         k=(2 if lambda13 else 1) if args.k is None else args.k,
         seed=args.seed,
         matrix=user_matrix,
-        max_order=args.max_order,
         **{name: value for name, value in given.items() if value is not None},
     )
     result = (search_mod.lambda13_search if lambda13 else search_mod.ascend)(config)
-    paths = () if args.matrix is None else (args.matrix,)
     # the ascent judges its own breaches at a fixed margin
-    return Run({"search": result}, paths, search_mod.VIOLATION_MARGIN, result.violation)
+    return Run({"search": result}, inputs, search_mod.VIOLATION_MARGIN, result.violation)
 
 
 def render_search(report: dict) -> list[str]:
@@ -432,8 +433,9 @@ def main(argv=None) -> int:
             write_bundle(bundle_path, run.bundle)
         if hasattr(args, "bundle_out"):  # a command that can write a bundle says where it went
             run.sections["bundle_path"] = bundle_path
-        inputs = [{"path": str(p), "sha256": matrixio.sha256_digest(p)} for p in run.paths]
-        report = reporting.build_report(args.command, inputs, args.seed, run.tol, code, run.sections)
+        report = reporting.build_report(
+            args.command, list(run.inputs), args.seed, run.tol, code, run.sections
+        )
         text = reporting.report_json(report)
         if args.out:
             Path(args.out).write_text(text)

@@ -35,7 +35,7 @@ def _normality_defect(Xh) -> float:
 
 
 def _normal_values(Xh) -> np.ndarray:
-    if _normality_defect(Xh) > 1e-8:
+    if _normality_defect(Xh) > NORMALITY_RTOL:
         raise PreconditionError("matrix is not normal")
     x = eigensolver.eigvals(Xh)
     diffs = np.abs(np.subtract.outer(x, x)) ** 2
@@ -59,7 +59,7 @@ def normal_spectrum(X) -> np.ndarray:
     Values refer to the unit-normalized matrix, matching
     :func:`commspectra.spectra.double_commutator_spectrum`.
 
-    :raises PreconditionError: if X is not normal to 1e-8 relative
+    :raises PreconditionError: if X is not normal by :func:`is_normal` (rtol 1e-10)
     """
     return _normal_values(normalized(X))
 

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParseError, PreconditionError
 from .matrices import as_matrix, frobenius_norm, normalized
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
-from .verdicts import ConjectureVerdict, bundle_matrices, judge
+from .verdicts import DEFAULT_TOL, ConjectureVerdict, bundle_matrices, judge
 
 
 def _stack(Bs, lead: np.ndarray | None = None) -> np.ndarray:
@@ -80,7 +80,7 @@ def _trace(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.einsum("aij,...ji->a...", A, C)
 
 
-def check_conj1(Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
+def check_conj1(Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> ConjectureVerdict:
     """All-pairs commutator energy against total energy squared (id C1)."""
     B = _stack(Bs)
     norms = frobenius_norm(B)
@@ -114,12 +114,12 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     return judge(cid, [B, *F], lhs, rhs, resid, tol, seed)
 
 
-def check_conj2(B, Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
+def check_conj2(B, Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> ConjectureVerdict:
     """Pivot commutator energy bound with both side conditions (id C2)."""
     return _check_pivot("C2", B, Bs, tol, seed)
 
 
-def check_conj2c(B, Bs, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
+def check_conj2c(B, Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> ConjectureVerdict:
     """Pivot bound with orthogonality only and a doubled max term (id C2C)."""
     return _check_pivot("C2C", B, Bs, tol, seed)
 
@@ -136,7 +136,7 @@ def center_normalize(etas) -> np.ndarray:
     return e / nrm
 
 
-def check_lu_lemma(etas, r, tol: float = 1e-8, seed: int | None = None) -> ConjectureVerdict:
+def check_lu_lemma(etas, r, tol: float = DEFAULT_TOL, seed: int | None = None) -> ConjectureVerdict:
     """Centered scalar inequality with nonnegative weights (id LU_LEMMA).
 
     lhs = sum_{i<j} |eta_i - eta_j|^2 r_ij, rhs = sum_{i<j} r_ij + max r_ij.
@@ -160,7 +160,7 @@ def check_lu_lemma(etas, r, tol: float = 1e-8, seed: int | None = None) -> Conje
 
 
 def check_numbers_lemma(
-    etas, omegas, r, tol: float = 1e-8, seed: int | None = None
+    etas, omegas, r, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Bipartite pairing inequality sum eta_i omega_j r_ij <= sqrt(m)/2."""
     e = np.asarray(etas, dtype=np.float64).ravel()
@@ -183,7 +183,7 @@ def check_numbers_lemma(
 
 
 def check_isotropic_trace_bound(
-    X, W, tol: float = 1e-8, seed: int | None = None
+    X, W, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Trace of T_X compressed to an isotropic subspace vs the odd-index
     eigenvalue sums (id ISOTROPIC, proven).
@@ -247,7 +247,7 @@ CHECKERS = {
 
 
 def run_checker(
-    conjecture_id: str, matrices: list, tol: float = 1e-8, seed: int | None = None
+    conjecture_id: str, matrices: list, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Check one statement on matrices laid out as in its bundle."""
     if not isinstance(conjecture_id, str) or conjecture_id not in CHECKERS:

@@ -22,17 +22,31 @@ L_X to a lift built from the SVD of X, are test oracles in
 work for n^4 entries, for one matrix or a whole stack; the O(n^6) product
 L_X* L_X stays only as a test oracle. It keeps float64 for a float64 input
 (the lift of a real X is real symmetric) and is complex128 otherwise.
+
+Every lift the library builds has n^4 entries. :func:`check_lift_order` refuses
+orders above 64, whose lift would hold more than :data:`MAX_LIFT_ENTRIES`
+entries (an order-64 complex lift takes 256 MiB), before anything that big exists.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
 from .matrices import as_matrix, as_stack
+
+MAX_LIFT_ENTRIES = 2**24
+
+
+def check_lift_order(n: int) -> None:
+    """:raises PreconditionError: if an order-n lift has more than MAX_LIFT_ENTRIES entries"""
+    if n**4 > MAX_LIFT_ENTRIES:
+        raise PreconditionError(f"order {n} is above 64: its lift would have {n**4} > 2**24 entries")
 
 
 def commutator_lift(X) -> np.ndarray:
     """Matrix of Y -> [X, Y] on column-major vec coordinates."""
     X = as_matrix(X)
+    check_lift_order(X.shape[0])
     I = np.eye(X.shape[0], dtype=np.complex128)
     return np.kron(I, X) - np.kron(X.T, I)
 
@@ -48,6 +62,7 @@ def double_commutator_lift(X) -> np.ndarray:
     """
     X = as_stack(X)
     n = X.shape[-1]
+    check_lift_order(n)
     Xt = np.swapaxes(X, -1, -2)
     Xc = X.conj()
     Xs = Xt.conj()

@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, OrderMismatchError, PreconditionError
 
-# Expensive lifted-space routines refuse orders above this unless the caller
-# raises the cap explicitly; the lifted matrices have n^4 entries.
-DEFAULT_ORDER_CAP = 16
-
 
 def as_stack(X, name: str = "X") -> np.ndarray:
     """Validate and return a stack (..., n, n) of square matrices.
@@ -57,13 +53,6 @@ def same_order(X: np.ndarray, Y: np.ndarray) -> int:
     if X.shape != Y.shape:
         raise OrderMismatchError(f"order mismatch: {X.shape} vs {Y.shape}")
     return X.shape[0]
-
-
-def check_order_cap(n: int, max_order: int = DEFAULT_ORDER_CAP) -> None:
-    if n > max_order:
-        raise PreconditionError(
-            f"order {n} exceeds the cap {max_order}; pass max_order explicitly to override"
-        )
 
 
 def frobenius_inner(A, B) -> complex:

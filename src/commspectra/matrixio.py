@@ -7,7 +7,9 @@ violation bundles, run reports) goes through this module:
 written), :func:`read_json` the one reader and :func:`write_json` the one
 writer of the one serialization, :func:`json_text`. Any defect of a file
 (unreadable, invalid JSON, a missing or non-numeric field, re/im shapes
-that differ, a non-finite entry) raises ``ParseError``.
+that differ, a non-finite entry) raises ``ParseError``. :func:`read_input`
+reads a file once, as UTF-8 text with the SHA-256 of its bytes; the loaders
+take that text, so a digest names the bytes that were parsed.
 
 :func:`load_matrix` tells its two formats apart by content, not extension:
 JSON ``{"n": int, "re": ..., "im": ...}`` (a payload with its order, written
@@ -24,11 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-
-
-def sha256_digest(path) -> str:
-    """Hex SHA-256 of the file's raw bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _finite(M: np.ndarray, where) -> np.ndarray:
@@ -68,9 +65,11 @@ def payload_matrix(obj, where, flat: bool = False) -> np.ndarray:
     return _finite(M, where)
 
 
-def _read_text(path) -> str:
+def read_input(path) -> tuple[str, str]:
+    """A file's UTF-8 text and the hex SHA-256 of its bytes, from one read."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
+        return data.decode(), hashlib.sha256(data).hexdigest()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -81,7 +80,7 @@ def read_json(path, text: str | None = None):
     :raises ParseError: if the file cannot be read or is not valid JSON
     """
     try:
-        return json.loads(_read_text(path) if text is None else text)
+        return json.loads(read_input(path)[0] if text is None else text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -120,13 +119,15 @@ def _matrix_from_text(text: str, path) -> np.ndarray:
     return _finite(np.asarray(rows, dtype=np.complex128), path)
 
 
-def load_matrix(path) -> np.ndarray:
-    """Load a square complex matrix from a JSON or text matrix file.
+def load_matrix(path, text: str | None = None) -> np.ndarray:
+    """Load a square complex matrix from a JSON or text matrix file, parsed
+    from ``text`` if it was read already (:func:`read_input`).
 
     :raises ParseError: on any structural or numeric problem, including an
         ``n`` that is not an integer (a boolean, or a float with a fraction)
     """
-    text = _read_text(path)
+    if text is None:
+        text = read_input(path)[0]
     if not text.lstrip().startswith("{"):
         return _matrix_from_text(text, path)
     obj = read_json(path, text)  # text starting with "{" parses to an object
@@ -164,8 +165,8 @@ def _weight_matrix(obj, path) -> np.ndarray:
     return _finite(R, path)
 
 
-def load_check_payload(path, kind: str):
-    """Load a scalar-lemma payload file.
+def load_check_payload(path, kind: str, text: str | None = None):
+    """Load a scalar-lemma payload file, parsed from ``text`` if it was read already.
 
     * ``kind="lu"``: ``{"etas": ..., "r": [[...]]}`` where ``etas`` is a
       list of reals or ``{"re": [...], "im": [...]}`` for complex values;
@@ -174,7 +175,7 @@ def load_check_payload(path, kind: str):
     * ``kind="numbers"``: ``{"etas": [...], "omegas": [...], "r": [[...]]}``
       with real entries; returns ``(etas, omegas, r)``.
     """
-    obj = read_json(path)
+    obj = read_json(path, text)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if kind == "lu":

@@ -16,17 +16,17 @@ serialized as a violation bundle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ensembles
 from .errors import InvariantViolationError, PreconditionError
-from .lifted import double_commutator_lift
-from .matrices import DEFAULT_ORDER_CAP, as_matrix, check_order_cap, normalized, unvec
+from .lifted import check_lift_order, double_commutator_lift
+from .matrices import as_matrix, normalized, unvec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
-from .verdicts import holds, judge
+from .verdicts import DEFAULT_TOL, holds, judge
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
@@ -47,7 +47,8 @@ def _chunk_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Ascent parameters; all randomness flows from ``seed``."""
+    """Ascent parameters; all randomness flows from ``seed``. ``order`` runs from 2
+    to 64, the lift limit (:func:`lifted.check_lift_order`) checked before any draw."""
 
     order: int
     k: int
@@ -56,7 +57,6 @@ class SearchConfig:
     seed: int = 0
     init: str = "random_gaussian"
     matrix: np.ndarray | None = None
-    max_order: int = DEFAULT_ORDER_CAP
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def validate_config(config: SearchConfig) -> None:
     n = config.order
     if n < 2:
         raise PreconditionError(f"need order >= 2, got {n}")
-    check_order_cap(n, config.max_order)
+    check_lift_order(n)
     if not 1 <= config.k <= (n * n) // 2:
         raise PreconditionError(f"need 1 <= k <= {(n * n) // 2}, got {config.k}")
     if config.restarts < 1:
@@ -248,21 +248,17 @@ def lambda13_search(config: SearchConfig) -> SearchResult:
         raise InvariantViolationError(
             f"lambda_1 + lambda_3 = {half!r} broke its proven cap {LAMBDA13_BOUND!r}"
         )
-    return SearchResult(
+    return replace(
+        base,
         objective="lambda13",
-        order=config.order,
-        k=2,
         best_objective=half,
-        best_matrix=base.best_matrix,
         conjectured_bound=3.0,
         proven_bound=float(LAMBDA13_BOUND),
         gap_to_conjecture=float(3.0 - half),
-        monotone_ok=base.monotone_ok,
         restarts=tuple(
-            RestartTrace(t.index, t.first_objective / 2.0, t.last_objective / 2.0, t.iterations)
+            replace(t, first_objective=t.first_objective / 2, last_objective=t.last_objective / 2)
             for t in base.restarts
         ),
-        violation=base.violation,
     )
 
 
@@ -271,8 +267,7 @@ def sweep(
     k_rule="all",
     trials: int = 1000,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_order: int = DEFAULT_ORDER_CAP,
+    tol: float = DEFAULT_TOL,
 ) -> dict:
     """Random-ensemble monitor sweep over orders and partial-sum indices.
 
@@ -283,7 +278,8 @@ def sweep(
     that (n, k) row, and weak-majorization (C4) breaches, which are not tied
     to a single k, go to the report's top-level ``majorization_violations``.
     Every bundle is the witness of a :func:`verdicts.judge` verdict, as in
-    the monitors. ``k_rule`` is "all" or one int k.
+    the monitors. ``k_rule`` is "all" or one int k. Orders run from 2 to 64,
+    the lift limit (:func:`lifted.check_lift_order`).
 
     Each order's trials run through the batched spectral core in chunks of
     at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
@@ -300,7 +296,6 @@ def sweep(
     for n in orders:
         if n < 2:
             raise PreconditionError(f"sweep needs orders >= 2, got {n}")
-        check_order_cap(n, max_order)
         N = n * n
         ks = list(range(1, N // 2 + 1)) if k_rule == "all" else [int(k_rule)]
         for k in ks:

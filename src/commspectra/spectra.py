@@ -37,15 +37,8 @@ from .errors import (
     PreconditionError,
 )
 from .lifted import double_commutator_lift
-from .matrices import (
-    DEFAULT_ORDER_CAP,
-    as_matrix,
-    check_order_cap,
-    frobenius_norm,
-    herm_skew_split,
-    normalized,
-)
-from .verdicts import ConjectureVerdict, holds, judge
+from .matrices import as_matrix, frobenius_norm, herm_skew_split, normalized
+from .verdicts import DEFAULT_TOL, ConjectureVerdict, holds, judge
 
 CLUSTER_TOL_FLOOR = 1e-7
 LAMBDA13_BOUND = (4.0 + np.sqrt(10.0)) / 2.0
@@ -141,15 +134,16 @@ def spectral_batch(X) -> SpectralBatch:
     return SpectralBatch(Xh, values, frobenius_norm(X) ** 2, tuple(failures))
 
 
-def double_commutator_spectrum(X, max_order: int = DEFAULT_ORDER_CAP) -> Spectrum:
+def double_commutator_spectrum(X) -> Spectrum:
     """Spectrum of T_X via the Kronecker lift (a batch of one).
 
     Internally verifies positivity and the trace identity
     sum(lambda) = 2n - 2|Tr Xhat|^2 at 1e-9, raising
-    :class:`InvariantViolationError` if the numerics broke them.
+    :class:`InvariantViolationError` if the numerics broke them. An order
+    above the lift limit (:func:`lifted.check_lift_order`, 64) raises
+    ``PreconditionError``.
     """
     X = as_matrix(X)
-    check_order_cap(X.shape[0], max_order)
     batch = spectral_batch(X[None])
     if batch.failures[0] is not None:
         raise InvariantViolationError(batch.failures[0])
@@ -212,7 +206,7 @@ def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def majorization_batch(
-    values: np.ndarray, tol: float = 1e-8
+    values: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C4 on a stack of descending spectra (B, n^2) of unit-norm matrices.
 
@@ -344,7 +338,7 @@ def first_four_sum_bound(X) -> float:
 
 
 def monitor_partial_sums(
-    X, spectrum: Spectrum | None = None, tol: float = 1e-8, seed: int | None = None
+    X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor the open bound sum(top 2k) <= 2k + 2 for every k (id C2A)."""
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
@@ -359,7 +353,7 @@ def monitor_partial_sums(
 
 
 def monitor_majorization(
-    X, spectrum: Spectrum | None = None, tol: float = 1e-8, seed: int | None = None
+    X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor weak majorization by the rank-one profile (id C4)."""
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum

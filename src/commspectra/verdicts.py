@@ -1,7 +1,8 @@
 """Conjecture verdicts and portable violation bundles.
 
 Every statement checked has the shape "lhs <= rhs under hypotheses", and one
-rule decides all of them: the statement holds when ``lhs <= rhs + tol``.
+rule decides all of them: the statement holds when ``lhs <= rhs + tol``,
+``tol`` :data:`DEFAULT_TOL` (1e-8) unless the caller gives one.
 :func:`holds` applies the rule (elementwise on arrays, for batched
 decisions) and :func:`judge` turns one decision into a
 :class:`ConjectureVerdict`, the only place a verdict is built. It is also
@@ -46,6 +47,7 @@ CONJECTURE_IDS = (
     "ISOTROPIC",     # isotropic-subspace trace bound (proven)
 )
 
+DEFAULT_TOL = 1e-8
 # one threshold for every id and scale: the residuals are scale-free (conjectures.py)
 HYPOTHESIS_TOL = 1e-10
 

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, report schema, determinism, bundles."""
 import dataclasses
+import hashlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,6 @@ from commspectra import (
     read_bundle,
     reverify_bundle,
     save_matrix,
-    sha256_digest,
     trial_rng,
     unit_gaussian,
     unvec,
@@ -48,7 +50,7 @@ def test_spectrum_json_report_is_schema_valid(run_cli, matrix_file):
     assert report["command"] == "spectrum"
     assert report["exit_code"] == 0
     assert report["timing"] is None
-    assert report["inputs"][0]["sha256"] == sha256_digest(matrix_file)
+    assert report["inputs"][0]["sha256"] == hashlib.sha256(matrix_file.read_bytes()).hexdigest()
     assert len(report["spectrum"]["values"]) == 9
     assert report["spectrum"]["trace_residual"] < 1e-9
 
@@ -159,8 +161,8 @@ def test_check_hypothesis_failure_is_input_error(run_cli, tmp_path):
         ("check", "conj2", "/nonexistent/x.json"),
         ("search", "--n", "abc"),
         ("search", "--n", "2,3", "--objective", "partial-sum"),
-        # the one ascent config carries --max-order to both objectives
-        ("search", "--objective", "lambda13", "--n", "3", "--max-order", "2",
+        # lambda13 is the k = 2 ascent: an order above the lift limit (64) is refused
+        ("search", "--objective", "lambda13", "--n", "65",
          "--restarts", "1", "--seed", "1"),
         ("search", "--objective", "sweep", "--n", "3", "--trials", "0", "--json"),
         # lambda13 is the k = 2 ascent: a conflicting --k is refused, not ignored
@@ -729,3 +731,84 @@ def test_unmet_hypotheses_exit_2_with_a_report_and_no_bundle(cli_main, exact_fil
         assert verdict["witness"] is None and report["bundle_path"] is None
         assert not Path("b.json").exists()
         assert not list(Path().glob("violation-*.json"))
+
+
+# Every command that builds a lift, with the inputs it takes: the matrix X
+# and, for check isotropic, the one-member isotropic family {E11}.
+ORDER_LIMIT_ARGV = {
+    "spectrum": ("spectrum", "x.json"),
+    "bounds": ("bounds", "x.json"),
+    "closed-form": ("closed-form", "x.json"),
+    "conj4": ("check", "conj4", "x.json"),
+    "isotropic": ("check", "isotropic", "x.json", "w.json"),
+    "partial-sum": ("search", "--n", "N", "--k", "1", "--restarts", "1", "--max-iters", "1"),
+    "lambda13": ("search", "--objective", "lambda13", "--n", "N", "--restarts", "1",
+                 "--max-iters", "1"),
+    "sweep": ("search", "--objective", "sweep", "--n", "N", "--k", "1", "--trials", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", ORDER_LIMIT_ARGV.values(), ids=ORDER_LIMIT_ARGV)
+def test_one_order_limit_for_every_command(cli_main, argv):
+    for n in (17, 65):
+        X = unit_gaussian(trial_rng(96, n), n)
+        w = np.zeros((n, n))
+        w[0, 0] = 1.0
+        save_matrix("x.json", X)
+        save_matrix("w.json", w)
+        tracemalloc.start()
+        try:
+            code, out, err = cli_main(*[str(n) if a == "N" else a for a in argv], "--seed", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if n == 17:  # accepted with no flag
+            assert code == 0, err
+        else:  # refused before any lift is allocated (an order-65 lift takes 285 MB)
+            assert code == 2 and "order 65" in err and not out
+            assert peak < 16 * 2**20
+
+
+def test_max_order_flag_is_gone(cli_main, exact_files):
+    code, _, err = cli_main("spectrum", exact_files["e12"], "--max-order", "17")
+    assert code == 2 and "unrecognized arguments: --max-order" in err
+
+
+def test_order_17_sweep_bundle_reverifies_from_the_file(cli_main):
+    code, _, _ = cli_main(
+        "search", "--objective", "sweep", "--n", "17", "--trials", "1", "--k", "1",
+        "--tol", "-100", "--seed", "1", "--bundle-out", "b.json",
+    )
+    assert code == 1
+    bundle = read_bundle("b.json")
+    verdict = reverify_bundle(bundle)
+    assert verdict.conjecture_id == bundle["conjecture_id"] == "C2A"
+    assert abs(verdict.lhs - bundle["lhs"]) <= 1e-9
+    assert abs(verdict.rhs - bundle["rhs"]) <= 1e-9
+
+
+def test_each_input_is_read_once_and_digested_as_parsed(cli_main, tmp_path, monkeypatch):
+    X = unit_gaussian(trial_rng(97, 0), 3)
+    lines = [" ".join(repr(complex(z)).strip("()") for z in row) for row in X]
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    opened = []
+    real_open = io.open  # what pathlib opens files with
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file if isinstance(file, int) else Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    for argv in (("spectrum",), ("check", "conj4")):
+        texts = []
+        for path in (lf, crlf):
+            opened.clear()
+            code, out, _ = cli_main(*argv, path, "--json")
+            assert code == 0 and opened.count(path.name) == 1
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert json.loads(out)["inputs"] == [{"path": str(path), "sha256": digest}]
+            texts.append(out.replace(str(path), "PATH").replace(digest, "DIGEST"))
+        # both files hold the same matrix: the report bytes differ only in the input entry
+        assert texts[0] == texts[1]

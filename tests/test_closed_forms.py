@@ -60,6 +60,14 @@ def test_normal_eigenvalues_handles_degenerate_hermitian_part():
 def test_normal_eigenvalues_rejects_non_normal():
     with pytest.raises(PreconditionError):
         normal_spectrum(E21)
+    # normal to 1e-8 but not to 1e-10: one threshold, so what is_normal and
+    # closed-form call not normal has no normal closed form either
+    X = np.diag([1.0, 2j, -3.0])
+    X[0, 1] = 3e-9
+    assert not is_normal(X)
+    assert closed_form_summary(X)["classification"] == "none"
+    with pytest.raises(PreconditionError):
+        normal_spectrum(X)
 
 
 def _clustered_normal(case):

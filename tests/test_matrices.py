@@ -16,7 +16,8 @@ from commspectra import (
     unvec,
     vec,
 )
-from commspectra.matrices import as_matrix, check_order_cap, same_order
+from commspectra.lifted import check_lift_order
+from commspectra.matrices import as_matrix, same_order
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -44,10 +45,10 @@ def test_same_order_and_cap():
     assert same_order(E11, E22) == 2
     with pytest.raises(OrderMismatchError):
         same_order(E11, np.eye(3))
-    check_order_cap(16)
-    with pytest.raises(PreconditionError):
-        check_order_cap(17)
-    check_order_cap(17, max_order=20)
+    # the one order limit: an n^2 x n^2 lift of at most 2^24 entries
+    check_lift_order(64)
+    with pytest.raises(PreconditionError, match="order 65"):
+        check_lift_order(65)
 
 
 def test_frobenius_inner_sesquilinearity():

@@ -10,10 +10,10 @@ from commspectra import (
     load_check_payload,
     load_matrix,
     save_matrix,
-    sha256_digest,
     trial_rng,
     unit_gaussian,
 )
+from commspectra.matrixio import read_input
 
 
 def test_json_round_trip_is_exact(tmp_path):
@@ -135,8 +135,10 @@ def test_save_matrix_is_byte_deterministic(tmp_path):
 def test_sha256_digest_matches_hashlib(tmp_path):
     path = tmp_path / "blob.json"
     path.write_text("{\"n\": 1, \"re\": [[0.0]]}")
-    assert sha256_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert len(sha256_digest(path)) == 64
+    text, digest = read_input(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(digest) == 64
+    assert np.array_equal(load_matrix(path, text), load_matrix(path))
 
 
 def test_lu_payload_real_and_complex_forms(tmp_path):

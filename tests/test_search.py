@@ -112,7 +112,7 @@ def test_validate_config_rejections():
     with pytest.raises(PreconditionError):
         validate_config(SearchConfig(order=1, k=1))
     with pytest.raises(PreconditionError):
-        validate_config(SearchConfig(order=40, k=1))  # above the order cap
+        validate_config(SearchConfig(order=65, k=1))  # above the lift limit
     with pytest.raises(PreconditionError):
         validate_config(SearchConfig(order=2, k=0))
     with pytest.raises(PreconditionError):
@@ -151,8 +151,8 @@ def test_lambda13_search_smallest_order_reduces_to_trace():
 def test_lambda13_search_takes_the_ascent_config():
     with pytest.raises(PreconditionError, match="k = 2"):
         lambda13_search(SearchConfig(order=3, k=1))
-    with pytest.raises(PreconditionError, match="cap 2"):
-        lambda13_search(SearchConfig(order=3, k=2, max_order=2))
+    with pytest.raises(PreconditionError, match="order 65"):
+        lambda13_search(SearchConfig(order=65, k=2))
 
 
 def test_lambda13_search_reports_the_ascent_violation(monkeypatch):

@@ -90,9 +90,9 @@ def test_trace_identity_and_pairing_sweep():
 def test_spectrum_rejects_zero_and_oversize():
     with pytest.raises(DegenerateInputError):
         double_commutator_spectrum(np.zeros((2, 2)))
-    with pytest.raises(PreconditionError):
-        double_commutator_spectrum(np.eye(17))
-    spec = double_commutator_spectrum(np.eye(17) + _embed(E12, 17), max_order=17)
+    with pytest.raises(PreconditionError, match="order 65"):
+        double_commutator_spectrum(np.eye(65) + _embed(E12, 65))
+    spec = double_commutator_spectrum(np.eye(17) + _embed(E12, 17))
     assert spec.order == 17
 
 
