@@ -28,6 +28,7 @@ NORMALITY_RTOL = 1e-10
 RANK_ONE_RTOL = 1e-8
 EQUALITY_THRESHOLD = 2.0 - 1e-6
 WITNESS_RESIDUAL_TOL = 1e-7
+MAXIMAL_PAIR_TOL = 1e-8
 
 
 def _normality_defect(Xh) -> float:
@@ -48,9 +49,9 @@ def _rank_one(Xh) -> tuple[bool, float]:
     return is_r1, float(abs(np.trace(Xh)) ** 2)
 
 
-def is_normal(X, rtol: float = NORMALITY_RTOL) -> bool:
-    """True when ||[Xh, Xh*]|| <= ``rtol`` for Xh = X / ||X|| (X nonzero)."""
-    return _normality_defect(normalized(X)) <= rtol
+def is_normal(X) -> bool:
+    """True when ||[Xh, Xh*]|| <= ``NORMALITY_RTOL`` for Xh = X / ||X|| (X nonzero)."""
+    return _normality_defect(normalized(X)) <= NORMALITY_RTOL
 
 
 def normal_spectrum(X) -> np.ndarray:
@@ -100,17 +101,15 @@ class EqualityWitness:
     trace_abs: float
 
 
-def detect_equality_case(
-    X, spectrum: Spectrum | None = None, threshold: float = EQUALITY_THRESHOLD
-) -> EqualityWitness | None:
-    """Witness for lambda_1 = 2, or None when lambda_1 is below ``threshold``.
+def detect_equality_case(X, spectrum: Spectrum | None = None) -> EqualityWitness | None:
+    """Witness for lambda_1 = 2, or None when lambda_1 <= ``EQUALITY_THRESHOLD``.
 
     :raises DegenerateSupportError: if lambda_1 passes the threshold but no
         valid two-dimensional embedding exists at the residual tolerance
     """
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     lambda1 = float(spec.values[0])
-    if lambda1 <= threshold:
+    if lambda1 <= EQUALITY_THRESHOLD:
         return None
     Xh = spec.matrix
     Xs = Xh.conj().T
@@ -152,7 +151,7 @@ def make_maximal_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def is_maximal_pair(X, Y, tol: float = 1e-8) -> tuple[bool, float]:
+def is_maximal_pair(X, Y) -> tuple[bool, float]:
     """Whether the pair attains the commutator-norm maximum.
 
     Returns (attained, ratio) with ratio = ||[X,Y]||^2 / (2 ||X||^2 ||Y||^2),
@@ -161,7 +160,7 @@ def is_maximal_pair(X, Y, tol: float = 1e-8) -> tuple[bool, float]:
     Xh, Yh = normalized(X), normalized(Y)
     same_order(Xh, Yh)
     ratio = frobenius_norm(commutator(Xh, Yh)) ** 2 / 2.0
-    return bool(ratio >= 1.0 - tol), ratio
+    return bool(ratio >= 1.0 - MAXIMAL_PAIR_TOL), ratio
 
 
 def closed_form_summary(X) -> dict:

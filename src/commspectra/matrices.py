@@ -67,22 +67,38 @@ def frobenius_inner(A, B) -> complex:
     return complex(np.vdot(B, A))
 
 
+def _power_of_two_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X 2^-e, e) per matrix, 2^e just above its largest |x_ij|: the scaled
+    squares neither over- nor underflow, and ``ldexp`` is exact (signed zeros
+    included), so results that did neither before keep their bits."""
+    e = np.frexp(np.abs(X).max(axis=(-2, -1), initial=0.0))[1]
+    shift = -e[..., None, None]
+    if not np.iscomplexobj(X):
+        return np.ldexp(X, shift), e
+    Xs = np.empty_like(X)
+    np.ldexp(X.real, shift, out=Xs.real)
+    np.ldexp(X.imag, shift, out=Xs.imag)
+    return Xs, e
+
+
 def frobenius_norm(X):
-    """||X||_F of a matrix (a float) or of each matrix of a stack (..., n, n)."""
-    nrm = np.linalg.norm(X, axis=(-2, -1))
+    """||X||_F of a matrix (a float) or of each matrix of a stack (..., n, n), at any scale."""
+    Xs, e = _power_of_two_scaled(np.asarray(X))
+    nrm = np.ldexp(np.linalg.norm(Xs, axis=(-2, -1)), e)
     return float(nrm) if nrm.ndim == 0 else nrm
 
 
 def normalized(X) -> np.ndarray:
-    """X / ||X||_F (complex128) of a matrix or of each matrix of a stack.
+    """X / ||X||_F (complex128) of a matrix or of each matrix of a stack, at any scale.
 
     :raises DegenerateInputError: if a matrix is zero
     """
     X = as_stack(np.asarray(X, dtype=np.complex128))
-    nrm = np.asarray(frobenius_norm(X))
+    Xs, _ = _power_of_two_scaled(X)
+    nrm = np.linalg.norm(Xs, axis=(-2, -1))
     if not nrm.all():
         raise DegenerateInputError("cannot normalize the zero matrix")
-    return X / nrm[..., None, None]
+    return Xs / nrm[..., None, None]
 
 
 def commutator(X, Y) -> np.ndarray:

@@ -4,8 +4,8 @@ The ``bounds``, ``verdicts`` and ``search`` sections are the result
 dataclasses themselves (``BoundReport``, ``ConjectureVerdict``,
 ``SearchResult``): :func:`jsonable` serializes any dataclass field by field,
 so their keys are the fields. :func:`spectrum_section` stays a function
-because it derives fields the ``Spectrum`` does not hold, such as the
-trace-identity residual, computed from the unit matrix ``Spectrum.matrix``.
+because it derives fields the ``Spectrum`` does not hold (order, cluster
+lists, partial sums) and leaves out its unit matrix.
 
 Every command-line invocation assembles one report dict, validated against
 the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
@@ -83,15 +83,13 @@ def jsonable(obj):
 
 
 def spectrum_section(spec: Spectrum) -> dict:
-    n = spec.order
-    trace_target = 2.0 * n - 2.0 * abs(np.trace(spec.matrix)) ** 2
     return {
-        "order": n,
+        "order": spec.order,
         "values": spec.values.tolist(),
         "clusters": [[float(v), int(m)] for v, m in spec.clusters],
         "pairing_ok": bool(spec.pairing_ok),
         "norm_scale": float(spec.norm_scale),
-        "trace_residual": float(abs(spec.values.sum() - trace_target)),
+        "trace_residual": spec.trace_residual,
         "partial_sums": partial_sums(spec).tolist(),
     }
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ensembles
-from .errors import InvariantViolationError, PreconditionError
+from .errors import PreconditionError
 from .lifted import check_lift_order, double_commutator_lift
 from .matrices import as_matrix, normalized, unvec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
-from .verdicts import DEFAULT_TOL, holds, judge
+from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, holds, judge, require
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
@@ -82,13 +82,19 @@ class SearchResult:
     violation: dict | None = None
 
 
-def validate_config(config: SearchConfig) -> None:
-    n = config.order
+def _check_order_and_k(n: int, ks) -> None:
+    """Refuse an order below 2 or above the lift limit, or a k outside 1..n^2/2."""
     if n < 2:
         raise PreconditionError(f"need order >= 2, got {n}")
     check_lift_order(n)
-    if not 1 <= config.k <= (n * n) // 2:
-        raise PreconditionError(f"need 1 <= k <= {(n * n) // 2}, got {config.k}")
+    for k in ks:
+        if not 1 <= k <= n * n // 2:
+            raise PreconditionError(f"k = {k} out of range for order {n}")
+
+
+def validate_config(config: SearchConfig) -> None:
+    n = config.order
+    _check_order_and_k(n, [config.k])
     if config.restarts < 1:
         raise PreconditionError("need at least one restart")
     if config.max_iters < 1:
@@ -123,9 +129,13 @@ def _draw_init(config: SearchConfig, index: int) -> np.ndarray:
     return ensembles.unit_gaussian(rng, config.order)
 
 
-def _objective_and_vectors(X: np.ndarray, k2: int):
+def _objective_and_vectors(X: np.ndarray, k2: int, proven: float):
+    """f_k(X) and the top-2k eigenpairs of T_X, held to the caps lambda_1 <= 2, f_k <= ``proven``."""
     dec = eigensolver.eigh(double_commutator_lift(X), top=k2)
-    return float(dec.values.sum()), dec
+    top, obj = dec.values[0], float(dec.values.sum())
+    require(top, 2.0, PROVEN_TOL, f"iterate broke the proven top-eigenvalue cap: {top!r}")
+    require(obj, proven, PROVEN_TOL, f"iterate broke the proven partial-sum cap: {obj!r} > {proven!r}")
+    return obj, dec
 
 
 def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
@@ -151,45 +161,22 @@ def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
     return M.reshape(n * n, n * n)
 
 
-def _check_caps(values: np.ndarray, obj: float, proven: float) -> None:
-    if values[0] > 2.0 + 1e-8:
-        raise InvariantViolationError(
-            f"iterate broke the proven top-eigenvalue cap: {values[0]!r}"
-        )
-    if obj > proven + 1e-8:
-        raise InvariantViolationError(
-            f"iterate broke the proven partial-sum cap: {obj!r} > {proven!r}"
-        )
-
-
 def _single_ascent(
-    X0: np.ndarray, config: SearchConfig, proven: float
+    X: np.ndarray, config: SearchConfig, proven: float
 ) -> tuple[float, np.ndarray, int, float, bool]:
-    n = config.order
-    k2 = 2 * config.k
-    X = X0
-    obj, dec = _objective_and_vectors(X, k2)
-    _check_caps(dec.values, obj, proven)
-    first = obj
-    monotone = True
-    flat = 0
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
+    n, k2 = config.order, 2 * config.k
+    obj, dec = _objective_and_vectors(X, k2, proven)
+    first, monotone, flat = obj, True, 0
+    for iterations in range(1, config.max_iters + 1):  # max_iters >= 1 (validate_config)
         M = _family_form(dec.vectors, n)
         X = normalized(unvec(eigensolver.eigh(M, top=1).vectors[:, 0], n))
-        new_obj, dec = _objective_and_vectors(X, k2)
-        _check_caps(dec.values, new_obj, proven)
-        if new_obj < obj - 1e-10:
-            monotone = False
+        new_obj, dec = _objective_and_vectors(X, k2, proven)
+        monotone = monotone and new_obj >= obj - 1e-10
         rel = (new_obj - obj) / max(abs(obj), 1e-300)
         obj = new_obj
-        if rel < ASCENT_TOL:
-            flat += 1
-            if flat >= FLAT_ITERS:
-                break
-        else:
-            flat = 0
+        flat = flat + 1 if rel < ASCENT_TOL else 0
+        if flat >= FLAT_ITERS:
+            break
     return obj, X, iterations, first, monotone
 
 
@@ -212,8 +199,7 @@ def ascend(config: SearchConfig) -> SearchResult:
         monotone_all = monotone_all and mono
         traces.append(RestartTrace(index=r, first_objective=first, last_objective=obj, iterations=iters))
         if obj > best_obj:
-            best_obj = obj
-            best_X = X
+            best_obj, best_X = obj, X
     verdict = judge(
         "C2A", [best_X], best_obj, conjectured, 0.0, VIOLATION_MARGIN, config.seed
     )
@@ -244,10 +230,8 @@ def lambda13_search(config: SearchConfig) -> SearchResult:
         raise PreconditionError(f"lambda13_search needs k = 2, got {config.k}")
     base = ascend(config)
     half = base.best_objective / 2.0
-    if half > LAMBDA13_BOUND + 1e-8:
-        raise InvariantViolationError(
-            f"lambda_1 + lambda_3 = {half!r} broke its proven cap {LAMBDA13_BOUND!r}"
-        )
+    broke = f"lambda_1 + lambda_3 = {half!r} broke its proven cap {LAMBDA13_BOUND!r}"
+    require(half, LAMBDA13_BOUND, PROVEN_TOL, broke)
     return replace(
         base,
         objective="lambda13",
@@ -281,26 +265,24 @@ def sweep(
     the monitors. ``k_rule`` is "all" or one int k. Orders run from 2 to 64,
     the lift limit (:func:`lifted.check_lift_order`).
 
-    Each order's trials run through the batched spectral core in chunks of
-    at most ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend
-    on where the chunks break, and a failed check raises what the lowest
-    failing trial raises.
+    Every order and k is checked before the first draw. Each order's trials
+    run through the batched spectral core in chunks of at most
+    ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
+    the chunks break, and a failed check raises what the lowest failing trial raises.
     """
     if trials < 1:
         raise PreconditionError(f"sweep needs at least one trial, got {trials}")
     orders = [int(n) for n in n_values]
     if len(set(orders)) != len(orders):
         raise PreconditionError(f"sweep names an order twice: {orders}")
+    plan = []
+    for n in orders:
+        ks = list(range(1, n * n // 2 + 1)) if k_rule == "all" else [int(k_rule)]
+        _check_order_and_k(n, ks)
+        plan.append((n, ks))
     rows = []
     majorization_violations: list[dict] = []
-    for n in orders:
-        if n < 2:
-            raise PreconditionError(f"sweep needs orders >= 2, got {n}")
-        N = n * n
-        ks = list(range(1, N // 2 + 1)) if k_rule == "all" else [int(k_rule)]
-        for k in ks:
-            if not 1 <= k <= N // 2:
-                raise PreconditionError(f"k = {k} out of range for order {n}")
+    for n, ks in plan:
         cols = 2 * np.asarray(ks, dtype=np.intp) - 1
         caps, proven = partial_sum_caps(ks, n)
         max_f = np.full(len(ks), -np.inf)
@@ -317,13 +299,12 @@ def sweep(
             spec = spectral_batch(X)
             ladder = ladder_batch(spec.matrices, spec.values)
             # raise what the lowest failing trial would raise on its own
-            failed = [i for i, msg in enumerate(spec.failures) if msg or not ladder.hold[i]]
-            if failed:
-                i = failed[0]
-                raise InvariantViolationError(
-                    spec.failures[i]
-                    or f"proven ladder failed on a sweep draw (order {n}, trial {start + i})"
-                )
+            min_slack = ladder.min_slack()
+            ok = holds(-spec.values[:, -1], 0.0, IDENTITY_TOL) & holds(spec.trace_residual, 0.0, IDENTITY_TOL)
+            for i in np.flatnonzero(~(ok & holds(-min_slack, 0.0, PROVEN_TOL)))[:1]:
+                where = f" (order {n}, trial {start + i})"
+                spec.require_identities(i, where)
+                require(-min_slack[i], 0.0, PROVEN_TOL, "proven ladder failed on a sweep draw" + where)
             f = ladder.prefix[:, cols]
             best = np.argmax(f, axis=0)  # first occurrence, as a strict > scan
             top = f[best, np.arange(len(ks))]

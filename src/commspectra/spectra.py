@@ -15,10 +15,10 @@ Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
 (id C2A) and weak majorization by the rank-one profile (id C4).
 
 Everything runs on stacks (B, n, n) through one batched core:
-:func:`spectral_batch` (lift, stacked eigensolves with real matrices in
-real arithmetic, the positivity and trace invariants), :func:`ladder_batch`
-(the bound ladder and prefix sums) and :func:`majorization_batch` (the C4
-monitor). The per-matrix functions are batches of one.
+:func:`spectral_batch` (lift, stacked eigensolves with real matrices in real
+arithmetic, trace-identity residuals), :func:`ladder_batch` (the ladder's
+slacks, prefix sums) and :func:`majorization_batch` (the C4 monitor). The
+per-matrix functions are batches of one; :func:`verdicts.require` raises.
 
 X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
 carries it as ``matrix``, and the ladder, the monitors and their bundles
@@ -31,14 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .errors import (
-    InvariantViolationError,
-    OrderMismatchError,
-    PreconditionError,
-)
+from .errors import OrderMismatchError, PreconditionError
 from .lifted import double_commutator_lift
 from .matrices import as_matrix, frobenius_norm, herm_skew_split, normalized
-from .verdicts import DEFAULT_TOL, ConjectureVerdict, holds, judge
+from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, ConjectureVerdict, holds, judge, require
 
 CLUSTER_TOL_FLOOR = 1e-7
 LAMBDA13_BOUND = (4.0 + np.sqrt(10.0)) / 2.0
@@ -57,13 +53,15 @@ class Spectrum:
     :func:`cluster_tolerance`; ``pairing_ok`` records whether every positive
     cluster has even multiplicity; ``norm_scale`` is the ||X||^2 divided out
     (multiply ``values`` by it to recover the spectrum of the raw input);
-    ``matrix`` is the unit matrix X / ||X|| the values belong to.
+    ``trace_residual`` is |sum(values) - (2n - 2|Tr Xhat|^2)|; ``matrix`` is
+    the unit matrix X / ||X|| the values belong to.
     """
 
     values: np.ndarray
     clusters: tuple[tuple[float, int], ...]
     pairing_ok: bool
     norm_scale: float
+    trace_residual: float
     matrix: np.ndarray
 
     @property
@@ -88,25 +86,29 @@ class SpectralBatch:
     """Spectra of T_X for a stack of matrices, each unit-normalized.
 
     ``matrices`` holds X / ||X|| (B, n, n), ``values`` the descending
-    eigenvalues (B, n^2) and ``norm_scale`` the ||X||^2 divided out (B,).
-    ``failures[i]`` is the message of the first invariant that matrix i
-    broke (positivity, then the trace identity), or None.
+    eigenvalues (B, n^2), ``norm_scale`` the ||X||^2 divided out (B,) and
+    ``trace_residual`` |sum(lambda) - (2n - 2|Tr Xhat|^2)| (B,).
     """
 
     matrices: np.ndarray
     values: np.ndarray
     norm_scale: np.ndarray
-    failures: tuple[str | None, ...]
+    trace_residual: np.ndarray
+
+    def require_identities(self, i: int, where: str = "") -> None:
+        """Raise if matrix i broke positivity, then the trace identity; ``where`` ends the message."""
+        low, resid = self.values[i, -1], self.trace_residual[i]
+        require(-low, 0.0, IDENTITY_TOL, f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
+        require(resid, 0.0, IDENTITY_TOL, f"trace identity failed: residual {resid:.3e}{where}")
 
 
 def spectral_batch(X) -> SpectralBatch:
     """Spectra of T_X for every matrix of a stack (B, n, n).
 
     One O(n^4) lift per matrix, one stacked eigensolve for the real rows
-    and one for the others, then positivity and the trace identity
-    sum(lambda) = 2n - 2|Tr Xhat|^2, both at 1e-9, per matrix. Broken
-    invariants are reported in ``failures``, not raised, so callers can
-    order them with their own checks.
+    and one for the others, then the residual of the trace identity
+    sum(lambda) = 2n - 2|Tr Xhat|^2 per matrix, decided by the caller
+    (:meth:`SpectralBatch.require_identities`) among its own checks.
     """
     X = np.asarray(X)
     if X.ndim != 3:
@@ -121,32 +123,27 @@ def spectral_batch(X) -> SpectralBatch:
     for rows, part in ((real, Xh.real), (~real, Xh)):
         if rows.any():
             values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
-    sums = values.sum(axis=-1)
-    targets = 2.0 * n - 2.0 * np.abs(np.trace(Xh, axis1=-2, axis2=-1)) ** 2
-    lost = values[:, -1] < -1e-9
-    failures: list[str | None] = [None] * len(values)
-    for i in np.flatnonzero(lost | (np.abs(sums - targets) > 1e-9)):
-        failures[i] = (
-            f"lifted operator lost positivity: min eigenvalue {values[i, -1]:.3e}"
-            if lost[i]
-            else f"trace identity failed: sum {sums[i]!r} vs {targets[i]!r}"
-        )
-    return SpectralBatch(Xh, values, frobenius_norm(X) ** 2, tuple(failures))
+    # |Tr Xhat|^2 rounded as the scalar abs(tr) ** 2 (hypot, libm pow), not numpy's vector square
+    tr = np.trace(Xh, axis1=-2, axis2=-1)
+    tr_sq = np.array([t**2 for t in np.hypot(tr.real, tr.imag).tolist()])
+    residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * tr_sq))
+    with np.errstate(over="ignore"):  # ||X||^2 saturates to inf beyond about 1e154
+        norm_scale = frobenius_norm(X) ** 2
+    return SpectralBatch(Xh, values, norm_scale, residual)
 
 
 def double_commutator_spectrum(X) -> Spectrum:
     """Spectrum of T_X via the Kronecker lift (a batch of one).
 
     Internally verifies positivity and the trace identity
-    sum(lambda) = 2n - 2|Tr Xhat|^2 at 1e-9, raising
+    sum(lambda) = 2n - 2|Tr Xhat|^2 at ``IDENTITY_TOL``, raising
     :class:`InvariantViolationError` if the numerics broke them. An order
     above the lift limit (:func:`lifted.check_lift_order`, 64) raises
     ``PreconditionError``.
     """
     X = as_matrix(X)
     batch = spectral_batch(X[None])
-    if batch.failures[0] is not None:
-        raise InvariantViolationError(batch.failures[0])
+    batch.require_identities(0)
     values = batch.values[0]
     clusters = _cluster(values)
     tol = cluster_tolerance(float(values[0]))
@@ -156,6 +153,7 @@ def double_commutator_spectrum(X) -> Spectrum:
         clusters=clusters,
         pairing_ok=pairing_ok,
         norm_scale=float(batch.norm_scale[0]),
+        trace_residual=float(batch.trace_residual[0]),
         matrix=batch.matrices[0],
     )
 
@@ -165,7 +163,7 @@ def partial_sums(spectrum: Spectrum) -> np.ndarray:
 
     Rounding noise below zero (bounded by the PSD invariant) is clipped so
     monotonicity holds exactly; the final entry equals the trace identity
-    value to 1e-9.
+    value to ``IDENTITY_TOL``.
     """
     return _prefix_sums(spectrum.values)
 
@@ -234,14 +232,16 @@ class LadderBatch:
     """The proven bound ladder on a stack of unit-normalized matrices.
 
     Every entry of ``bounds`` and ``slacks`` has the batch as its first
-    axis; ``prefix`` holds the prefix sums of each spectrum and ``hold``
-    whether every slack of a matrix is at least -1e-8.
+    axis; ``prefix`` holds the prefix sums of each spectrum.
     """
 
     bounds: dict
     slacks: dict
     prefix: np.ndarray
-    hold: np.ndarray
+
+    def min_slack(self) -> np.ndarray:
+        """Each matrix's smallest slack; the ladder holds at -``PROVEN_TOL`` or above."""
+        return np.min(list(self.slacks.values()), axis=0)
 
 
 def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
@@ -288,8 +288,7 @@ def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
         "lambda13_weak": LAMBDA13_BOUND - (values[:, 0] + values[:, 2]),
         "partial_sum_weak": (partial_weak - prefix[:, 2 * ks - 1]).min(axis=-1),
     }
-    hold = np.min(list(slacks.values()), axis=0) >= -1e-8
-    return LadderBatch(bounds=bounds, slacks=slacks, prefix=prefix, hold=hold)
+    return LadderBatch(bounds=bounds, slacks=slacks, prefix=prefix)
 
 
 def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
@@ -311,7 +310,7 @@ def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
             for name, v in ladder.bounds.items()
         },
         slacks={name: float(v[0]) for name, v in ladder.slacks.items()},
-        all_proven_hold=bool(ladder.hold[0]),
+        all_proven_hold=bool(holds(-ladder.min_slack()[0], 0.0, PROVEN_TOL)),
     )
 
 

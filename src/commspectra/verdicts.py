@@ -1,20 +1,19 @@
-"""Conjecture verdicts and portable violation bundles.
+"""Conjecture verdicts, proven invariants and portable violation bundles.
 
-Every statement checked has the shape "lhs <= rhs under hypotheses", and one
-rule decides all of them: the statement holds when ``lhs <= rhs + tol``,
-``tol`` :data:`DEFAULT_TOL` (1e-8) unless the caller gives one.
-:func:`holds` applies the rule (elementwise on arrays, for batched
-decisions) and :func:`judge` turns one decision into a
-:class:`ConjectureVerdict`, the only place a verdict is built. It is also
-the only caller of :func:`make_bundle` in the library: every bundle, those
-of ``search.sweep`` included, is a verdict's witness. A change of the rule,
-such as error-bounded three-valued verdicts (ROADMAP item 6), edits these
-two functions only.
+Every statement checked has the shape "lhs <= rhs", decided by one rule,
+:func:`holds`: ``lhs <= rhs + tol`` (elementwise on arrays). Its uses and
+their tolerances all live here, so error-bounded three-valued verdicts
+(ROADMAP item 6) change the rule in this module only:
 
-The hypotheses hold when the scale-free ``hypotheses_residual`` is at most
-:data:`HYPOTHESIS_TOL`, whatever the verdict tolerance
-(:attr:`ConjectureVerdict.hypotheses_hold`); only then is a violation a
-counterexample with a bundle.
+* verdicts, at the caller's ``tol`` (:data:`DEFAULT_TOL`, 1e-8): :func:`judge`
+  is the only place a verdict is built and the only caller of
+  :func:`make_bundle`, so every bundle is a verdict's witness;
+* hypotheses, whose scale-free residual must be at most
+  :data:`HYPOTHESIS_TOL` (1e-10) whatever ``tol`` is, before a violation
+  counts and gets a bundle (:attr:`ConjectureVerdict.hypotheses_hold`);
+* proven invariants, raised by :func:`require` and nowhere else: positivity
+  and the trace identity at :data:`IDENTITY_TOL` (1e-9), the bound ladder
+  and the ascent and lambda_1 + lambda_3 caps at :data:`PROVEN_TOL` (1e-8).
 
 A violation bundle is a JSON object holding everything needed to re-verify
 the claimed violation from the file alone:
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvariantViolationError, ParseError
 from .matrixio import matrix_payload, payload_matrix, read_json, write_json
 
 CONJECTURE_IDS = (
@@ -50,6 +49,8 @@ CONJECTURE_IDS = (
 DEFAULT_TOL = 1e-8
 # one threshold for every id and scale: the residuals are scale-free (conjectures.py)
 HYPOTHESIS_TOL = 1e-10
+IDENTITY_TOL = 1e-9  # positivity of T_X and the trace identity
+PROVEN_TOL = 1e-8  # the bound ladder, the ascent caps and the lambda_1 + lambda_3 cap
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,13 @@ def make_bundle(
 def holds(lhs, rhs, tol):
     """The verdict rule ``lhs <= rhs + tol``; elementwise on arrays."""
     return lhs <= rhs + tol
+
+
+def require(lhs, rhs, tol: float, what: str) -> None:
+    """Raise :class:`InvariantViolationError` (broken numerics, not a counterexample)
+    with message ``what`` unless ``holds(lhs, rhs, tol)``; ``tol`` is a proven-invariant tolerance."""
+    if not holds(lhs, rhs, tol):
+        raise InvariantViolationError(what)
 
 
 def judge(

@@ -586,18 +586,38 @@ def test_text_output_is_pinned(cli_main, exact_files, argv, code, lines):
 def test_bounds_exits_3_when_a_proven_bound_fails(cli_main, exact_files, monkeypatch, tmp_path):
     # a proven bound is an invariant: broken numerics, not a violation bundle
     real = spectra.bound_report
-    monkeypatch.setattr(
-        spectra,
-        "bound_report",
-        lambda X, spectrum=None: dataclasses.replace(
-            real(X, spectrum=spectrum), all_proven_hold=False
-        ),
-    )
+
+    def failing(X, spectrum=None):
+        br = real(X, spectrum=spectrum)
+        return dataclasses.replace(br, slacks={**br.slacks, "bw": -1.0})
+
+    monkeypatch.setattr(spectra, "bound_report", failing)
     code, out, err = cli_main("bounds", exact_files["e12"], "--json", "--out", "report.json")
     assert code == 3
     assert err.startswith("error: ")
     assert out == ""
     assert not list((tmp_path / "work").iterdir())
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_bounds_decides_the_ladder_at_proven_tol(cli_main, exact_files, monkeypatch, factor):
+    # E12 attains lambda_1 = 2: raising lambda_1 by d leaves a smallest slack of -d
+    real = spectra.double_commutator_spectrum
+
+    def raised_top(X):
+        spec = real(X)
+        values = spec.values.copy()
+        values[0] += factor * 1e-8  # PROVEN_TOL
+        return dataclasses.replace(spec, values=values)
+
+    monkeypatch.setattr(spectra, "double_commutator_spectrum", raised_top)
+    code, out, err = cli_main("bounds", exact_files["e12"], "--json")
+    if factor < 1:
+        assert code == 0
+        assert json.loads(out)["bounds"]["all_proven_hold"] is True
+    else:
+        assert code == 3
+        assert err.startswith("error: a proven bound failed: smallest slack -1.0")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "bounds", "closed-form"])

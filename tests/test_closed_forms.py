@@ -185,15 +185,18 @@ def test_equality_witness_absent_generically():
             assert detect_equality_case(X, spectrum=spec) is None
 
 
-def test_equality_witness_degenerate_support_error():
+def test_equality_witness_degenerate_support_error(monkeypatch):
+    import commspectra.closed_forms as closed_forms
+
     # forcing a low threshold on a full-support matrix must fail loudly,
     # not fabricate a 2x2 embedding
+    monkeypatch.setattr(closed_forms, "EQUALITY_THRESHOLD", 0.1)
     rng = trial_rng(46, 0)
     X = unit_gaussian(rng, 3)
     spec = double_commutator_spectrum(X)
     assert spec.values[0] > 0.5
     with pytest.raises(DegenerateSupportError):
-        detect_equality_case(X, spectrum=spec, threshold=0.1)
+        detect_equality_case(X, spectrum=spec)
 
 
 def test_maximal_pair_attains_equality():

@@ -1,4 +1,6 @@
 """Core matrix operations: commutators, Frobenius geometry, vec/unvec."""
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,28 @@ def test_normalized_unit_norm_and_zero_rejection():
         assert got.tobytes() == normalized(M).tobytes()
     with pytest.raises(DegenerateInputError):
         normalized(np.stack([X, np.zeros((4, 4))]))
+
+
+def test_norm_keeps_the_bits_of_np_linalg_norm_in_range():
+    rng = trial_rng(0, 3)
+    for n in (1, 2, 5, 16):
+        for scale in (1e-100, 1e-3, 1.0, 1e100):
+            X = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            X.imag[rng.random((n, n)) < 0.3] = -0.0  # signed zeros survive the prescale
+            for M in (X, X.real):
+                nrm = np.linalg.norm(M, axis=(-2, -1))
+                assert frobenius_norm(M) == nrm
+                assert normalized(M).tobytes() == (M.astype(complex) / nrm).tobytes()
+
+
+@pytest.mark.parametrize("s", [1e300, 1e200, 1e-200, 1e-300, 1e-320])
+def test_norm_and_normalization_at_any_finite_scale(s):
+    # np.linalg.norm overflows or underflows here; the prescaled norm does not
+    assert frobenius_norm(s * E12) == s
+    assert frobenius_norm(np.stack([s * E12, 2.0 * E12])).tolist() == [s, 2.0]
+    X = s * (E12 + 1j * E21)
+    assert frobenius_norm(X) == pytest.approx(math.sqrt(2.0) * s, rel=1e-15)
+    np.testing.assert_allclose(normalized(X), (E12 + 1j * E21) / math.sqrt(2.0), rtol=1e-15)
 
 
 def test_double_commutator_is_psd_quadratic_form():

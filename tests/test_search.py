@@ -324,6 +324,20 @@ def test_sweep_does_not_depend_on_chunks(monkeypatch, per_chunk):
 
 
 
+@pytest.mark.parametrize("orders", [[6, 65], [6, 1], [6, 2, 3, 1]])
+def test_sweep_checks_every_order_before_its_first_draw(monkeypatch, orders):
+    import commspectra.search as search
+
+    def no_draw(X):
+        raise AssertionError("sweep drew before refusing")
+
+    monkeypatch.setattr(search, "spectral_batch", no_draw)
+    with pytest.raises(PreconditionError, match="order 65|order >= 2"):
+        sweep(orders, trials=1000)
+    with pytest.raises(PreconditionError, match="out of range for order 2"):
+        sweep([6, 2], k_rule=3, trials=1000)
+
+
 def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
     import dataclasses
 
@@ -343,17 +357,17 @@ def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
 
     def ladder_fails_from(i):
         def edit(ladder):
-            hold = ladder.hold.copy()
-            hold[i:] = False
-            return dataclasses.replace(ladder, hold=hold)
+            bw = ladder.slacks["bw"].copy()
+            bw[i:] = -1.0
+            return dataclasses.replace(ladder, slacks={**ladder.slacks, "bw": bw})
 
         return second_chunk(real_ladder, edit)
 
     def spectra_fails_at(i):
         def edit(batch):
-            failures = list(batch.failures)
-            failures[i] = "trace identity failed: forced"
-            return dataclasses.replace(batch, failures=tuple(failures))
+            residual = batch.trace_residual.copy()
+            residual[i] = 1.0
+            return dataclasses.replace(batch, trace_residual=residual)
 
         return second_chunk(real_spectra, edit)
 
@@ -369,7 +383,7 @@ def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
     # a broken invariant of the same trial comes first, as in a per-trial loop
     monkeypatch.setattr(search, "ladder_batch", ladder_fails_from(1))
     monkeypatch.setattr(search, "spectral_batch", spectra_fails_at(1))
-    with pytest.raises(InvariantViolationError, match="forced"):
+    with pytest.raises(InvariantViolationError, match=r"trace identity failed: .* \(order 2, trial 4\)"):
         sweep([2], trials=10, seed=0)
 
 

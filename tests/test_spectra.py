@@ -74,6 +74,24 @@ def test_spectrum_is_scale_invariant_with_recorded_scale():
     assert s3.norm_scale == pytest.approx(9.0 * s1.norm_scale, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e200, 1e160, 1e-160, 1e-170, 1e-200])
+def test_extreme_scales_give_the_unit_scale_results(s):
+    # X / ||X|| is E12 itself at every one of these scales; only norm_scale,
+    # which saturates beyond about 1e154, tells them apart
+    X, scaled = _embed(E12, 3), s * _embed(E12, 3)
+    ref, spec = double_commutator_spectrum(X), double_commutator_spectrum(scaled)
+    assert spec.matrix.tobytes() == ref.matrix.tobytes()
+    assert spec.values.tobytes() == ref.values.tobytes()
+    assert spec.trace_residual == ref.trace_residual
+    assert spec.norm_scale == s * s
+    got, want = bound_report(scaled), bound_report(X)
+    assert got.all_proven_hold and got.slacks == want.slacks
+    for monitor in (monitor_partial_sums, monitor_majorization):
+        got, want = monitor(scaled), monitor(X)
+        assert (got.satisfied, got.lhs, got.rhs) == (want.satisfied, want.lhs, want.rhs)
+        assert got.satisfied
+
+
 def test_trace_identity_and_pairing_sweep():
     for t in range(60):
         rng = trial_rng(31, t)
@@ -308,7 +326,8 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
         assert batch.values[i].tobytes() == alone.values[0].tobytes()
         assert batch.matrices[i].tobytes() == alone.matrices[0].tobytes()
         assert batch.norm_scale[i] == alone.norm_scale[0]
-    assert batch.failures == (None,) * len(X)
+        assert batch.trace_residual[i] == alone.trace_residual[0]
+    assert (batch.trace_residual <= 1e-9).all() and (batch.values[:, -1] >= -1e-9).all()
 
 
 def _cluster_loop(values):
