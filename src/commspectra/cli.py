@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         report = reporting.build_report(
             args.command, list(run.inputs), args.seed, run.tol, code, run.sections
         )
-        text = reporting.report_json(report)
+        text = reporting.report_json(report) if args.json or args.out else None
         if args.out:
             Path(args.out).write_text(text)
     except (ConvergenceError, InvariantViolationError) as exc:

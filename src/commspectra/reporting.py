@@ -8,10 +8,13 @@ because it derives fields the ``Spectrum`` does not hold (order, cluster
 lists, partial sums) and leaves out its unit matrix.
 
 Every command-line invocation assembles one report dict, validated against
-the schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION`` on
-any field change). The validator is built once per process: the schema is
-checked against its metaschema on first use, not on every report, and
-``jsonschema`` is imported only then, not by ``import commspectra``.
+the full schema shipped as ``report_schema.json`` (bump ``SCHEMA_VERSION``
+on any field change). The validator is built once per process: the schema
+is checked against its metaschema on first use, not on every report, and
+``jsonschema`` is imported only then, not by ``import commspectra``. Arrays
+of leaf-typed items (``values``, ``partial_sums``, the ``clusters`` pairs)
+are checked in one pass each, with jsonschema's own results (see
+:func:`_validator`).
 Reports are deterministic for fixed inputs and seed: they are written by
 the one JSON serialization of :mod:`commspectra.matrixio` (sorted keys, full
 float precision), complex arrays take its ``{re, im}`` encoding, and
@@ -41,15 +44,46 @@ def load_schema() -> dict:
     return read_json(path, path.read_text())
 
 
+# item schemas whose arrays _validator checks in one pass
+_NUMBER = {"type": "number"}
+_CLUSTER = {
+    "type": "array",
+    "prefixItems": [{"type": "number"}, {"type": "integer"}],
+    "minItems": 2,
+    "maxItems": 2,
+}
+_NUMBER_TYPES = {float, int}
+
+
 @functools.cache
 def _validator():
-    """The schema's validator, checked against its metaschema once."""
+    """The schema's validator, checked against its metaschema once.
+
+    Its ``items`` accepts a ``values``, ``partial_sums`` or ``clusters`` array
+    in one pass when every element has an exact JSON type (``float`` or
+    ``int``, never ``bool`` or a numpy scalar). Any other array, and any
+    other item schema, goes to the stock ``items``, so the accepted reports
+    and the error ``best_match`` picks are jsonschema's own.
+    """
     import jsonschema
 
     schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    stock_items = cls.VALIDATORS["items"]
+
+    def items(validator, item_schema, instance, schema):
+        if type(instance) is list:
+            if item_schema == _NUMBER and set(map(type, instance)) <= _NUMBER_TYPES:
+                return
+            if item_schema == _CLUSTER and all(
+                type(p) is list and len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) is int
+                for p in instance
+            ):
+                return
+        yield from stock_items(validator, item_schema, instance, schema)
+
+    return jsonschema.validators.extend(cls, {"items": items})(schema)
 
 
 def jsonable(obj):

@@ -20,7 +20,7 @@ from commspectra import (
     unvec,
     vec,
 )
-from commspectra import cli, spectra
+from commspectra import cli, reporting, spectra
 from commspectra.reporting import validate_report
 from commspectra.search import VIOLATION_MARGIN
 from commspectra.verdicts import HYPOTHESIS_TOL
@@ -581,6 +581,21 @@ def test_text_output_is_pinned(cli_main, exact_files, argv, code, lines):
             assert have.startswith(want[:-3]), (have, want)
         else:
             assert have == want
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _, _ in PINNED_TEXT], ids=[" ".join(argv) for argv, _, _ in PINNED_TEXT]
+)
+def test_text_mode_serializes_no_report(cli_main, exact_files, monkeypatch, argv):
+    # without --json or --out the report is rendered as text, never dumped
+    argv = [exact_files.get(a, a) for a in argv]
+    want = cli_main(*argv)
+
+    def refuse(report):
+        raise AssertionError("report_json called in text mode")
+
+    monkeypatch.setattr(reporting, "report_json", refuse)
+    assert cli_main(*argv) == want
 
 
 def test_bounds_exits_3_when_a_proven_bound_fails(cli_main, exact_files, monkeypatch, tmp_path):

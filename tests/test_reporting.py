@@ -125,27 +125,114 @@ def test_build_report_produces_schema_valid_documents():
     validate_report(report)  # idempotent
 
 
-def test_validate_report_rejects_malformed_documents():
+# Breakages of the arrays the validator checks in one pass: (key of the
+# spectrum section, the element at index 1 replaced by this value).
+ARRAY_BREAKAGES = [
+    *[(key, bad) for key in ("values", "partial_sums") for bad in ("0.5", True, None, [0.5])],
+    ("clusters", [1.0, 2, 3]),
+    ("clusters", [1.0]),
+    ("clusters", [1.0, True]),
+    ("clusters", [1.0, 2.5]),
+    ("clusters", ["1.0", 2]),
+]
+
+
+def _spectrum_report():
     spec = double_commutator_spectrum(X0)
-    good = build_report(
-        "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(spec)}
-    )
-    for breakage in (
-        {"schema_version": 1},
-        {"command": "meditate"},
-        {"exit_code": 7},
-        {"timing": 1.5},
-        {"inputs": [{"path": "x"}]},
-        {"extra_top_level": True},
-    ):
-        bad = dict(good)
-        bad.update(breakage)
+    return build_report("spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(spec)})
+
+
+def _with_element(report, key, value, index=1):
+    """A copy of ``report`` whose spectrum[key][index] is ``value``."""
+    array = list(report["spectrum"][key])
+    array[index] = value
+    return {**report, "spectrum": {**report["spectrum"], key: array}}
+
+
+def test_validate_report_rejects_malformed_documents():
+    good = _spectrum_report()
+    bad_documents = [
+        {**good, **breakage}
+        for breakage in (
+            {"schema_version": 1},
+            {"command": "meditate"},
+            {"exit_code": 7},
+            {"timing": 1.5},
+            {"inputs": [{"path": "x"}]},
+            {"extra_top_level": True},
+        )
+    ] + [_with_element(good, key, bad) for key, bad in ARRAY_BREAKAGES]
+    for bad in bad_documents:
         # the message is the error jsonschema.validate itself picks
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(instance=bad, schema=load_schema())
         with pytest.raises(InvariantViolationError) as got:
             validate_report(bad)
         assert str(got.value) == f"report failed schema validation: {want.value.message}"
+
+
+def _stock_validator():
+    schema = load_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def test_types_outside_the_one_pass_check_fall_back_to_jsonschema():
+    # an integral float multiplicity and numpy floats are valid JSON Schema
+    # instances that the one-pass check leaves to jsonschema
+    good = _spectrum_report()
+    for doc in (
+        _with_element(good, "clusters", [good["spectrum"]["clusters"][1][0], 2.0]),
+        _with_element(good, "clusters", [np.float64(0.5), 2]),
+        _with_element(good, "values", np.float64(0.5)),
+        _with_element(good, "partial_sums", np.float64(0.5)),
+    ):
+        validate_report(doc)
+        _stock_validator().validate(doc)
+
+
+def test_every_report_shape_passes_the_fast_and_the_stock_validator(tmp_path, monkeypatch, capsys):
+    from commspectra import cli, make_maximal_pair, save_matrix
+
+    monkeypatch.chdir(tmp_path)  # forced violations write their bundle here
+    e12, e11 = np.zeros((3, 3)), np.zeros((3, 3))
+    e12[0, 1] = e11[0, 0] = 1.0
+    X, Y = make_maximal_pair(3)
+    matrices = {"x0": X0, "e12": e12, "e11": e11, "x": X, "y": Y, "diag": np.diag([1.0, -1.0, 0.0])}
+    for name, M in matrices.items():
+        save_matrix(f"{name}.json", M)
+    r = 1.0 / np.sqrt(2.0)
+    (tmp_path / "lu.json").write_text(json.dumps({"etas": [r, -r], "r": [[0.0, 2.0], [0.0, 0.0]]}))
+    (tmp_path / "numbers.json").write_text(json.dumps({"etas": [r], "omegas": [r], "r": [[1.0]]}))
+    check_inputs = {
+        "conj1": ["x0"],
+        "conj2": ["x", "y"],
+        "conj2c": ["e12", "e11"],
+        "conj4": ["x0"],
+        "lu": ["lu"],
+        "numbers": ["numbers"],
+        "isotropic": ["e12", "e12", "e11"],
+    }
+    commands = [
+        ("spectrum", "x0.json"),
+        ("bounds", "x0.json"),
+        *[("check", kind, *[f"{name}.json" for name in names], *tol)
+          for kind, names in check_inputs.items() for tol in ((), ("--tol", "-100"))],
+        ("closed-form", "x0.json"),
+        ("closed-form", "diag.json"),
+        ("search", "--n", "2", "--k", "1", "--restarts", "2", "--max-iters", "20", "--seed", "5"),
+        ("search", "--objective", "lambda13", "--n", "2", "--restarts", "2", "--max-iters", "20",
+         "--seed", "1"),
+        ("search", "--objective", "sweep", "--n", "2,3", "--trials", "2", "--seed", "1", "--tol", "-100"),
+        ("verify-paper-example",),
+    ]
+    shapes = set()
+    for argv in commands:
+        cli.main([*argv, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        validate_report(report)
+        _stock_validator().validate(report)
+        shapes.add((report["command"], report.get("kind")))
+    assert len(shapes) == 5 + len(check_inputs)
 
 
 def test_validator_checks_the_schema_against_its_metaschema(monkeypatch):
