@@ -1,17 +1,54 @@
-"""Shared test helpers: run Python (the CLI, the demos) of this checkout in a
-subprocess, real test matrices of several classes, and random isotropic
-families."""
+"""Shared test helpers: the report schema check, run Python (the CLI, the
+demos) of this checkout in a subprocess, real test matrices of several
+classes, and random isotropic families."""
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from commspectra import commutator, unvec, vec
+from commspectra import commutator, reporting, unvec, vec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REPORT_SCHEMA = json.loads(resources.files("commspectra").joinpath("report_schema.json").read_text())
+
+
+def report_validator(schema: dict):
+    """A stock jsonschema validator of ``schema``, checked against its metaschema."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_REPORT_VALIDATOR = report_validator(REPORT_SCHEMA)
+
+
+def assert_report_valid(report: dict) -> None:
+    """Raise ``jsonschema.ValidationError`` unless ``report`` conforms to the
+    shipped ``report_schema.json``."""
+    _REPORT_VALIDATOR.validate(report)
+
+
+@pytest.fixture(autouse=True)
+def _validate_built_reports(monkeypatch):
+    """Every report ``cli.main`` builds in-process is checked against the schema.
+
+    The library does not validate its reports at run time; the suite does,
+    by wrapping ``reporting.build_report``, which ``cli`` looks up on call.
+    """
+    build = reporting.build_report
+
+    def build_and_validate(*args, **kwargs):
+        report = build(*args, **kwargs)
+        assert_report_valid(report)
+        return report
+
+    monkeypatch.setattr(reporting, "build_report", build_and_validate)
 
 
 def _run_python(*argv, cwd=None) -> subprocess.CompletedProcess:

@@ -20,10 +20,10 @@ from commspectra import (
     unvec,
     vec,
 )
-from commspectra import cli, reporting, spectra
-from commspectra.reporting import validate_report
+from commspectra import cli, matrixio, spectra
 from commspectra.search import VIOLATION_MARGIN
 from commspectra.verdicts import HYPOTHESIS_TOL
+from conftest import assert_report_valid
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ def test_spectrum_json_report_is_schema_valid(run_cli, matrix_file):
     proc = run_cli("spectrum", matrix_file, "--json")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
-    validate_report(report)
+    assert_report_valid(report)
     assert report["command"] == "spectrum"
     assert report["exit_code"] == 0
     assert report["timing"] is None
@@ -73,7 +73,7 @@ def test_out_file_written_even_without_json_flag(run_cli, matrix_file, tmp_path)
     out = tmp_path / "report.json"
     proc = run_cli("bounds", matrix_file, "--out", out)
     assert proc.returncode == 0
-    validate_report(json.loads(out.read_text()))
+    assert_report_valid(json.loads(out.read_text()))
     assert "all proven bounds hold: True" in proc.stdout
 
 
@@ -590,11 +590,13 @@ def test_text_mode_serializes_no_report(cli_main, exact_files, monkeypatch, argv
     # without --json or --out the report is rendered as text, never dumped
     argv = [exact_files.get(a, a) for a in argv]
     want = cli_main(*argv)
+    serialize = matrixio.json_text
 
-    def refuse(report):
-        raise AssertionError("report_json called in text mode")
+    def refuse_reports(obj):  # a violation bundle is still written
+        assert "schema_version" not in obj, "report serialized in text mode"
+        return serialize(obj)
 
-    monkeypatch.setattr(reporting, "report_json", refuse)
+    monkeypatch.setattr(matrixio, "json_text", refuse_reports)
     assert cli_main(*argv) == want
 
 
@@ -760,7 +762,7 @@ def test_unmet_hypotheses_exit_2_with_a_report_and_no_bundle(cli_main, exact_fil
         code, out, _ = cli_main("check", kind, *paths, *tol, "--bundle-out", "b.json", "--json")
         assert code == 2
         report = json.loads(out)
-        validate_report(report)
+        assert_report_valid(report)
         verdict = report["verdicts"][0]
         assert verdict["hypotheses_residual"] > HYPOTHESIS_TOL
         assert verdict["witness"] is None and report["bundle_path"] is None

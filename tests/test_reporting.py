@@ -1,16 +1,13 @@
-"""Report assembly, schema validation, and deterministic serialization."""
+"""Report assembly, schema conformance, and deterministic serialization."""
 import json
-import os
-import subprocess
-import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
 from commspectra import (
-    InvariantViolationError,
     SearchConfig,
+    __version__,
     ascend,
     bound_report,
     check_lu_lemma,
@@ -19,17 +16,15 @@ from commspectra import (
     trial_rng,
     unit_gaussian,
 )
+from commspectra.matrixio import json_text
 from commspectra.reporting import (
     SCHEMA_VERSION,
-    TOOL_VERSION,
     build_report,
     fmt,
     jsonable,
-    load_schema,
-    report_json,
     spectrum_section,
-    validate_report,
 )
+from conftest import REPORT_SCHEMA, assert_report_valid, report_validator
 
 X0 = unit_gaussian(trial_rng(80, 0), 3)
 INPUTS = [{"path": "in.json", "sha256": "0" * 64}]
@@ -95,7 +90,7 @@ def test_search_section_round_trips_through_json():
     report = build_report(
         "search", INPUTS, 0, 1e-8, 0, {"search": result, "bundle_path": None}
     )
-    dumped = json.loads(report_json(report))["search"]
+    dumped = json.loads(json_text(report))["search"]
     assert dumped == jsonable(result)
     assert dumped["best_objective"] == pytest.approx(4.0, abs=1e-6)
     assert dumped["violation"] is None
@@ -120,84 +115,25 @@ def test_build_report_produces_schema_valid_documents():
         sections={"spectrum": spectrum_section(spec)},
     )
     assert report["schema_version"] == SCHEMA_VERSION
-    assert report["version"] == TOOL_VERSION
+    assert report["version"] == __version__
     assert report["timing"] is None
-    validate_report(report)  # idempotent
+    assert_report_valid(report)
 
 
-# Breakages of the arrays the validator checks in one pass: (key of the
-# spectrum section, the element at index 1 replaced by this value).
-ARRAY_BREAKAGES = [
-    *[(key, bad) for key in ("values", "partial_sums") for bad in ("0.5", True, None, [0.5])],
-    ("clusters", [1.0, 2, 3]),
-    ("clusters", [1.0]),
-    ("clusters", [1.0, True]),
-    ("clusters", [1.0, 2.5]),
-    ("clusters", ["1.0", 2]),
-]
-
-
-def _spectrum_report():
-    spec = double_commutator_spectrum(X0)
-    return build_report("spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(spec)})
-
-
-def _with_element(report, key, value, index=1):
-    """A copy of ``report`` whose spectrum[key][index] is ``value``."""
-    array = list(report["spectrum"][key])
-    array[index] = value
-    return {**report, "spectrum": {**report["spectrum"], key: array}}
-
-
-def test_validate_report_rejects_malformed_documents():
-    good = _spectrum_report()
-    bad_documents = [
-        {**good, **breakage}
-        for breakage in (
-            {"schema_version": 1},
-            {"command": "meditate"},
-            {"exit_code": 7},
-            {"timing": 1.5},
-            {"inputs": [{"path": "x"}]},
-            {"extra_top_level": True},
-        )
-    ] + [_with_element(good, key, bad) for key, bad in ARRAY_BREAKAGES]
-    for bad in bad_documents:
-        # the message is the error jsonschema.validate itself picks
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(instance=bad, schema=load_schema())
-        with pytest.raises(InvariantViolationError) as got:
-            validate_report(bad)
-        assert str(got.value) == f"report failed schema validation: {want.value.message}"
-
-
-def _stock_validator():
-    schema = load_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
-def test_types_outside_the_one_pass_check_fall_back_to_jsonschema():
-    # an integral float multiplicity and numpy floats are valid JSON Schema
-    # instances that the one-pass check leaves to jsonschema
-    good = _spectrum_report()
-    for doc in (
-        _with_element(good, "clusters", [good["spectrum"]["clusters"][1][0], 2.0]),
-        _with_element(good, "clusters", [np.float64(0.5), 2]),
-        _with_element(good, "values", np.float64(0.5)),
-        _with_element(good, "partial_sums", np.float64(0.5)),
-    ):
-        validate_report(doc)
-        _stock_validator().validate(doc)
-
-
-def test_every_report_shape_passes_the_fast_and_the_stock_validator(tmp_path, monkeypatch, capsys):
+def test_every_report_shape_passes_the_stock_validator(tmp_path, monkeypatch, capsys):
     from commspectra import cli, make_maximal_pair, save_matrix
 
     monkeypatch.chdir(tmp_path)  # forced violations write their bundle here
     e12, e11 = np.zeros((3, 3)), np.zeros((3, 3))
     e12[0, 1] = e11[0, 0] = 1.0
     X, Y = make_maximal_pair(3)
-    matrices = {"x0": X0, "e12": e12, "e11": e11, "x": X, "y": Y, "diag": np.diag([1.0, -1.0, 0.0])}
+    block = np.zeros((3, 3), dtype=complex)
+    block[:2, :2] = [[1 + 0.5j, 2.0], [-0.7j, -1 - 0.5j]]  # traceless: lambda_1 = 2
+    rank_one = np.outer([1.0, -2.0, 0.5], [0.3, 1.0, 2.0])
+    matrices = {
+        "x0": X0, "e12": e12, "e11": e11, "x": X, "y": Y, "diag": np.diag([1.0, -1.0, 0.0]),
+        "block": block, "rank_one": rank_one,
+    }
     for name, M in matrices.items():
         save_matrix(f"{name}.json", M)
     r = 1.0 / np.sqrt(2.0)
@@ -219,48 +155,102 @@ def test_every_report_shape_passes_the_fast_and_the_stock_validator(tmp_path, mo
           for kind, names in check_inputs.items() for tol in ((), ("--tol", "-100"))],
         ("closed-form", "x0.json"),
         ("closed-form", "diag.json"),
+        ("closed-form", "rank_one.json"),
+        ("closed-form", "block.json"),
         ("search", "--n", "2", "--k", "1", "--restarts", "2", "--max-iters", "20", "--seed", "5"),
         ("search", "--objective", "lambda13", "--n", "2", "--restarts", "2", "--max-iters", "20",
          "--seed", "1"),
         ("search", "--objective", "sweep", "--n", "2,3", "--trials", "2", "--seed", "1", "--tol", "-100"),
         ("verify-paper-example",),
+        ("verify-paper-example", "--tol", "0"),  # the reference check fails: exit 3
     ]
     shapes = set()
+    reports = {}
     for argv in commands:
-        cli.main([*argv, "--json"])
+        code = cli.main([*argv, "--json"])
         report = json.loads(capsys.readouterr().out)
-        validate_report(report)
-        _stock_validator().validate(report)
+        assert report["exit_code"] == code
+        assert_report_valid(report)  # also checked as it was built (conftest)
         shapes.add((report["command"], report.get("kind")))
+        reports[argv] = report
     assert len(shapes) == 5 + len(check_inputs)
+    assert reports[("closed-form", "rank_one.json")]["closed_form"]["classification"] == "rank_one"
+    assert reports[("closed-form", "block.json")]["closed_form"]["equality"]["witness_valid"] is True
+    assert reports[("verify-paper-example", "--tol", "0")]["exit_code"] == 3
 
 
-def test_validator_checks_the_schema_against_its_metaschema(monkeypatch):
-    from commspectra import reporting
-
-    broken = {**load_schema(), "type": 12}
-    reporting._validator.cache_clear()
-    try:
-        monkeypatch.setattr(reporting, "load_schema", lambda: broken)
-        with pytest.raises(jsonschema.SchemaError):
-            validate_report({})
-    finally:
-        reporting._validator.cache_clear()
-
-
-def test_importing_the_package_does_not_load_jsonschema():
-    from conftest import SRC
-
-    # the CLI imports reporting; jsonschema loads on the first validation
-    code = "import sys, commspectra, commspectra.cli; print('jsonschema' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+def test_the_schema_refuses_malformed_reports():
+    # assert_report_valid is not vacuous: the shipped schema refuses each of
+    # these breakages of a valid report
+    good = build_report(
+        "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(double_commutator_spectrum(X0))}
     )
-    assert out.stdout.strip() == "False"
+    breakages = [
+        {"schema_version": 1}, {"command": "meditate"}, {"exit_code": 7}, {"timing": 1.5},
+        {"inputs": [{"path": "x"}]}, {"extra_top_level": True},
+        *[{"spectrum": {**good["spectrum"], key: [0.5, bad]}}
+          for key in ("values", "partial_sums") for bad in ("0.5", True, None, [0.5])],
+        *[{"spectrum": {**good["spectrum"], "clusters": [[0.5, 2], bad]}}
+          for bad in ([1.0, 2, 3], [1.0], [1.0, True], [1.0, 2.5], ["1.0", 2])],
+    ]
+    for breakage in breakages:
+        with pytest.raises(jsonschema.ValidationError):
+            assert_report_valid({**good, **breakage})
+
+
+def test_validator_checks_the_schema_against_its_metaschema():
+    # the shipped schema is draft 2020-12 and passes that metaschema; the
+    # suite's validator refuses a schema that does not
+    assert REPORT_SCHEMA["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+    assert type(report_validator(REPORT_SCHEMA)) is jsonschema.Draft202012Validator
+    with pytest.raises(jsonschema.SchemaError):
+        report_validator({**REPORT_SCHEMA, "type": 12})
+
+
+# Every command, once, with the files it reads (x.json is a complex order-3
+# matrix) and a forced C4 violation, so the bundle writer runs too.
+NO_JSONSCHEMA_ARGV = [
+    ("spectrum", "x.json"),
+    ("spectrum", "x.json", "--json"),
+    ("bounds", "x.json", "--json", "--out", "bounds.json"),
+    ("check", "conj4", "x.json", "--tol", "-100", "--bundle-out", "c4.json", "--json"),
+    ("check", "isotropic", "e12.json", "e12.json", "e11.json", "--json"),
+    ("closed-form", "x.json", "--json"),
+    ("search", "--n", "2", "--k", "1", "--restarts", "1", "--max-iters", "5", "--seed", "5", "--json"),
+    ("search", "--objective", "lambda13", "--n", "2", "--restarts", "1", "--max-iters", "5",
+     "--seed", "1", "--json"),
+    ("search", "--objective", "sweep", "--n", "2", "--trials", "1", "--seed", "1", "--json"),
+    ("verify-paper-example", "--json"),
+]
+
+# python -c NO_JSONSCHEMA ARGV... runs ``python -m commspectra ARGV...`` with
+# jsonschema unimportable
+NO_JSONSCHEMA = (
+    "import runpy, sys; sys.modules['jsonschema'] = None; sys.argv[0] = 'commspectra'; "
+    "runpy.run_module('commspectra', run_name='__main__')"
+)
+
+
+def test_no_command_loads_jsonschema(tmp_path, monkeypatch, capsys, run_python):
+    from commspectra import cli, save_matrix
+
+    e12, e11 = np.zeros((3, 3)), np.zeros((3, 3))
+    e12[0, 1] = e11[0, 0] = 1.0
+    normal, blocked = tmp_path / "normal", tmp_path / "blocked"
+    for directory in (normal, blocked):
+        directory.mkdir()
+        for name, M in {"x": X0, "e12": e12, "e11": e11}.items():
+            save_matrix(directory / f"{name}.json", M)
+    monkeypatch.chdir(normal)
+    for argv in NO_JSONSCHEMA_ARGV:
+        code = cli.main(list(argv))
+        proc = run_python("-c", NO_JSONSCHEMA, *argv, cwd=blocked)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stdout == capsys.readouterr().out, argv
+    # the reports written with --out and the bundle, byte for byte
+    assert {p.name: p.read_bytes() for p in blocked.iterdir()} == {
+        p.name: p.read_bytes() for p in normal.iterdir()
+    }
 
 
 def test_report_json_is_byte_deterministic_and_sorted():
@@ -271,17 +261,11 @@ def test_report_json_is_byte_deterministic_and_sorted():
     r2 = build_report(
         "spectrum", INPUTS, 5, 1e-8, 0, {"spectrum": spectrum_section(spec)}
     )
-    s1, s2 = report_json(r1), report_json(r2)
+    s1, s2 = json_text(r1), json_text(r2)
     assert s1 == s2
     assert s1.endswith("\n")
     keys = list(json.loads(s1))
     assert keys == sorted(keys)
-
-
-def test_schema_loads_once_and_declares_draft():
-    schema = load_schema()
-    assert schema is load_schema()  # cached
-    assert "2020-12" in schema["$schema"]
 
 
 def test_fmt_precision():
