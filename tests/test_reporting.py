@@ -24,6 +24,7 @@ from commspectra.reporting import (
     jsonable,
     spectrum_section,
 )
+import conftest
 from conftest import REPORT_SCHEMA, assert_report_valid, report_validator
 
 X0 = unit_gaussian(trial_rng(80, 0), 3)
@@ -198,10 +199,17 @@ def test_the_schema_refuses_malformed_reports():
             assert_report_valid({**good, **breakage})
 
 
-def test_validator_checks_the_schema_against_its_metaschema():
-    # the shipped schema is draft 2020-12 and passes that metaschema; the
-    # suite's validator refuses a schema that does not
+def test_schema_loads_once_and_declares_draft():
+    # the shipped schema is package data, read once for the whole suite; it
+    # declares draft 2020-12 and the schema version the library writes
+    assert conftest._REPORT_VALIDATOR.schema is REPORT_SCHEMA
     assert REPORT_SCHEMA["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+    assert REPORT_SCHEMA["properties"]["schema_version"] == {"const": SCHEMA_VERSION}
+
+
+def test_validator_checks_the_schema_against_its_metaschema():
+    # the shipped schema passes the draft 2020-12 metaschema; the suite's
+    # validator refuses a schema that does not
     assert type(report_validator(REPORT_SCHEMA)) is jsonschema.Draft202012Validator
     with pytest.raises(jsonschema.SchemaError):
         report_validator({**REPORT_SCHEMA, "type": 12})
