@@ -92,6 +92,8 @@ class EqualityWitness:
     ``unitary`` and ``block`` reconstruct the unit-normalized input as
     U diag(X0, 0) U*; ``embedding_residual`` is the Frobenius error of that
     reconstruction and ``trace_abs`` is |Tr X0| (zero in exact arithmetic).
+    U's column phases are LAPACK's; the reconstruction holds for any phases,
+    since X0 is read through the first two columns of the same U.
     """
 
     unitary: np.ndarray

@@ -1,25 +1,23 @@
 """Deterministic Hermitian eigendecomposition, general eigenvalues and
 singular values.
 
-This is the only module that touches LAPACK (through numpy, and through
-``ctypes`` for the subset solve); everything downstream consumes its
-contracts:
+Every eigenvalue and singular-value solve of the library goes through this
+module (through numpy, and through ``ctypes`` for LAPACK ``zheevr``); the
+only other LAPACK call is the QR of ``ensembles.haar_unitary``. Everything
+downstream consumes this module's contracts:
 
 * eigenvalues are returned in descending order;
-* eigenvectors are orthonormal, and each column's phase is fixed by making
-  its first significantly nonzero component real and positive;
+* eigenvectors are orthonormal, with the column phases LAPACK returns;
 * the max eigenpair residual ``||M v - w v||`` is computed and stored;
-* identical input bits give identical output bits (fixed LAPACK build plus
-  deterministic post-processing);
+* identical input bits give identical output bits (fixed LAPACK build and
+  BLAS thread count);
 * :func:`eigvalsh` keeps a float64 (real symmetric) input float64, so LAPACK
   solves it in real arithmetic; every other input, and every input of
   :func:`eigh`, is solved in complex128;
-* ``eigh(M, top=m)`` returns only the ``m`` largest eigenpairs under the
-  same contract (residual over the returned columns). It asks LAPACK
-  ``zheevr`` for that index range, a different driver from the full
-  solve's ``zheevd``, so its bits belong to ``zheevr`` and the numpy build.
+* :func:`eigh` has one driver, LAPACK ``zheevr``, for all N eigenpairs as
+  for the ``m`` largest (``top=m``, residual over the returned columns).
   Where numpy's LAPACK does not export ``zheevr`` it keeps the top ``m``
-  columns of the full solve instead;
+  columns of numpy's full solve instead;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -35,13 +33,11 @@ from .matrices import as_matrix, as_stack
 
 HERMITICITY_RTOL = 1e-10
 LAPACK_COL_MAJOR = 102
-# components below this fraction of the column norm do not anchor the phase
-PHASE_ANCHOR_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) and phase-fixed orthonormal eigenvectors."""
+    """Eigenvalues (descending) and orthonormal eigenvectors, with LAPACK's phases."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -75,24 +71,6 @@ def _require_hermitian(M: np.ndarray) -> np.ndarray:
     Mh += M
     Mh *= 0.5
     return Mh
-
-
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its anchor component is real and positive.
-
-    The anchor is the first component at least PHASE_ANCHOR_RTOL times the
-    column's largest magnitude; an all-zero column is left as it is.
-    """
-    mags = np.abs(V)
-    anchor = np.argmax(mags >= PHASE_ANCHOR_RTOL * mags.max(axis=0), axis=0)
-    a = V[anchor, np.arange(V.shape[1])]
-    phases = np.ones_like(a)
-    nonzero = a != 0
-    a = a[nonzero]
-    # hypot is what scalar abs() computes; np.abs on an array may round
-    # differently, and the phases should not depend on the layout
-    phases[nonzero] = a.conj() / np.hypot(a.real, a.imag)
-    return V * phases
 
 
 @functools.cache
@@ -150,7 +128,8 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def eigh(M, top: int | None = None) -> EigenDecomposition:
     """Hermitian eigendecomposition with the module's determinism contract.
 
-    With ``top=m`` only the m largest eigenpairs are computed and returned.
+    With ``top=m`` only the m largest eigenpairs are computed and returned;
+    ``top=None`` is ``top=N``.
 
     :raises PreconditionError: if M is not Hermitian to 1e-10 relative, or
         ``top`` is outside 1..N
@@ -159,26 +138,22 @@ def eigh(M, top: int | None = None) -> EigenDecomposition:
     """
     H = _require_hermitian(as_matrix(M, "M"))
     N = H.shape[0]
-    if top is None:
-        solve = np.linalg.eigh
-    elif 1 <= top <= N:
-        solve = functools.partial(_top_pairs, m=top)
-    else:
+    m = N if top is None else top
+    if not 1 <= m <= N:
         raise PreconditionError(f"top must be in 1..{N}, got {top}")
     try:
-        w, V = solve(H)
+        w, V = _top_pairs(H, m)
     except np.linalg.LinAlgError:
         # LAPACK fails to converge on rare inputs. Retry once on
         # P H P^T, P the reversal: an exact similarity (no rounding) that
         # the kernel sees as a different matrix; P^T V' are H's vectors.
         try:
-            w, V = solve(H[::-1, ::-1])
+            w, V = _top_pairs(H[::-1, ::-1], m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigh did not converge: {exc}") from exc
         V = V[::-1]
-    w = w[::-1].copy()
-    V = _fix_phases(V[:, ::-1])
-    residual = float(np.linalg.norm(H @ V - V * w, axis=0).max()) if w.size else 0.0
+    w, V = w[::-1].copy(), V[:, ::-1]
+    residual = float(np.linalg.norm(H @ V - V * w, axis=0).max())
     return EigenDecomposition(values=w, vectors=V, residual=residual)
 
 

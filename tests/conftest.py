@@ -1,6 +1,8 @@
-"""Shared test helpers: the report schema check, run Python (the CLI, the
-demos) of this checkout in a subprocess, real test matrices of several
-classes, and random isotropic families."""
+"""Shared test helpers: the report schema and content check, run Python
+(the CLI, the demos) of this checkout in a subprocess, real test matrices
+of several classes, random isotropic families, and random eigenvector
+phases."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from commspectra import commutator, reporting, unvec, vec
+from commspectra import commutator, eigensolver, reporting, unvec, vec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPORT_SCHEMA = json.loads(resources.files("commspectra").joinpath("report_schema.json").read_text())
@@ -30,8 +32,20 @@ _REPORT_VALIDATOR = report_validator(REPORT_SCHEMA)
 
 def assert_report_valid(report: dict) -> None:
     """Raise ``jsonschema.ValidationError`` unless ``report`` conforms to the
-    shipped ``report_schema.json``."""
+    shipped ``report_schema.json``, and ``AssertionError`` unless its
+    ``spectrum`` section is consistent: ``values`` and ``partial_sums`` hold
+    order^2 finite entries, ``values`` never increase, ``partial_sums``
+    never decrease, and the cluster multiplicities sum to order^2."""
     _REPORT_VALIDATOR.validate(report)
+    if "spectrum" in report:
+        section = report["spectrum"]
+        size = section["order"] ** 2
+        values, sums = np.array(section["values"]), np.array(section["partial_sums"])
+        assert values.shape == sums.shape == (size,), f"expected {size} values and partial sums"
+        assert np.isfinite(values).all() and np.isfinite(sums).all(), "non-finite spectrum entry"
+        assert (np.diff(values) <= 0).all(), "values increase"
+        assert (np.diff(sums) >= 0).all(), "partial sums decrease"
+        assert sum(m for _, m in section["clusters"]) == size, "multiplicities do not sum to order^2"
 
 
 @pytest.fixture(autouse=True)
@@ -140,3 +154,22 @@ def _isotropic_family(X, m: int, rng) -> list:
 def isotropic_family():
     """``isotropic_family(X, m, rng)`` draws a random isotropic family for T_X."""
     return _isotropic_family
+
+
+@pytest.fixture
+def rotate_eigh_phases(monkeypatch):
+    """``rotate_eigh_phases(rng)`` makes ``eigensolver.eigh``, as the library
+    looks it up, multiply each eigenvector column by a random unimodular
+    factor drawn from ``rng``."""
+
+    def rotate(rng):
+        eigh = eigensolver.eigh
+
+        def rotated(*args, **kwargs):
+            dec = eigh(*args, **kwargs)
+            phases = np.exp(2j * np.pi * rng.random(dec.vectors.shape[1]))
+            return dataclasses.replace(dec, vectors=dec.vectors * phases)
+
+        monkeypatch.setattr(eigensolver, "eigh", rotated)
+
+    return rotate

@@ -176,6 +176,19 @@ def test_equality_witness_on_constructed_matrices():
         assert np.linalg.norm(Q @ X0 @ Q.conj().T - X) < 1e-7
 
 
+def test_equality_witness_is_blind_to_eigenvector_phases(rotate_eigh_phases):
+    # the witness reads the span of U's first two columns: random column
+    # phases leave its residuals where they were
+    draws = [random_traceless_embedded(trial_rng(49, n), n) for n in range(2, 7)]
+    plain = [detect_equality_case(X) for X in draws]
+    rotate_eigh_phases(trial_rng(50, 0))
+    for X, want in zip(draws, plain):
+        got = detect_equality_case(X)
+        assert got.lambda1 == want.lambda1
+        assert abs(got.embedding_residual - want.embedding_residual) <= 1e-14
+        assert abs(got.trace_abs - want.trace_abs) <= 1e-14
+
+
 def test_equality_witness_absent_generically():
     for t in range(10):
         rng = trial_rng(45, t)

@@ -37,18 +37,6 @@ def test_eigh_contract_descending_orthonormal_small_residual():
         np.testing.assert_allclose(eigvalsh(H), dec.values, atol=1e-12)
 
 
-def test_eigh_phase_fixing_makes_anchor_real_positive():
-    rng = trial_rng(11, 0)
-    H = _random_hermitian(rng, 5)
-    V = eigh(H).vectors
-    for j in range(5):
-        col = V[:, j]
-        mags = np.abs(col)
-        anchor = np.argmax(mags >= 1e-6 * mags.max())
-        a = col[anchor]
-        assert abs(a.imag) < 1e-12 and a.real > 0
-
-
 def test_eigh_determinism_bit_for_bit():
     rng = trial_rng(12, 0)
     H = _random_hermitian(rng, 7)
@@ -129,38 +117,6 @@ def test_convergence_error_type_is_runtime():
     assert issubclass(ConvergenceError, RuntimeError)
 
 
-def _fix_phases_loop(V):
-    # the per-column reference the vectorized phase fix replaced
-    out = V.copy()
-    anchors = []
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        anchor = np.argmax(mags >= 1e-6 * mags.max())
-        anchors.append(anchor)
-        a = col[anchor]
-        if a != 0:
-            out[:, j] = col * (a.conjugate() / abs(a))
-    return out, anchors
-
-
-def test_vectorized_phase_fix_matches_column_loop():
-    from commspectra.eigensolver import _fix_phases
-
-    for t in range(10):
-        rng = trial_rng(17, t)
-        n = 2 + t
-        V = np.linalg.eigh(_random_hermitian(rng, n))[1]
-        V[: t % 3, 0] = 0.0  # leading zeros move the anchor down the column
-        V[:, -1] = 0.0  # an all-zero column is left as it is
-        fixed = _fix_phases(V)
-        ref, anchors = _fix_phases_loop(V)
-        got_anchors = np.argmax(np.abs(fixed) >= 1e-6 * np.abs(fixed).max(axis=0), axis=0)
-        assert got_anchors.tolist() == anchors
-        assert not fixed[:, -1].any()
-        assert fixed.tobytes() == ref.tobytes()
-
-
 def test_stacked_eigvalsh_and_svd_match_single_calls():
     rng = trial_rng(18, 0)
     Hs = np.stack([_random_hermitian(rng, 5) for _ in range(4)])
@@ -176,38 +132,6 @@ def test_stacked_eigvalsh_and_svd_match_single_calls():
     Hs[2, 0, 1] += 1e-3
     with pytest.raises(PreconditionError, match="not Hermitian"):
         eigvalsh(Hs)
-
-
-def test_eigh_retries_non_convergence_on_the_reversed_matrix(monkeypatch):
-    from commspectra import double_commutator_lift, unit_gaussian
-
-    # a lift of T_X: its top eigenvalue is twofold, so compare projectors
-    H = double_commutator_lift(unit_gaussian(trial_rng(19, 0), 4))
-    direct = eigh(H)
-    assert direct.values[1] - direct.values[2] > 1e-3
-    real = np.linalg.eigh
-    calls = []
-
-    def fails_first(a, *args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", fails_first)
-    dec = eigh(H)
-    assert len(calls) == 2
-    np.testing.assert_allclose(dec.values, direct.values, rtol=0, atol=1e-12)
-    top, want = dec.vectors[:, :2], direct.vectors[:, :2]
-    assert np.abs(top @ top.conj().T - want @ want.conj().T).max() <= 1e-12
-    assert dec.residual < 1e-12
-
-    def fails(a, *args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", fails)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        eigh(H)
 
 
 def test_real_symmetric_input_is_solved_in_float64():
@@ -268,15 +192,15 @@ def _projector(V):
 
 @pytest.fixture(params=["live", "fallback"])
 def subset_kernel(request, monkeypatch):
-    """Run a test with the subset solve as loaded, and with its fallback to
-    the top columns of the full solve (as on builds without ``zheevr``)."""
+    """Run a test with ``zheevr`` as loaded, and with its fallback to the top
+    columns of numpy's full solve (as on builds without ``zheevr``)."""
     if request.param == "fallback":
         monkeypatch.setattr(eigensolver, "_zheevr", lambda: None)
     return request.param
 
 
 def _fail_subset_kernel(monkeypatch, failing):
-    """Make the kernel under ``eigh(top=...)`` fail on the call numbers in
+    """Make the kernel under :func:`eigh` fail on the call numbers in
     ``failing``; returns the list of calls made."""
     calls = []
     zheevr = eigensolver._zheevr()
@@ -313,10 +237,6 @@ def test_eigh_top_m_matches_the_full_solve(subset_kernel, n, real):
         if m == N or full.values[m - 1] - full.values[m] > 1e-3:
             want = _projector(full.vectors[:, :m])
             assert np.abs(_projector(dec.vectors) - want).max() <= 1e-12
-        mags = np.abs(dec.vectors)
-        anchor = np.argmax(mags >= 1e-6 * mags.max(axis=0), axis=0)
-        a = dec.vectors[anchor, np.arange(m)]
-        assert np.all(np.abs(a.imag) < 1e-12) and np.all(a.real > 0)
         assert dec.residual < 1e-12
         again = eigh(H, top=m)
         assert again.values.tobytes() == dec.values.tobytes()
@@ -330,25 +250,55 @@ def test_eigh_top_m_separates_a_simple_top_eigenvector(subset_kernel):
     assert full.values[0] - full.values[1] > 1e-3
     dec = eigh(H, top=1)
     assert abs(dec.values[0] - full.values[0]) <= 1e-13
-    # both columns are phase-fixed by the same rule, so they agree as vectors
-    assert np.abs(dec.vectors[:, 0] - full.vectors[:, 0]).max() <= 1e-12
+    # the two columns agree up to a unimodular factor
+    overlap = np.vdot(full.vectors[:, 0], dec.vectors[:, 0])
+    assert abs(abs(overlap) - 1.0) <= 1e-12
+    assert np.abs(dec.vectors[:, 0] - overlap * full.vectors[:, 0]).max() <= 1e-12
 
 
-def test_eigh_top_m_retries_non_convergence_on_the_reversed_matrix(subset_kernel, monkeypatch):
+def test_eigh_full_solve_is_the_top_n_solve(subset_kernel):
+    # one driver: eigh(M) and eigh(M, top=N) are the same solve, bit for bit
+    lifts = [double_commutator_lift(unit_gaussian(trial_rng(52, n), n)) for n in (2, 4)]
+    for H in [*lifts, _random_hermitian(trial_rng(52, 0), 9)]:
+        full, top_n = eigh(H), eigh(H, top=H.shape[0])
+        assert full.values.tobytes() == top_n.values.tobytes()
+        assert full.vectors.tobytes() == top_n.vectors.tobytes()
+
+
+def _assert_retries_on_the_reversal(monkeypatch, top):
+    """One kernel failure is retried on the reversed matrix with the same
+    eigenpairs; a second failure raises ConvergenceError."""
+    # a lift of T_X with a gap after its sixth eigenvalue
     H = double_commutator_lift(unit_gaussian(trial_rng(49, 0), 6))
-    direct = eigh(H, top=6)
-    assert direct.values[5] - eigh(H).values[6] > 1e-3
+    values = eigvalsh(H)
+    assert values[5] - values[6] > 1e-3
+    direct = eigh(H, top=top)
     calls = _fail_subset_kernel(monkeypatch, {1})
-    dec = eigh(H, top=6)
+    dec = eigh(H, top=top)
     assert len(calls) == 2
     np.testing.assert_allclose(dec.values, direct.values, rtol=0, atol=1e-13)
-    assert np.abs(_projector(dec.vectors) - _projector(direct.vectors)).max() <= 1e-12
+    top6, want = dec.vectors[:, :6], direct.vectors[:, :6]
+    assert np.abs(_projector(top6) - _projector(want)).max() <= 1e-12
     assert dec.residual < 1e-12
 
     calls = _fail_subset_kernel(monkeypatch, {1, 2})
     with pytest.raises(ConvergenceError, match="did not converge"):
-        eigh(H, top=6)
+        eigh(H, top=top)
     assert len(calls) == 2
+
+
+def test_eigh_retries_non_convergence_on_the_reversed_matrix(monkeypatch):
+    # the full solve is the top-N subset solve, so its retry is the same,
+    # with zheevr and on its fallback
+    for fallback in (False, True):
+        with monkeypatch.context() as patched:
+            if fallback:
+                patched.setattr(eigensolver, "_zheevr", lambda: None)
+            _assert_retries_on_the_reversal(patched, top=None)
+
+
+def test_eigh_top_m_retries_non_convergence_on_the_reversed_matrix(subset_kernel, monkeypatch):
+    _assert_retries_on_the_reversal(monkeypatch, top=6)
 
 
 def test_eigh_top_m_rejects_a_short_eigenpair_count(monkeypatch):

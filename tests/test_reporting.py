@@ -199,6 +199,45 @@ def test_the_schema_refuses_malformed_reports():
             assert_report_valid({**good, **breakage})
 
 
+def _spectrum_breakage(spectrum: dict, kind: str) -> dict:
+    values, sums = list(spectrum["values"]), list(spectrum["partial_sums"])
+    clusters = [list(c) for c in spectrum["clusters"]]
+    if kind == "short_values":
+        values.pop()
+    elif kind == "short_partial_sums":
+        sums.pop()
+    elif kind == "nan_value":
+        values[1] = float("nan")
+    elif kind == "infinite_partial_sum":
+        sums[-1] = float("inf")
+    elif kind == "increasing_values":
+        values[0], values[-1] = values[-1], values[0]
+    elif kind == "decreasing_partial_sums":
+        sums[0], sums[-1] = sums[-1], sums[0]
+    elif kind == "multiplicities_off":
+        clusters[0][1] += 1
+    return {**spectrum, "values": values, "partial_sums": sums, "clusters": clusters}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "short_values", "short_partial_sums", "nan_value", "infinite_partial_sum",
+        "increasing_values", "decreasing_partial_sums", "multiplicities_off",
+    ],
+)
+def test_the_content_check_refuses_inconsistent_spectra(kind):
+    # each breakage passes the schema; assert_report_valid refuses it on content
+    good = build_report(
+        "spectrum", INPUTS, None, 1e-8, 0, {"spectrum": spectrum_section(double_commutator_spectrum(X0))}
+    )
+    assert_report_valid(good)
+    bad = {**good, "spectrum": _spectrum_breakage(good["spectrum"], kind)}
+    conftest._REPORT_VALIDATOR.validate(bad)
+    with pytest.raises(AssertionError):
+        assert_report_valid(bad)
+
+
 def test_schema_loads_once_and_declares_draft():
     # the shipped schema is package data, read once for the whole suite; it
     # declares draft 2020-12 and the schema version the library writes

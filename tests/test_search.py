@@ -8,14 +8,19 @@ from commspectra import (
     PreconditionError,
     SearchConfig,
     ascend,
+    double_commutator_lift,
     double_commutator_spectrum,
+    haar_unitary,
     lambda13_search,
     make_maximal_pair,
     reverify_bundle,
     sweep,
+    trial_rng,
+    unit_gaussian,
     validate_config,
 )
 from commspectra import eigensolver
+from commspectra.search import _family_form
 
 
 def test_ascend_reaches_global_maximum_for_smallest_order():
@@ -62,7 +67,7 @@ def test_ascend_user_matrix_restart_zero_is_unperturbed():
 @pytest.mark.parametrize("seed", [41524744, 2507731943])
 def test_ascend_survives_lapack_non_convergence(seed):
     # a step-(b) matrix of these restarts makes LAPACK zheevd fail to
-    # converge; eigh retries it on the exactly permuted matrix
+    # converge (zheevr solves it); the fallback test below covers the retry
     result = ascend(SearchConfig(order=10, k=3, restarts=1, seed=seed))
     assert result.monotone_ok
     assert result.restarts[0].iterations >= 1
@@ -105,6 +110,28 @@ def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
     fallback = _without_zheevr(monkeypatch, lambda: ascend(config))
     assert fallback.violation is None
     _same_ascent(ascend(config), fallback)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("order, k", [(3, 2), (5, 3)])
+def test_family_form_depends_only_on_the_kept_span(order, k, real):
+    # step (b) reads the projector onto the top-2k eigenvectors: mixing them
+    # by any 2k x 2k unitary leaves its form unchanged
+    rng = trial_rng(53, order)
+    H = double_commutator_lift(unit_gaussian(rng, order, real=real))
+    V = eigensolver.eigh(H, top=2 * k).vectors
+    mixed = V @ haar_unitary(rng, 2 * k)
+    assert np.abs(_family_form(mixed, order) - _family_form(V, order)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
+    # T_{cX} = T_X for |c| = 1 and step (b) reads only the kept span, so an
+    # ascent whose eigenvectors carry random phases takes the same steps
+    config = SearchConfig(order=4, k=2, restarts=2, seed=seed)
+    plain = ascend(config)
+    rotate_eigh_phases(trial_rng(54, seed))
+    _same_ascent(plain, ascend(config))
 
 
 def test_validate_config_rejections():
