@@ -16,6 +16,7 @@ serialized as a violation bundle.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,22 +83,31 @@ class SearchResult:
     violation: dict | None = None
 
 
+def _require_integer(value, name: str) -> int:
+    """``value`` as an int. A bool or a float (2.5, and 2.0 too) is refused,
+    not truncated; a numpy integer is accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_order_and_k(n: int, ks) -> None:
-    """Refuse an order below 2 or above the lift limit, or a k outside 1..n^2/2."""
-    if n < 2:
+    """Refuse an order or k that is not an integer, an order below 2 or above
+    the lift limit, or a k outside 1..n^2/2."""
+    if _require_integer(n, "order") < 2:
         raise PreconditionError(f"need order >= 2, got {n}")
     check_lift_order(n)
     for k in ks:
-        if not 1 <= k <= n * n // 2:
+        if not 1 <= _require_integer(k, "k") <= n * n // 2:
             raise PreconditionError(f"k = {k} out of range for order {n}")
 
 
 def validate_config(config: SearchConfig) -> None:
     n = config.order
     _check_order_and_k(n, [config.k])
-    if config.restarts < 1:
+    if _require_integer(config.restarts, "restarts") < 1:
         raise PreconditionError("need at least one restart")
-    if config.max_iters < 1:
+    if _require_integer(config.max_iters, "max_iters") < 1:
         raise PreconditionError("need at least one iteration")
     if config.init not in INIT_KINDS:
         raise PreconditionError(f"init must be one of {INIT_KINDS}, got {config.init!r}")
@@ -265,19 +275,20 @@ def sweep(
     the monitors. ``k_rule`` is "all" or one int k. Orders run from 2 to 64,
     the lift limit (:func:`lifted.check_lift_order`).
 
-    Every order and k is checked before the first draw. Each order's trials
+    Every order, k and ``trials`` is checked before the first draw; a bool
+    or a float among them is refused, not truncated. Each order's trials
     run through the batched spectral core in chunks of at most
     ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
     the chunks break, and a failed check raises what the lowest failing trial raises.
     """
-    if trials < 1:
+    if _require_integer(trials, "trials") < 1:
         raise PreconditionError(f"sweep needs at least one trial, got {trials}")
-    orders = [int(n) for n in n_values]
+    orders = [_require_integer(n, "order") for n in n_values]
     if len(set(orders)) != len(orders):
         raise PreconditionError(f"sweep names an order twice: {orders}")
     plan = []
     for n in orders:
-        ks = list(range(1, n * n // 2 + 1)) if k_rule == "all" else [int(k_rule)]
+        ks = list(range(1, n * n // 2 + 1)) if k_rule == "all" else [_require_integer(k_rule, "k")]
         _check_order_and_k(n, ks)
         plan.append((n, ks))
     rows = []

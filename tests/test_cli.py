@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from commspectra import (
+    gaussian_matrix,
     haar_unitary,
     make_maximal_pair,
     read_bundle,
@@ -643,6 +644,24 @@ def test_commands_that_judge_nothing_refuse_tol(cli_main, exact_files, command):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --tol" in err
+
+
+def test_near_scalar_input_is_accepted(cli_main, tmp_path):
+    # the lift of a unit matrix this close to scalar is a sum of cancelling
+    # O(1) terms; its rounding (~1e-17) is large against its norm (~3e-12)
+    X = (1 + 2j) * np.eye(2) + 1e-6 * gaussian_matrix(trial_rng(1, 0), 2)
+    path = tmp_path / "near_scalar.json"
+    save_matrix(path, X)
+    # each report is checked against the schema as it is built (conftest)
+    reports = {}
+    for command in ("spectrum", "bounds", "closed-form"):
+        code, out, err = cli_main(command, path, "--json")
+        assert (code, err) == (0, "")
+        reports[command] = json.loads(out)
+    # the order-2 closed form {2 - |Tr X^|^2 (twice), 0, 0}
+    top = 2.0 - abs(np.trace(X / np.linalg.norm(X))) ** 2
+    values = reports["spectrum"]["spectrum"]["values"]
+    np.testing.assert_allclose(values, [top, top, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_report_tol_is_the_tolerance_applied(cli_main, exact_files):

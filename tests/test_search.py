@@ -158,6 +158,14 @@ def test_validate_config_rejections():
         )
     with pytest.raises(PreconditionError):
         validate_config(SearchConfig(**good, matrix=np.eye(2)))
+    # a bool or a float is refused, not truncated or left to fail mid-run
+    for field, value in [
+        ("order", 3.0), ("order", True), ("k", 1.5), ("k", True),
+        ("restarts", 2.0), ("restarts", True), ("max_iters", 10.5), ("max_iters", False),
+    ]:
+        with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
+            validate_config(SearchConfig(**{**good, field: value}))
+    validate_config(SearchConfig(order=np.int64(3), k=np.int32(2), restarts=np.int8(1), max_iters=np.uint16(5)))
 
 
 def test_lambda13_search_smallest_order_reduces_to_trace():
@@ -241,6 +249,21 @@ def test_sweep_k_rule_variants():
         sweep([2], k_rule=5, trials=1)
     with pytest.raises(PreconditionError):
         sweep([1], trials=1)
+    # a bool or a float is refused before any draw, not truncated
+    for kwargs in (
+        dict(n_values=[3], k_rule=2.5),
+        dict(n_values=[3], k_rule=2.0),
+        dict(n_values=[3], k_rule=True),
+        dict(n_values=[2.7]),
+        dict(n_values=[True]),
+        dict(n_values=[2], trials=2.5),
+        dict(n_values=[2], trials=True),
+    ):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            sweep(**{"trials": 1, **kwargs})
+    # numpy integers are integers
+    report = sweep(np.array([3]), k_rule=np.int64(2), trials=np.int32(2), seed=0)
+    assert report == sweep([3], k_rule=2, trials=2, seed=0)
 
 
 def test_sweep_rejects_zero_trials():
