@@ -7,10 +7,10 @@ only other LAPACK call is the QR of ``ensembles.haar_unitary``. Everything
 downstream consumes this module's contracts:
 
 * :func:`eigh` and :func:`eigvalsh` solve the Hermitian part
-  ``H = (M + M*) / 2`` of what they are given, with no Hermiticity check
-  (as ``numpy.linalg.eigh`` reads one triangle unchecked); every matrix
-  the library passes them is built Hermitian, and ``H`` drops only the
-  rounding of that construction;
+  ``H = (M + M*) / 2`` of what they are given, unchecked; every matrix the
+  library passes them is built Hermitian up to rounding. The spectral
+  core's kernel :func:`_lower_eigvalsh` solves a lift as built, reading its
+  lower triangle alone, as LAPACK does; numpy's copy for LAPACK is its only one;
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, with the column phases LAPACK returns;
 * the max eigenpair residual ``||H v - w v||`` is computed and stored;
@@ -152,7 +152,11 @@ def eigvalsh(M) -> np.ndarray:
     ``M`` is one square matrix or a stack (..., N, N). A float64 ``M`` is
     solved as real symmetric, anything else as complex128.
     """
-    H = _hermitian_part(as_stack(M, "M"))
+    return _lower_eigvalsh(_hermitian_part(as_stack(M, "M")))
+
+
+def _lower_eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian matrices a stack's lower triangles define."""
     try:
         w = np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

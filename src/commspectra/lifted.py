@@ -16,12 +16,14 @@ and the cross part is H + H* for the half H = -X^T kron X*. The analogous
 lift of Y -> XY + YX is A_X = I kron X + X^T kron I, which satisfies
 G_X - C_X = A_X* A_X >= 0. That identity, and the unitary equivalence of
 L_X to a lift built from the SVD of X, are test oracles in
-``tests/test_lifted.py``; the library needs only the two lifts below.
+``tests/test_lifted.py``; the library builds only :func:`double_commutator_lift`.
 
 :func:`double_commutator_lift` assembles G_X + C_X entry by entry, O(n^4)
 work for n^4 entries, for one matrix or a whole stack; the O(n^6) product
 L_X* L_X stays only as a test oracle. It keeps float64 for a float64 input
-(the lift of a real X is real symmetric) and is complex128 otherwise.
+and is complex128 otherwise. A real X's lift is exactly symmetric; a complex
+lift is exactly Hermitian except where i = j or k = l, where the Gram part adds
+the BLAS products X*X and conj(X) X^T, Hermitian only to a few ulps.
 
 Every lift the library builds has n^4 entries. :func:`check_lift_order` refuses
 orders above 64, whose lift would hold more than :data:`MAX_LIFT_ENTRIES`

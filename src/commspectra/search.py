@@ -109,6 +109,8 @@ def validate_config(config: SearchConfig) -> None:
         raise PreconditionError("need at least one restart")
     if _require_integer(config.max_iters, "max_iters") < 1:
         raise PreconditionError("need at least one iteration")
+    if _require_integer(config.seed, "seed") < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {config.seed}")
     if config.init not in INIT_KINDS:
         raise PreconditionError(f"init must be one of {INIT_KINDS}, got {config.init!r}")
     if config.init == "user_matrix":
@@ -275,14 +277,16 @@ def sweep(
     the monitors. ``k_rule`` is "all" or one int k. Orders run from 2 to 64,
     the lift limit (:func:`lifted.check_lift_order`).
 
-    Every order, k and ``trials`` is checked before the first draw; a bool
-    or a float among them is refused, not truncated. Each order's trials
+    Every order, k, ``trials`` and ``seed`` is checked before the first draw;
+    a bool, a float or a negative seed among them is refused. Each order's trials
     run through the batched spectral core in chunks of at most
     ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
     the chunks break, and a failed check raises what the lowest failing trial raises.
     """
     if _require_integer(trials, "trials") < 1:
         raise PreconditionError(f"sweep needs at least one trial, got {trials}")
+    if _require_integer(seed, "seed") < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     orders = [_require_integer(n, "order") for n in n_values]
     if len(set(orders)) != len(orders):
         raise PreconditionError(f"sweep names an order twice: {orders}")

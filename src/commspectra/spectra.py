@@ -105,10 +105,10 @@ class SpectralBatch:
 def spectral_batch(X) -> SpectralBatch:
     """Spectra of T_X for every matrix of a stack (B, n, n).
 
-    One O(n^4) lift per matrix, one stacked eigensolve for the real rows
-    and one for the others, then the residual of the trace identity
-    sum(lambda) = 2n - 2|Tr Xhat|^2 per matrix, decided by the caller
-    (:meth:`SpectralBatch.require_identities`) among its own checks.
+    One O(n^4) lift per matrix, one stacked solve of the lifts as built (their
+    lower triangles) for the real rows and one for the others, then the residual
+    of the trace identity sum(lambda) = 2n - 2|Tr Xhat|^2 per matrix, decided by
+    the caller (:meth:`SpectralBatch.require_identities`) among its own checks.
     """
     X = np.asarray(X)
     if X.ndim != 3:
@@ -122,7 +122,7 @@ def spectral_batch(X) -> SpectralBatch:
     values = np.empty((len(Xh), n * n))
     for rows, part in ((real, Xh.real), (~real, Xh)):
         if rows.any():
-            values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
+            values[rows] = eigensolver._lower_eigvalsh(double_commutator_lift(part[rows]))
     # |Tr Xhat|^2 rounded as the scalar abs(tr) ** 2 (hypot, libm pow), not numpy's vector square
     tr = np.trace(Xh, axis1=-2, axis2=-1)
     tr_sq = np.array([t**2 for t in np.hypot(tr.real, tr.imag).tolist()])

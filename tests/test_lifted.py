@@ -141,3 +141,18 @@ def test_real_lift_is_float64_and_matches_complex_lift(n, real_matrices):
         assert np.array_equal(T, T.T), name
     stack = double_commutator_lift(np.stack(list(real_matrices(n).values())))
     assert stack.dtype == np.float64
+
+
+def test_complex_lift_is_hermitian_up_to_its_gram_products():
+    # the cross part is assembled exactly Hermitian; the Gram part's order-n
+    # products X*X and conj(X) X^T may miss their adjoints by a few ulps, and
+    # they add only where i = j or k = l (row (i, k), column (j, l))
+    eps = np.finfo(np.float64).eps
+    for n in range(2, 17):
+        i, k, j, l = np.ogrid[:n, :n, :n, :n]
+        off = np.broadcast_to((i != j) & (k != l), (n, n, n, n))
+        for t in range(3):
+            T = double_commutator_lift(_random_complex(trial_rng(27, n, t), n))
+            D = (T - T.conj().T).reshape(n, n, n, n)
+            assert not D[off].any()
+            assert np.abs(D).max() <= 8 * eps * np.abs(T).max()

@@ -19,7 +19,7 @@ from commspectra import (
     unit_gaussian,
     validate_config,
 )
-from commspectra import eigensolver
+from commspectra import eigensolver, ensembles
 from commspectra.search import _family_form
 
 
@@ -162,10 +162,32 @@ def test_validate_config_rejections():
     for field, value in [
         ("order", 3.0), ("order", True), ("k", 1.5), ("k", True),
         ("restarts", 2.0), ("restarts", True), ("max_iters", 10.5), ("max_iters", False),
+        ("seed", 2.5), ("seed", 1.0), ("seed", True), ("seed", None),
     ]:
         with pytest.raises(PreconditionError, match=f"{field} must be an integer"):
             validate_config(SearchConfig(**{**good, field: value}))
-    validate_config(SearchConfig(order=np.int64(3), k=np.int32(2), restarts=np.int8(1), max_iters=np.uint16(5)))
+    with pytest.raises(PreconditionError, match="seed must be nonnegative"):
+        validate_config(SearchConfig(**good, seed=-1))
+    validate_config(
+        SearchConfig(
+            order=np.int64(3), k=np.int32(2), restarts=np.int8(1), max_iters=np.uint16(5), seed=np.uint64(2**64 - 1)
+        )
+    )
+
+
+def test_searches_refuse_a_bad_seed_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the seed")
+
+    monkeypatch.setattr(ensembles, "trial_rng", no_draw)
+    for seed, match in [(2.5, "must be an integer"), (True, "must be an integer"), (-1, "must be nonnegative")]:
+        for run in (
+            lambda: ascend(SearchConfig(order=2, k=1, seed=seed)),
+            lambda: lambda13_search(SearchConfig(order=2, k=2, seed=seed)),
+            lambda: sweep([2], trials=1, seed=seed),
+        ):
+            with pytest.raises(PreconditionError, match=match):
+                run()
 
 
 def test_lambda13_search_smallest_order_reduces_to_trace():

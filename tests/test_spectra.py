@@ -1,6 +1,7 @@
 """Spectrum computation, eigenvalue pairing, and the proven bound ladder."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,18 +307,53 @@ def test_real_input_spectrum_matches_complex_path(n, real_matrices):
             assert np.abs(values - complex_path).max() <= 1e-13, name
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_spectral_core_solves_the_lift_as_built(real):
+    # no Hermitian part is taken: the values are numpy's eigvalsh of the lift
+    # (its lower triangle), within rounding of the Hermitian-part contract
+    for n in (2, 3, 5, 8, 11, 16):
+        X = np.stack([unit_gaussian(trial_rng(43, n, t), n, real=real) for t in range(3)])
+        batch = spectral_batch(X)
+        T = double_commutator_lift(batch.matrices.real if real else batch.matrices)
+        assert batch.values.tobytes() == np.linalg.eigvalsh(T)[:, ::-1].tobytes()
+        assert np.abs(batch.values - eigensolver.eigvalsh(T)).max() <= 1e-14
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
+def test_order_32_spectrum_holds_about_two_lifts(run_python):
+    # the lift and numpy's copy of it for LAPACK; a third lift-sized buffer
+    # (a symmetrized copy, say) shows as about 3 lifts of growth. The child
+    # reads its own peak RSS, VmHWM: ru_maxrss would start from the peak of
+    # the process that spawned it, which Linux keeps across exec.
+    code = (
+        "from commspectra import double_commutator_spectrum, gaussian_matrix, trial_rng\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return int(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+        "double_commutator_spectrum(gaussian_matrix(trial_rng(0, 0), 4))\n"
+        "X = gaussian_matrix(trial_rng(0, 1), 32)\n"
+        "before = peak_kib()\n"
+        "double_commutator_spectrum(X)\n"
+        "print(peak_kib() - before)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    lift_bytes = 32**4 * 16
+    assert int(proc.stdout) * 1024 < 2.5 * lift_bytes
+
+
 def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     kinds = [t % 3 == 1 for t in range(8)]  # rows 1, 4 and 7 are real
     X = np.stack([unit_gaussian(trial_rng(42, t), 4, real=r) for t, r in enumerate(kinds)])
     X *= np.arange(1, 9)[:, None, None]
     solves = []
-    eigvalsh = eigensolver.eigvalsh
+    kernel = eigensolver._lower_eigvalsh
 
     def recording(M):
         solves.append((M.dtype, len(M)))
-        return eigvalsh(M)
+        return kernel(M)
 
-    monkeypatch.setattr(eigensolver, "eigvalsh", recording)
+    monkeypatch.setattr(eigensolver, "_lower_eigvalsh", recording)
     batch = spectral_batch(X)
     # one real solve for the real rows, one complex solve for the others
     assert solves == [(np.float64, 3), (np.complex128, 5)]
