@@ -6,11 +6,12 @@ module (through numpy, and through ``ctypes`` for LAPACK ``zheevr``); the
 only other LAPACK call is the QR of ``ensembles.haar_unitary``. Everything
 downstream consumes this module's contracts:
 
-* :func:`eigh` and :func:`eigvalsh` solve the Hermitian part
-  ``H = (M + M*) / 2`` of what they are given, unchecked; every matrix the
-  library passes them is built Hermitian up to rounding. The spectral
-  core's kernel :func:`_lower_eigvalsh` solves a lift as built, reading its
-  lower triangle alone, as LAPACK does; numpy's copy for LAPACK is its only one;
+* :func:`eigh` solves the Hermitian part ``H = (M + M*) / 2`` of what it
+  is given, unchecked. :func:`eigvalsh` solves the Hermitian matrix that
+  the lower triangle of its input defines, as LAPACK and numpy do, with no
+  copy of its own: a lift as built, in the spectral core. Every matrix the
+  library passes to either one is Hermitian up to the rounding of its
+  construction;
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, with the column phases LAPACK returns;
 * the max eigenpair residual ``||H v - w v||`` is computed and stored;
@@ -146,19 +147,15 @@ def eigh(M, top: int | None = None) -> EigenDecomposition:
 
 
 def eigvalsh(M) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian part ``(M + M*) / 2`` of M
-    (cheaper than :func:`eigh`).
+    """Descending eigenvalues of the Hermitian matrix that the lower triangle
+    of M defines (cheaper than :func:`eigh`); the strict upper triangle is
+    not read.
 
     ``M`` is one square matrix or a stack (..., N, N). A float64 ``M`` is
     solved as real symmetric, anything else as complex128.
     """
-    return _lower_eigvalsh(_hermitian_part(as_stack(M, "M")))
-
-
-def _lower_eigvalsh(H: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the Hermitian matrices a stack's lower triangles define."""
     try:
-        w = np.linalg.eigvalsh(H)
+        w = np.linalg.eigvalsh(as_stack(M, "M"))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
     return w[..., ::-1].copy()

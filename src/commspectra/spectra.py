@@ -122,7 +122,7 @@ def spectral_batch(X) -> SpectralBatch:
     values = np.empty((len(Xh), n * n))
     for rows, part in ((real, Xh.real), (~real, Xh)):
         if rows.any():
-            values[rows] = eigensolver._lower_eigvalsh(double_commutator_lift(part[rows]))
+            values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
     # |Tr Xhat|^2 rounded as the scalar abs(tr) ** 2 (hypot, libm pow), not numpy's vector square
     tr = np.trace(Xh, axis1=-2, axis2=-1)
     tr_sq = np.array([t**2 for t in np.hypot(tr.real, tr.imag).tolist()])

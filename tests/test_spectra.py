@@ -310,13 +310,14 @@ def test_real_input_spectrum_matches_complex_path(n, real_matrices):
 @pytest.mark.parametrize("real", [False, True])
 def test_spectral_core_solves_the_lift_as_built(real):
     # no Hermitian part is taken: the values are numpy's eigvalsh of the lift
-    # (its lower triangle), within rounding of the Hermitian-part contract
+    # (its lower triangle), within rounding of those of its Hermitian part
     for n in (2, 3, 5, 8, 11, 16):
         X = np.stack([unit_gaussian(trial_rng(43, n, t), n, real=real) for t in range(3)])
         batch = spectral_batch(X)
         T = double_commutator_lift(batch.matrices.real if real else batch.matrices)
         assert batch.values.tobytes() == np.linalg.eigvalsh(T)[:, ::-1].tobytes()
-        assert np.abs(batch.values - eigensolver.eigvalsh(T)).max() <= 1e-14
+        H = eigensolver._hermitian_part(T)
+        assert np.abs(batch.values - eigensolver.eigvalsh(H)).max() <= 1e-14
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
@@ -347,13 +348,13 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     X = np.stack([unit_gaussian(trial_rng(42, t), 4, real=r) for t, r in enumerate(kinds)])
     X *= np.arange(1, 9)[:, None, None]
     solves = []
-    kernel = eigensolver._lower_eigvalsh
+    eigvalsh = eigensolver.eigvalsh
 
     def recording(M):
         solves.append((M.dtype, len(M)))
-        return kernel(M)
+        return eigvalsh(M)
 
-    monkeypatch.setattr(eigensolver, "_lower_eigvalsh", recording)
+    monkeypatch.setattr(eigensolver, "eigvalsh", recording)
     batch = spectral_batch(X)
     # one real solve for the real rows, one complex solve for the others
     assert solves == [(np.float64, 3), (np.complex128, 5)]
