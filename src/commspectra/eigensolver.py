@@ -6,22 +6,21 @@ module (through numpy, and through ``ctypes`` for LAPACK ``zheevr``); the
 only other LAPACK call is the QR of ``ensembles.haar_unitary``. Everything
 downstream consumes this module's contracts:
 
-* :func:`eigh` solves the Hermitian part ``H = (M + M*) / 2`` of what it
-  is given, unchecked. :func:`eigvalsh` solves the Hermitian matrix that
-  the lower triangle of its input defines, as LAPACK and numpy do, with no
-  copy of its own: a lift as built, in the spectral core. Every matrix the
-  library passes to either one is Hermitian up to the rounding of its
-  construction;
+* :func:`eigh` and :func:`eigvalsh` solve the Hermitian matrix that the
+  lower triangle of their input defines, unchecked: ``zheevr`` and
+  numpy's solvers (the fallback included) read that triangle alone, never
+  the strict upper triangle or the imaginary part of the diagonal. Every
+  matrix the library passes to either one is Hermitian up to the rounding
+  of its construction;
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, with the column phases LAPACK returns;
-* the max eigenpair residual ``||H v - w v||`` is computed and stored;
 * identical input bits give identical output bits (fixed LAPACK build and
   BLAS thread count);
 * :func:`eigvalsh` keeps a float64 (real symmetric) input float64, so LAPACK
   solves it in real arithmetic; every other input, and every input of
   :func:`eigh`, is solved in complex128;
 * :func:`eigh` has one driver, LAPACK ``zheevr``, for all N eigenpairs as
-  for the ``m`` largest (``top=m``, residual over the returned columns).
+  for the ``m`` largest (``top=m``).
   Where numpy's LAPACK does not export ``zheevr`` it keeps the top ``m``
   columns of numpy's full solve instead;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
@@ -46,19 +45,6 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    residual: float
-
-
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2 of each matrix of a stack (..., N, N), C-ordered.
-
-    M* is written once into a C-ordered buffer; everything after that one
-    strided pass runs in memory order, in place in that buffer.
-    """
-    Mh = np.conjugate(np.swapaxes(M, -1, -2), out=np.empty(M.shape, M.dtype))
-    Mh += M
-    Mh *= 0.5
-    return Mh
 
 
 @functools.cache
@@ -87,7 +73,8 @@ def _zheevr():
 
 
 def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m largest eigenpairs of Hermitian H, values ascending.
+    """The m largest eigenpairs of the Hermitian matrix that the lower
+    triangle of H defines, values ascending.
 
     :raises np.linalg.LinAlgError: if the kernel fails or finds other than m
     """
@@ -114,36 +101,36 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigh(M, top: int | None = None) -> EigenDecomposition:
-    """Eigendecomposition of the Hermitian part ``(M + M*) / 2`` of M, with
-    the module's determinism contract.
+    """Eigendecomposition of the Hermitian matrix that the lower triangle of
+    M defines, with the module's determinism contract.
 
     With ``top=m`` only the m largest eigenpairs are computed and returned;
     ``top=None`` is ``top=N``.
 
     :raises PreconditionError: if M has non-finite entries, or ``top`` is
         outside 1..N
-    :raises ConvergenceError: if the LAPACK kernel fails to converge on the
-        Hermitian part and on its exactly permuted copy
+    :raises ConvergenceError: if the LAPACK kernel fails to converge on
+        that matrix and on its exactly permuted copy
     """
-    H = _hermitian_part(as_matrix(M, "M"))
-    N = H.shape[0]
+    M = as_matrix(M, "M")
+    N = M.shape[0]
     m = N if top is None else top
     if not 1 <= m <= N:
         raise PreconditionError(f"top must be in 1..{N}, got {top}")
     try:
-        w, V = _top_pairs(H, m)
+        w, V = _top_pairs(M, m)
     except np.linalg.LinAlgError:
-        # LAPACK fails to converge on rare inputs. Retry once on
-        # P H P^T, P the reversal: an exact similarity (no rounding) that
-        # the kernel sees as a different matrix; P^T V' are H's vectors.
+        # LAPACK fails to converge on rare inputs. Retry once on P H P^T,
+        # H the matrix solved and P the reversal: an exact similarity (no
+        # rounding) that the kernel sees as a different matrix; P^T V' are
+        # H's vectors. It is passed as P M* P^T, whose lower triangle is
+        # M's, reversed: P M P^T would hand the kernel M's upper triangle.
         try:
-            w, V = _top_pairs(H[::-1, ::-1], m)
+            w, V = _top_pairs(M.conj().T[::-1, ::-1], m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigh did not converge: {exc}") from exc
         V = V[::-1]
-    w, V = w[::-1].copy(), V[:, ::-1]
-    residual = float(np.linalg.norm(H @ V - V * w, axis=0).max())
-    return EigenDecomposition(values=w, vectors=V, residual=residual)
+    return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
 
 
 def eigvalsh(M) -> np.ndarray:

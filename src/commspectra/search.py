@@ -158,6 +158,9 @@ def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
     sum_j conj(Y_j) Y_j^T; the cross part
     -sum_j (Y_j^T kron Y_j* + conj(Y_j) kron Y_j) is one (n^2 x 4k)(4k x n^2)
     product indexed (i, j), (k, l), realigned to row (i, k), column (j, l).
+    The form is Hermitian to about one ulp of its largest entry, not
+    exactly: max |M - M*| was at most 1.04 eps max |M| over 5 unit Gaussian
+    draws at each of orders 3, 6, 10 and 16 (top-6 vectors of the lift).
     """
     Ys = vectors.T.reshape(-1, n, n).swapaxes(-1, -2)
     Yt = Ys.swapaxes(-1, -2)

@@ -244,15 +244,21 @@ class LadderBatch:
         return np.min(list(self.slacks.values()), axis=0)
 
 
+def _part_spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The singular values of each matrix of a stack (B, n, n) and the
+    descending eigenvalues of its Hermitian part A and of B / i, B its
+    skew-Hermitian part: three (B, n) arrays, for the ladder and the
+    certificate."""
+    A, Bsk = herm_skew_split(matrices)
+    return eigensolver.svd(matrices), eigensolver.eigvalsh(A), eigensolver.eigvalsh(Bsk / 1j)
+
+
 def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
     """Evaluate every proven bound and its slack for a stack of
     unit-normalized matrices (B, n, n), n >= 2, and their spectra (B, n^2).
     """
     B, N = values.shape
-    s = eigensolver.svd(matrices)
-    A, Bsk = herm_skew_split(matrices)
-    a = eigensolver.eigvalsh(A)
-    b = eigensolver.eigvalsh(Bsk / 1j)
+    s, a, b = _part_spectra(matrices)
     top2 = s[:, 0] ** 2 + s[:, 1] ** 2
     norm22 = 2.0 * top2
     cx = (
@@ -324,10 +330,7 @@ def first_four_sum_bound(X) -> float:
     X = as_matrix(X)
     if X.shape[0] < 2:
         raise PreconditionError("the certificate needs n >= 2")
-    s = eigensolver.svd(X)
-    A, B = herm_skew_split(X)
-    a = eigensolver.eigvalsh(A)
-    b = eigensolver.eigvalsh(B / 1j)
+    s, a, b = (v[0] for v in _part_spectra(X[None]))
     mu_a = np.sort((-np.outer(a, a)).ravel())[::-1]
     mu_b = np.sort((-np.outer(b, b)).ravel())[::-1]
     phi = (4.0 * mu_a[0] + 2.0 * mu_a[1:3].sum()) + (

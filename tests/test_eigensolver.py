@@ -10,12 +10,28 @@ from commspectra import (
     unit_gaussian,
 )
 from commspectra import eigensolver
-from commspectra.eigensolver import _hermitian_part, eigh, eigvalsh, svd
+from commspectra.eigensolver import eigh, eigvalsh, svd
 
 
 def _random_hermitian(rng, n):
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (G + G.conj().T) / 2
+
+
+def _lower_hermitian(M):
+    """The Hermitian matrices that the lower triangles of a stack define."""
+    L = np.tril(M, -1)
+    H = L + np.swapaxes(L, -1, -2).conj()
+    i = np.arange(M.shape[-1])
+    H[..., i, i] = M[..., i, i].real
+    return H
+
+
+def _max_residual(M, dec):
+    """max ||H v - w v|| over the eigenpairs of ``dec``, H the Hermitian
+    matrix that the lower triangle of M defines."""
+    H = _lower_hermitian(np.asarray(M, dtype=complex))
+    return np.linalg.norm(H @ dec.vectors - dec.vectors * dec.values, axis=0).max()
 
 
 def test_known_two_by_two_spectrum():
@@ -33,7 +49,7 @@ def test_eigh_contract_descending_orthonormal_small_residual():
         assert np.all(np.diff(dec.values) <= 1e-12)
         gram = dec.vectors.conj().T @ dec.vectors
         assert np.linalg.norm(gram - np.eye(n)) < 1e-12
-        assert dec.residual < 1e-12 * max(1.0, np.linalg.norm(H))
+        assert _max_residual(H, dec) < 1e-12 * max(1.0, np.linalg.norm(H))
         np.testing.assert_allclose(eigvalsh(H), dec.values, atol=1e-12)
 
 
@@ -139,32 +155,10 @@ def _numpy_hermitian_part(M):
     return (M + np.swapaxes(M, -1, -2).conj()) / 2
 
 
-def test_non_hermitian_input_is_solved_as_its_hermitian_part(subset_kernel):
-    # eigh's contract is total: M is solved as (M + M*) / 2, with no refusal
-    rng = trial_rng(45, 0)
-    real = rng.standard_normal((6, 6))
-    complex_ = real + 1j * rng.standard_normal((6, 6))
-    for M in (real, complex_):
-        H = _numpy_hermitian_part(M)
-        for top in (None, 3):
-            got, want = eigh(M, top=top), eigh(H, top=top)
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.vectors.tobytes() == want.vectors.tobytes()
-            assert got.residual == want.residual
-
-
-def _lower_hermitian(M):
-    """The Hermitian matrices that the lower triangles of a stack define."""
-    L = np.tril(M, -1)
-    H = L + np.swapaxes(L, -1, -2).conj()
-    i = np.arange(M.shape[-1])
-    H[..., i, i] = M[..., i, i].real
-    return H
-
-
-def test_eigvalsh_reads_the_lower_triangle_alone():
-    # eigvalsh's contract is total too: the strict upper triangle and the
-    # imaginary part of the diagonal are never read
+def test_eigvalsh_reads_the_lower_triangle_alone(monkeypatch):
+    # one total contract: neither eigvalsh nor eigh (with zheevr and on its
+    # fallback) reads the strict upper triangle or the imaginary part of
+    # the diagonal
     rng = trial_rng(45, 1)
     real = rng.standard_normal((6, 6))
     complex_ = real + 1j * rng.standard_normal((6, 6))
@@ -174,20 +168,26 @@ def test_eigvalsh_reads_the_lower_triangle_alone():
         H = _lower_hermitian(M)
         assert np.abs(H - _numpy_hermitian_part(M)).max() > 0.1
         assert eigvalsh(M).tobytes() == eigvalsh(H).tobytes()
+    for fallback in (False, True):
+        with monkeypatch.context() as patched:
+            if fallback:
+                patched.setattr(eigensolver, "_zheevr", lambda: None)
+            for M in (real, complex_):
+                H = _lower_hermitian(M)
+                for top in (None, 3):
+                    got, want = eigh(M, top=top), eigh(H, top=top)
+                    assert got.values.tobytes() == want.values.tobytes()
+                    assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_symmetrized_matrix_keeps_its_bits_in_any_layout(dtype):
+def test_eigvalsh_keeps_its_bits_in_any_layout(dtype):
     rng = trial_rng(46, 0)
     M = rng.standard_normal((4, 9, 9)).astype(dtype)
     if dtype == np.complex128:
         M += 1j * rng.standard_normal((4, 9, 9))
     M = M + np.swapaxes(M, -1, -2).conj() + 1e-13 * M  # Hermitian up to rounding
     for layout in (M, np.asfortranarray(M), np.swapaxes(M, -1, -2).conj()):
-        H = _hermitian_part(layout)
-        want = _numpy_hermitian_part(layout)
-        assert H.dtype == dtype and H.flags.c_contiguous
-        assert H.tobytes() == np.ascontiguousarray(want).tobytes()
         assert eigvalsh(layout).tobytes() == eigvalsh(np.ascontiguousarray(layout)).tobytes()
 
 
@@ -242,7 +242,7 @@ def test_eigh_top_m_matches_the_full_solve(subset_kernel, n, real):
         if m == N or full.values[m - 1] - full.values[m] > 1e-3:
             want = _projector(full.vectors[:, :m])
             assert np.abs(_projector(dec.vectors) - want).max() <= 1e-12
-        assert dec.residual < 1e-12
+        assert _max_residual(H, dec) < 1e-12
         again = eigh(H, top=m)
         assert again.values.tobytes() == dec.values.tobytes()
         assert again.vectors.tobytes() == dec.vectors.tobytes()
@@ -284,7 +284,7 @@ def _assert_retries_on_the_reversal(monkeypatch, top):
     np.testing.assert_allclose(dec.values, direct.values, rtol=0, atol=1e-13)
     top6, want = dec.vectors[:, :6], direct.vectors[:, :6]
     assert np.abs(_projector(top6) - _projector(want)).max() <= 1e-12
-    assert dec.residual < 1e-12
+    assert _max_residual(H, dec) < 1e-12
 
     calls = _fail_subset_kernel(monkeypatch, {1, 2})
     with pytest.raises(ConvergenceError, match="did not converge"):
@@ -304,6 +304,22 @@ def test_eigh_retries_non_convergence_on_the_reversed_matrix(monkeypatch):
 
 def test_eigh_top_m_retries_non_convergence_on_the_reversed_matrix(subset_kernel, monkeypatch):
     _assert_retries_on_the_reversal(monkeypatch, top=6)
+
+
+def test_eigh_retry_reads_the_same_triangle(subset_kernel, monkeypatch):
+    # the retry solves the reversal of the matrix M's lower triangle
+    # defines, as the first try does, not of the one its upper triangle does
+    rng = trial_rng(45, 2)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    want = np.linalg.eigvalsh(_lower_hermitian(M))[::-1]
+    assert np.abs(want - np.linalg.eigvalsh(_lower_hermitian(M.conj().T))[::-1]).max() > 0.1
+    for top in (None, 3):
+        with monkeypatch.context() as patched:
+            calls = _fail_subset_kernel(patched, {1})
+            dec = eigh(M, top=top)
+        assert len(calls) == 2
+        assert np.abs(dec.values - want[: dec.values.size]).max() <= 1e-13
+        assert _max_residual(M, dec) < 1e-12
 
 
 def test_eigh_top_m_rejects_a_short_eigenpair_count(monkeypatch):

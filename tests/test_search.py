@@ -134,6 +134,17 @@ def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
     _same_ascent(plain, ascend(config))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ascent_is_blind_to_the_triangle_eigh_reads(seed, monkeypatch):
+    # the lift and the family form are Hermitian to about an ulp, so an
+    # ascent whose eigh reads the upper triangle takes the same steps
+    config = SearchConfig(order=4, k=2, restarts=2, seed=seed)
+    plain = ascend(config)
+    eigh = eigensolver.eigh
+    monkeypatch.setattr(eigensolver, "eigh", lambda M, top=None: eigh(M.conj().T, top=top))
+    _same_ascent(plain, ascend(config))
+
+
 def test_validate_config_rejections():
     good = dict(order=2, k=1)
     with pytest.raises(PreconditionError):

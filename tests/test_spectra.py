@@ -316,31 +316,49 @@ def test_spectral_core_solves_the_lift_as_built(real):
         batch = spectral_batch(X)
         T = double_commutator_lift(batch.matrices.real if real else batch.matrices)
         assert batch.values.tobytes() == np.linalg.eigvalsh(T)[:, ::-1].tobytes()
-        H = eigensolver._hermitian_part(T)
+        H = (T + np.swapaxes(T, -1, -2).conj()) / 2
         assert np.abs(batch.values - eigensolver.eigvalsh(H)).max() <= 1e-14
+
+
+def _order_32_growth_in_lifts(run_python, solve: str) -> float:
+    """Peak RSS growth of ``solve(X)`` on an order-32 Gaussian X, in lifts,
+    after a warm-up solve at order 4. The child reads its own peak RSS,
+    VmHWM: ru_maxrss would start from the peak of the process that spawned
+    it, which Linux keeps across exec."""
+    code = (
+        "from commspectra import double_commutator_lift, double_commutator_spectrum\n"
+        "from commspectra import eigensolver, gaussian_matrix, trial_rng\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return int(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+        f"solve = {solve}\n"
+        "solve(gaussian_matrix(trial_rng(0, 0), 4))\n"
+        "X = gaussian_matrix(trial_rng(0, 1), 32)\n"
+        "before = peak_kib()\n"
+        "solve(X)\n"
+        "print(peak_kib() - before)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024 / (32**4 * 16)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
 def test_order_32_spectrum_holds_about_two_lifts(run_python):
     # the lift and numpy's copy of it for LAPACK; a third lift-sized buffer
-    # (a symmetrized copy, say) shows as about 3 lifts of growth. The child
-    # reads its own peak RSS, VmHWM: ru_maxrss would start from the peak of
-    # the process that spawned it, which Linux keeps across exec.
-    code = (
-        "from commspectra import double_commutator_spectrum, gaussian_matrix, trial_rng\n"
-        "def peak_kib():\n"
-        "    with open('/proc/self/status') as f:\n"
-        "        return int(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
-        "double_commutator_spectrum(gaussian_matrix(trial_rng(0, 0), 4))\n"
-        "X = gaussian_matrix(trial_rng(0, 1), 32)\n"
-        "before = peak_kib()\n"
-        "double_commutator_spectrum(X)\n"
-        "print(peak_kib() - before)\n"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    lift_bytes = 32**4 * 16
-    assert int(proc.stdout) * 1024 < 2.5 * lift_bytes
+    # (a symmetrized copy, say) shows as about 3 lifts of growth
+    assert _order_32_growth_in_lifts(run_python, "double_commutator_spectrum") < 2.5
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is Linux's")
+@pytest.mark.skipif(
+    eigensolver._zheevr() is None, reason="numpy's full solve holds all N^2 vector entries"
+)
+def test_order_32_eigh_holds_about_two_lifts(run_python):
+    # the lift and the Fortran-ordered copy that zheevr overwrites; a
+    # Hermitian-part buffer shows as about 3 lifts
+    solve = "lambda X: eigensolver.eigh(double_commutator_lift(X), top=6)"
+    assert _order_32_growth_in_lifts(run_python, solve) < 2.5
 
 
 def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
