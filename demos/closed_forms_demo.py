@@ -14,15 +14,15 @@ import argparse
 import numpy as np
 
 from commspectra import (
+    commutator,
     detect_equality_case,
     detect_rank_one,
     double_commutator_spectrum,
-    is_maximal_pair,
-    make_maximal_pair,
+    haar_unitary,
     normal_spectrum,
+    normalized,
     random_normal_matrix,
     random_rank_one,
-    random_traceless_embedded,
     rank_one_spectrum,
     trial_rng,
     unit_gaussian,
@@ -63,7 +63,11 @@ def main() -> None:
     print(f"  max entrywise difference: {np.abs(dense - closed).max():.3e}\n")
 
     print("equality case: X = U diag(X0, 0) U* with Tr X0 = 0 gives lambda_1 = 2")
-    X = random_traceless_embedded(trial_rng(args.seed, 2), n)
+    rng = trial_rng(args.seed, 2)
+    G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    X0 = G - (np.trace(G) / 2) * np.eye(2)
+    Q = haar_unitary(rng, n)[:, :2]
+    X = Q @ X0 @ Q.conj().T
     spec = double_commutator_spectrum(X)
     witness = detect_equality_case(X, spec)
     print(f"  lambda_1 = {spec.values[0]:.12f}")
@@ -79,9 +83,12 @@ def main() -> None:
           f"witness: {detect_equality_case(X, spec)}")
 
     print("\nthe canonical pair saturating ||[X, Y]||^2 = 2 ||X||^2 ||Y||^2:")
-    X, Y = make_maximal_pair(n)
-    ok, ratio = is_maximal_pair(X, Y)
-    print(f"  ||[X, Y]||^2 / (2 ||X||^2 ||Y||^2) = {ratio:.6f}, maximal: {ok}")
+    X = np.zeros((n, n))
+    Y = np.zeros((n, n))
+    X[0, 1], X[1, 0] = 1.0, -1.0  # E12 - E21
+    Y[0, 0], Y[1, 1] = 1.0, -1.0  # E11 - E22
+    ratio = np.linalg.norm(commutator(normalized(X), normalized(Y))) ** 2 / 2
+    print(f"  X = E12 - E21, Y = E11 - E22: ||[X, Y]||^2 / (2 ||X||^2 ||Y||^2) = {ratio:.6f}")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ from .closed_forms import (
     closed_form_summary,
     detect_equality_case,
     detect_rank_one,
-    is_maximal_pair,
     is_normal,
-    make_maximal_pair,
     normal_spectrum,
     rank_one_spectrum,
 )
@@ -38,7 +36,6 @@ from .ensembles import (
     haar_unitary,
     random_normal_matrix,
     random_rank_one,
-    random_traceless_embedded,
     trial_rng,
     unit_gaussian,
 )
@@ -54,9 +51,7 @@ from .errors import (
 )
 from .lifted import MAX_LIFT_ENTRIES, commutator_lift, double_commutator_lift
 from .matrices import (
-    apply_double_commutator,
     commutator,
-    frobenius_inner,
     frobenius_norm,
     herm_skew_split,
     normalized,

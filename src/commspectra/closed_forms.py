@@ -12,6 +12,10 @@ For unit Frobenius norm X:
   eigenbasis of X X* + X* X, which is then the projector onto the joint
   support of X and X* (X0 X0* + X0* X0 = I for a traceless unit 2x2 X0),
   so its top two eigenvectors are separated from the rest by a gap of 1.
+
+:func:`detect_rank_one` stays public though no library code calls it (the
+``closed-form`` report classifies the unit matrix it already holds): the
+benchmark's ``spectrum`` workload calls it (``bench/workloads.py``).
 """
 from __future__ import annotations
 
@@ -21,14 +25,13 @@ import numpy as np
 
 from . import eigensolver
 from .errors import DegenerateSupportError, PreconditionError
-from .matrices import commutator, frobenius_norm, normalized, same_order
+from .matrices import commutator, frobenius_norm, normalized
 from .spectra import Spectrum, double_commutator_spectrum
 
 NORMALITY_RTOL = 1e-10
 RANK_ONE_RTOL = 1e-8
 EQUALITY_THRESHOLD = 2.0 - 1e-6
 WITNESS_RESIDUAL_TOL = 1e-7
-MAXIMAL_PAIR_TOL = 1e-8
 
 
 def _normality_defect(Xh) -> float:
@@ -136,33 +139,6 @@ def detect_equality_case(X, spectrum: Spectrum | None = None) -> EqualityWitness
         embedding_residual=residual,
         trace_abs=float(abs(np.trace(X0))),
     )
-
-
-def make_maximal_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical unit pair attaining ||[X, Y]||^2 = 2 ||X||^2 ||Y||^2.
-
-    The top-left 2x2 blocks are (E12 - E21)/sqrt(2) and (E11 - E22)/sqrt(2).
-    """
-    if n < 2:
-        raise PreconditionError(f"a maximal pair needs n >= 2, got {n}")
-    X = np.zeros((n, n), dtype=np.complex128)
-    Y = np.zeros((n, n), dtype=np.complex128)
-    r = 1.0 / np.sqrt(2.0)
-    X[0, 1], X[1, 0] = r, -r
-    Y[0, 0], Y[1, 1] = r, -r
-    return X, Y
-
-
-def is_maximal_pair(X, Y) -> tuple[bool, float]:
-    """Whether the pair attains the commutator-norm maximum.
-
-    Returns (attained, ratio) with ratio = ||[X,Y]||^2 / (2 ||X||^2 ||Y||^2),
-    computed on the unit matrices, which never exceeds 1 beyond rounding.
-    """
-    Xh, Yh = normalized(X), normalized(Y)
-    same_order(Xh, Yh)
-    ratio = frobenius_norm(commutator(Xh, Yh)) ** 2 / 2.0
-    return bool(ratio >= 1.0 - MAXIMAL_PAIR_TOL), ratio
 
 
 def closed_form_summary(X) -> dict:

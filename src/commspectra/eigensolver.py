@@ -21,8 +21,8 @@ downstream consumes this module's contracts:
   :func:`eigh`, is solved in complex128;
 * :func:`eigh` has one driver, LAPACK ``zheevr``, for all N eigenpairs as
   for the ``m`` largest (``top=m``).
-  Where numpy's LAPACK does not export ``zheevr`` it keeps the top ``m``
-  columns of numpy's full solve instead;
+  Where numpy's LAPACK does not export ``zheevr`` it keeps a copy of the
+  top ``m`` columns of numpy's full solve instead;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -82,7 +82,8 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     zheevr = _zheevr()
     if zheevr is None:
         w, V = np.linalg.eigh(H)
-        return w[N - m :], V[:, N - m :]
+        # a copy, so the result does not pin all N eigenvectors
+        return w[N - m :], V[:, N - m :].copy()
     a = np.array(H, dtype=np.complex128, order="F")  # zheevr overwrites its input
     w = np.empty(N)
     Z = np.empty((N, m), dtype=np.complex128, order="F")

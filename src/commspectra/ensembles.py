@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError
 from .matrices import normalized
 
 
@@ -51,17 +50,3 @@ def random_rank_one(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return normalized(np.outer(u, v.conj()))
-
-
-def random_traceless_embedded(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-norm X = U diag(X0, 0) U* with a traceless 2x2 block X0.
-
-    These are exactly the order-n matrices whose double-commutator operator
-    attains the extremal eigenvalue 2.
-    """
-    if n < 2:
-        raise DegenerateInputError("need n >= 2 for an embedded 2x2 block")
-    G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    X0 = normalized(G - (np.trace(G) / 2) * np.eye(2))
-    U = haar_unitary(rng, n)
-    return U[:, :2] @ X0 @ U[:, :2].conj().T

@@ -17,6 +17,9 @@ lift of Y -> XY + YX is A_X = I kron X + X^T kron I, which satisfies
 G_X - C_X = A_X* A_X >= 0. That identity, and the unitary equivalence of
 L_X to a lift built from the SVD of X, are test oracles in
 ``tests/test_lifted.py``; the library builds only :func:`double_commutator_lift`.
+:func:`commutator_lift` (L_X itself) stays public though no library code
+calls it: the benchmark's tracer hooks it (``bench/tracer.py``), and the
+tests build L_X with it.
 
 :func:`double_commutator_lift` assembles G_X + C_X entry by entry, O(n^4)
 work for n^4 entries, for one matrix or a whole stack; the O(n^6) product

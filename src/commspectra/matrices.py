@@ -1,5 +1,6 @@
-"""Core matrix operations: commutators, the double-commutator operator,
-Frobenius geometry, and the column-major vec/unvec maps.
+"""Core matrix operations: validation, the commutator, the Frobenius norm
+and normalization, the Hermitian/skew split, and the column-major vec/unvec
+maps.
 
 Matrices are square complex128 numpy arrays, with one exception: the stack
 validator :func:`as_stack` keeps a float64 input float64, so the
@@ -55,18 +56,6 @@ def same_order(X: np.ndarray, Y: np.ndarray) -> int:
     return X.shape[0]
 
 
-def frobenius_inner(A, B) -> complex:
-    """Frobenius inner product <A, B> = Tr(A B*).
-
-    Linear in A, conjugate-linear in B.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    if A.shape != B.shape:
-        raise OrderMismatchError(f"order mismatch: {A.shape} vs {B.shape}")
-    return complex(np.vdot(B, A))
-
-
 def _power_of_two_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X 2^-e, e) per matrix, 2^e just above its largest |x_ij|: the scaled
     squares neither over- nor underflow, and ``ldexp`` is exact (signed zeros
@@ -107,20 +96,6 @@ def commutator(X, Y) -> np.ndarray:
     Y = as_matrix(Y, "Y")
     same_order(X, Y)
     return X @ Y - Y @ X
-
-
-def apply_double_commutator(X, Y) -> np.ndarray:
-    """Apply T_X: Y -> [X*, [X, Y]].
-
-    T_X is linear, self-adjoint and positive semidefinite for the Frobenius
-    inner product: <T_X Y, Y> = ||[X, Y]||_F^2.
-    """
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    same_order(X, Y)
-    inner = X @ Y - Y @ X
-    Xs = X.conj().T
-    return Xs @ inner - inner @ Xs
 
 
 def herm_skew_split(X) -> tuple[np.ndarray, np.ndarray]:

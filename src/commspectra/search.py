@@ -200,7 +200,9 @@ def ascend(config: SearchConfig) -> SearchResult:
 
     Restart streams are split from the root seed by index, so the result does
     not depend on evaluation order; the best restart wins, ties to the lower
-    index.
+    index. Objectives are compared as computed, so restarts that reach the
+    same optimum up to rounding are not ties: a rounding-level change can
+    move ``best_matrix`` to another maximizer.
     """
     validate_config(config)
     n, k = config.order, config.k

@@ -1,7 +1,13 @@
 """Shared test helpers: the report schema and content check, run Python
 (the CLI, the demos) of this checkout in a subprocess, real test matrices
 of several classes, random isotropic families, and random eigenvector
-phases."""
+phases.
+
+It also holds the oracles that state identities the library does not need:
+the Frobenius inner product :func:`frobenius_inner`, the matrix-free
+:func:`apply_double_commutator` (T_X Y = [X*, [X, Y]]), the canonical
+BW-equality pair :func:`make_maximal_pair` and the equality-case draw
+:func:`random_traceless_embedded` (X with lambda_1(T_X) = 2)."""
 import dataclasses
 import json
 import os
@@ -14,10 +20,55 @@ import jsonschema
 import numpy as np
 import pytest
 
-from commspectra import commutator, eigensolver, reporting, unvec, vec
+from commspectra import commutator, eigensolver, haar_unitary, normalized, reporting, unvec, vec
+from commspectra.matrices import as_matrix, same_order
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPORT_SCHEMA = json.loads(resources.files("commspectra").joinpath("report_schema.json").read_text())
+
+
+def frobenius_inner(A, B) -> complex:
+    """Frobenius inner product <A, B> = Tr(A B*), linear in A, conjugate-linear in B."""
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    same_order(A, B)
+    return complex(np.vdot(B, A))
+
+
+def apply_double_commutator(X, Y) -> np.ndarray:
+    """T_X Y = [X*, [X, Y]], matrix-free.
+
+    T_X is linear, self-adjoint and positive semidefinite for the Frobenius
+    inner product: <T_X Y, Y> = ||[X, Y]||_F^2.
+    """
+    X = as_matrix(X, "X")
+    Y = as_matrix(Y, "Y")
+    same_order(X, Y)
+    inner = X @ Y - Y @ X
+    Xs = X.conj().T
+    return Xs @ inner - inner @ Xs
+
+
+def make_maximal_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical order-n unit pair with ||[X, Y]||^2 = 2 ||X||^2 ||Y||^2 (n >= 2).
+
+    The top-left 2x2 blocks are (E12 - E21)/sqrt(2) and (E11 - E22)/sqrt(2).
+    """
+    X = np.zeros((n, n), dtype=np.complex128)
+    Y = np.zeros((n, n), dtype=np.complex128)
+    r = 1.0 / np.sqrt(2.0)
+    X[0, 1], X[1, 0] = r, -r
+    Y[0, 0], Y[1, 1] = r, -r
+    return X, Y
+
+
+def random_traceless_embedded(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unit-norm X = U diag(X0, 0) U* with a traceless 2x2 block X0 and Haar
+    U (n >= 2): exactly the order-n matrices with lambda_1(T_X) = 2."""
+    G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    X0 = normalized(G - (np.trace(G) / 2) * np.eye(2))
+    U = haar_unitary(rng, n)
+    return U[:, :2] @ X0 @ U[:, :2].conj().T
 
 
 def report_validator(schema: dict):

@@ -25,7 +25,6 @@ from commspectra import (
     normal_spectrum,
     random_normal_matrix,
     random_rank_one,
-    random_traceless_embedded,
     rank_one_spectrum,
     read_bundle,
     reverify_bundle,
@@ -35,6 +34,7 @@ from commspectra import (
     unit_gaussian,
     write_bundle,
 )
+from conftest import random_traceless_embedded
 
 ENSEMBLE_SEED = 20260822
 ENSEMBLE_TRIALS = 10_000

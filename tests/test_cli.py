@@ -12,7 +12,6 @@ import pytest
 from commspectra import (
     gaussian_matrix,
     haar_unitary,
-    make_maximal_pair,
     read_bundle,
     reverify_bundle,
     save_matrix,
@@ -24,7 +23,7 @@ from commspectra import (
 from commspectra import cli, matrixio, spectra
 from commspectra.search import VIOLATION_MARGIN
 from commspectra.verdicts import HYPOTHESIS_TOL
-from conftest import assert_report_valid
+from conftest import assert_report_valid, make_maximal_pair
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Closed-form spectra, the equality witness, and maximal pairs."""
+"""Closed-form spectra, the equality witness, and the BW inequality with
+its equality case."""
 import sys
 
 import numpy as np
@@ -13,19 +14,19 @@ from commspectra import (
     detect_equality_case,
     detect_rank_one,
     double_commutator_spectrum,
+    frobenius_norm,
     haar_unitary,
-    is_maximal_pair,
     is_normal,
-    make_maximal_pair,
     normal_spectrum,
+    normalized,
     rank_one_spectrum,
     random_normal_matrix,
     random_rank_one,
-    random_traceless_embedded,
     trial_rng,
     unit_gaussian,
 )
 from commspectra import eigensolver, matrices
+from conftest import make_maximal_pair, random_traceless_embedded
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -212,26 +213,27 @@ def test_equality_witness_degenerate_support_error(monkeypatch):
         detect_equality_case(X, spectrum=spec)
 
 
+def _bw_ratio(X, Y) -> float:
+    """||[Xh, Yh]||^2 / 2 on the unit matrices: the BW inequality says at most 1."""
+    return frobenius_norm(commutator(normalized(X), normalized(Y))) ** 2 / 2.0
+
+
 def test_maximal_pair_attains_equality():
     for n in (2, 5):
         X, Y = make_maximal_pair(n)
-        attained, ratio = is_maximal_pair(X, Y)
-        assert attained and ratio == pytest.approx(1.0, abs=1e-12)
+        assert _bw_ratio(X, Y) == pytest.approx(1.0, abs=1e-12)
     X, Y = make_maximal_pair(2)
     expected = -np.array([[0, 1], [1, 0]], dtype=complex)
     np.testing.assert_allclose(commutator(X, Y), expected, atol=1e-12)
-    with pytest.raises(PreconditionError):
-        make_maximal_pair(1)
 
 
 def test_maximal_pair_check_rejects_and_bounds():
-    assert not is_maximal_pair(np.eye(2), np.diag([1.0, -1.0]))[0]
+    assert _bw_ratio(np.eye(2), np.diag([1.0, -1.0])) < 1.0 - 1e-8
     with pytest.raises(DegenerateInputError):
-        is_maximal_pair(np.zeros((2, 2)), np.eye(2))
+        _bw_ratio(np.zeros((2, 2)), np.eye(2))
     for t in range(20):
         rng = trial_rng(47, t)
-        _, ratio = is_maximal_pair(unit_gaussian(rng, 3), unit_gaussian(rng, 3))
-        assert ratio <= 1.0 + 1e-12
+        assert _bw_ratio(unit_gaussian(rng, 3), unit_gaussian(rng, 3)) <= 1.0 + 1e-12
 
 
 def test_closed_form_summary_sections():

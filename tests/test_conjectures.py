@@ -18,7 +18,6 @@ from commspectra import (
     double_commutator_lift,
     double_commutator_spectrum,
     make_bundle,
-    make_maximal_pair,
     monitor_majorization,
     monitor_partial_sums,
     normalized,
@@ -33,6 +32,7 @@ from commspectra import (
 from commspectra import eigensolver
 from commspectra.conjectures import CHECKERS, run_checker
 from commspectra.verdicts import bundle_matrices
+from conftest import make_maximal_pair
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 

@@ -270,6 +270,16 @@ def test_eigh_full_solve_is_the_top_n_solve(subset_kernel):
         assert full.vectors.tobytes() == top_n.vectors.tobytes()
 
 
+def test_eigh_top_m_does_not_pin_the_full_solve(subset_kernel):
+    # the array that owns the returned columns holds N m entries, not N^2
+    H = double_commutator_lift(unit_gaussian(trial_rng(53, 4), 4))
+    dec = eigh(H, top=3)
+    owner = dec.vectors
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.size == H.shape[0] * 3
+
+
 def _assert_retries_on_the_reversal(monkeypatch, top):
     """One kernel failure is retried on the reversed matrix with the same
     eigenpairs; a second failure raises ConvergenceError."""

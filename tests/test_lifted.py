@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from commspectra import (
-    apply_double_commutator,
     commutator,
     commutator_lift,
     double_commutator_lift,
@@ -12,6 +11,7 @@ from commspectra import (
     unvec,
     vec,
 )
+from conftest import apply_double_commutator
 
 
 def _random_complex(rng, n):

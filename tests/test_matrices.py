@@ -8,9 +8,7 @@ from commspectra import (
     DegenerateInputError,
     OrderMismatchError,
     PreconditionError,
-    apply_double_commutator,
     commutator,
-    frobenius_inner,
     frobenius_norm,
     herm_skew_split,
     normalized,
@@ -20,6 +18,7 @@ from commspectra import (
 )
 from commspectra.lifted import check_lift_order
 from commspectra.matrices import as_matrix, same_order
+from conftest import apply_double_commutator, frobenius_inner
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)

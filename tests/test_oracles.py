@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from commspectra import (
-    apply_double_commutator,
     double_commutator_spectrum,
     gaussian_matrix,
     trial_rng,
 )
+from conftest import apply_double_commutator
 
 ORACLE_TOL = 1e-12
 

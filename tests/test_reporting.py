@@ -25,7 +25,7 @@ from commspectra.reporting import (
     spectrum_section,
 )
 import conftest
-from conftest import REPORT_SCHEMA, assert_report_valid, report_validator
+from conftest import REPORT_SCHEMA, assert_report_valid, make_maximal_pair, report_validator
 
 X0 = unit_gaussian(trial_rng(80, 0), 3)
 INPUTS = [{"path": "in.json", "sha256": "0" * 64}]
@@ -122,7 +122,7 @@ def test_build_report_produces_schema_valid_documents():
 
 
 def test_every_report_shape_passes_the_stock_validator(tmp_path, monkeypatch, capsys):
-    from commspectra import cli, make_maximal_pair, save_matrix
+    from commspectra import cli, save_matrix
 
     monkeypatch.chdir(tmp_path)  # forced violations write their bundle here
     e12, e11 = np.zeros((3, 3)), np.zeros((3, 3))

@@ -12,7 +12,6 @@ from commspectra import (
     double_commutator_spectrum,
     haar_unitary,
     lambda13_search,
-    make_maximal_pair,
     reverify_bundle,
     sweep,
     trial_rng,
@@ -21,6 +20,7 @@ from commspectra import (
 )
 from commspectra import eigensolver, ensembles
 from commspectra.search import _family_form
+from conftest import make_maximal_pair
 
 
 def test_ascend_reaches_global_maximum_for_smallest_order():

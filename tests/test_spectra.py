@@ -10,7 +10,6 @@ from commspectra import (
     LAMBDA13_BOUND,
     DegenerateInputError,
     PreconditionError,
-    apply_double_commutator,
     bound_report,
     cluster_tolerance,
     commutator,
@@ -24,7 +23,6 @@ from commspectra import (
     normalized,
     partial_sums,
     random_rank_one,
-    random_traceless_embedded,
     trial_rng,
     unit_gaussian,
     unvec,
@@ -32,6 +30,7 @@ from commspectra import (
 from commspectra import eigensolver
 from commspectra.spectra import _cluster, majorization_batch, partial_sum_caps, spectral_batch
 from commspectra.verdicts import matrix_payload
+from conftest import apply_double_commutator, random_traceless_embedded
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
