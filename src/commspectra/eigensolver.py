@@ -49,7 +49,8 @@ class EigenDecomposition:
 
 @functools.cache
 def _zheevr():
-    """LAPACKE ``zheevr`` of the OpenBLAS that numpy links, or None.
+    """``zheevr`` of the OpenBLAS that numpy links, taking LAPACKE_zheevr's
+    arguments with a workspace of its own, or None.
 
     numpy 2.x wheels link ``scipy-openblas64``: 64-bit integers, symbols
     prefixed ``scipy_`` and suffixed ``64_``. numpy 1.x wheels, conda or
@@ -58,18 +59,35 @@ def _zheevr():
     import ctypes
 
     try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zheevr64_
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_zheevr_work64_
     except (OSError, AttributeError):
         return None
     i64, ptr, f64, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
     fn.restype = i64
     # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-    # m, w, z, ldz, isuppz
+    # m, w, z, ldz, isuppz, work, lwork, rwork, lrwork, iwork, liwork
     fn.argtypes = [
         ctypes.c_int, char, char, char, i64, ptr, i64,
-        f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr,
+        f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64, ptr, i64,
     ]
-    return fn
+
+    def zheevr(*args):
+        # as LAPACKE_zheevr does: query the lengths of work (complex), rwork
+        # and iwork, then solve
+        q = np.zeros(4)
+        at = q.ctypes.data
+        fn(*args, at, -1, at + 16, -1, at + 24, -1)
+        lwork, lrwork, liwork = int(q[0]), int(q[2]), int(q[3:].view(np.int64)[0])
+        # one buffer of 8-byte words: work, rwork, a spare slot, iwork. When
+        # bisection finds fewer eigenvalues than asked (a cluster at the edge
+        # of the range), LAPACK's dstebz writes IBLOCK(0), the slot before
+        # iwork; in a malloc'd iwork that write hit the heap and aborted
+        # order-2, k = 2 ascents. The caller sees the short count.
+        buf = np.empty(2 * lwork + lrwork + 1 + liwork)
+        at = buf.ctypes.data
+        return fn(*args, at, lwork, at + 16 * lwork, lrwork, at + 8 * (2 * lwork + lrwork + 1), liwork)
+
+    return zheevr
 
 
 def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

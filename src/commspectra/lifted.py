@@ -6,27 +6,29 @@ order-n^2 matrix
     L_X = I kron X - X^T kron I,
 
 so the double-commutator operator T_X: Y -> [X*, [X, Y]] lifts to the
-positive semidefinite Hermitian matrix L_X* L_X. That product splits as
-G_X + C_X where
+positive semidefinite Hermitian matrix L_X* L_X. The commutator energy
+sum_j ||[X, Y_j]||^2 of a family {Y_j} is the same form in vec(X), with
+matrix sum_j L_{Y_j}* L_{Y_j}; T_X's lift is that of the family {X}. The
+form splits as G + C where
 
-    G_X = I kron X*X + conj(X) X^T kron I      (the Gram part)
-    C_X = -X^T kron X* - conj(X) kron X        (the cross part)
+    G = sum_j (I kron Y_j*Y_j + conj(Y_j) Y_j^T kron I)    (the Gram part)
+    C = -(S + S*)  for  S = sum_j Y_j^T kron Y_j*          (the cross part)
 
-and the cross part is H + H* for the half H = -X^T kron X*. The analogous
-lift of Y -> XY + YX is A_X = I kron X + X^T kron I, which satisfies
-G_X - C_X = A_X* A_X >= 0. That identity, and the unitary equivalence of
-L_X to a lift built from the SVD of X, are test oracles in
-``tests/test_lifted.py``; the library builds only :func:`double_commutator_lift`.
+For one X the lift of Y -> XY + YX, A_X = I kron X + X^T kron I, satisfies
+G - C = A_X* A_X >= 0. That identity, and the unitary equivalence of L_X to
+a lift built from the SVD of X, are test oracles in ``tests/test_lifted.py``.
 :func:`commutator_lift` (L_X itself) stays public though no library code
 calls it: the benchmark's tracer hooks it (``bench/tracer.py``), and the
 tests build L_X with it.
 
-:func:`double_commutator_lift` assembles G_X + C_X entry by entry, O(n^4)
-work for n^4 entries, for one matrix or a whole stack; the O(n^6) product
-L_X* L_X stays only as a test oracle. It keeps float64 for a float64 input
-and is complex128 otherwise. A real X's lift is exactly symmetric; a complex
-lift is exactly Hermitian except where i = j or k = l, where the Gram part adds
-the BLAS products X*X and conj(X) X^T, Hermitian only to a few ulps.
+:func:`family_lift` is the library's one assembly of these forms, entry by
+entry, with S from one (n^2 x m)(m x n^2) product: the spectra's lifts are
+its families of one (:func:`double_commutator_lift`), the ascent's step (b)
+its families of top-2k eigenvectors. The O(n^6) L_X* L_X is only a test
+oracle. A float64 input gives float64, anything else complex128. Real lifts
+are exactly symmetric; the cross part is summed exactly Hermitian, so a
+complex lift misses its adjoint only where i = j or k = l, where the Gram
+part adds BLAS products, Hermitian to a few ulps.
 
 Every lift the library builds has n^4 entries. :func:`check_lift_order` refuses
 orders above 64, whose lift would hold more than :data:`MAX_LIFT_ENTRIES`
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import OrderMismatchError, PreconditionError
 from .matrices import as_matrix, as_stack
 
 MAX_LIFT_ENTRIES = 2**24
@@ -56,27 +58,44 @@ def commutator_lift(X) -> np.ndarray:
     return np.kron(I, X) - np.kron(X.T, I)
 
 
+def family_lift(Y) -> np.ndarray:
+    """Hermitian PSD matrix sum_j L_{Y_j}* L_{Y_j} of each family {Y_j}.
+
+    ``Y`` is a stack of families (..., m, n, n); the result is
+    (..., n^2, n^2), float64 for a float64 ``Y`` and complex128 otherwise.
+    Row (i, k) and column (j, l), in vec order i n + k and j n + l, hold
+
+        sum_j [d_ij (Y_j*Y_j)_kl + (conj(Y_j) Y_j^T)_ij d_kl] - (S + S*)_(i k),(j l)
+
+    with S = sum_j Y_j^T kron Y_j*, one (n^2 x m)(m x n^2) product.
+    """
+    Y = as_stack(Y)
+    if Y.ndim < 3:
+        raise OrderMismatchError(f"expected a stack of families (..., m, n, n), got shape {Y.shape}")
+    *lead, m, n, _ = Y.shape
+    check_lift_order(n)
+    # the output before the product: allocated after it, the buffer takes
+    # fresh pages on every call (about 40% more minor faults at order 16)
+    T = np.empty((*lead, n, n, n, n), dtype=Y.dtype)
+    left = Y.swapaxes(-3, -1).reshape(*lead, n * n, m)  # Y_j^T
+    right = -Y.conj().swapaxes(-1, -2).reshape(*lead, m, n * n)  # -Y_j*
+    H = (left @ right).reshape(*lead, n, n, n, n).swapaxes(-3, -2)  # -S, row (i, k), column (j, l)
+    # the cross part H + H*: entry a + conj(b) against its mirror b + conj(a), exactly Hermitian
+    np.conjugate(H.swapaxes(-4, -2).swapaxes(-3, -1), out=T)
+    T += H
+    rows = Y.reshape(*lead, m * n, n)  # the Y_j stacked vertically
+    cols = Y.swapaxes(-3, -2).reshape(*lead, n, m * n)  # and side by side
+    d = np.arange(n)
+    T[..., d, :, d, :] += rows.conj().swapaxes(-1, -2) @ rows
+    T[..., :, d, :, d] += cols.conj() @ cols.swapaxes(-1, -2)
+    return T.reshape(*lead, n * n, n * n)
+
+
 def double_commutator_lift(X) -> np.ndarray:
-    """Hermitian PSD matrix of T_X, namely L_X* L_X = G_X + C_X.
+    """Hermitian PSD matrix L_X* L_X of T_X: the :func:`family_lift` of the family {X}.
 
     ``X`` is one order-n matrix or a stack (..., n, n); the result is
     (..., n^2, n^2), float64 for a float64 ``X`` and complex128 otherwise.
-    Row (i, k) and column (j, l), in vec order i n + k and j n + l, hold
-
-        d_ij (X*X)_kl + (conj(X) X^T)_ij d_kl - (X^T)_ij (X*)_kl - conj(X)_ij X_kl.
     """
-    X = as_stack(X)
-    n = X.shape[-1]
-    check_lift_order(n)
-    Xt = np.swapaxes(X, -1, -2)
-    Xc = X.conj()
-    Xs = Xt.conj()
-    # C order, so the final reshape is a view (a plain product of the
-    # transposed operands would not be C-contiguous)
-    T = np.empty(X.shape[:-2] + (n, n, n, n), dtype=X.dtype)
-    np.multiply(Xt[..., :, None, :, None], -Xs[..., None, :, None, :], out=T)
-    T -= Xc[..., :, None, :, None] * X[..., None, :, None, :]
-    d = np.arange(n)
-    T[..., d, :, d, :] += Xs @ X
-    T[..., :, d, :, d] += Xc @ X.swapaxes(-1, -2)
-    return T.reshape(X.shape[:-2] + (n * n, n * n))
+    X = np.asarray(X)
+    return family_lift(X[..., None, :, :] if X.ndim >= 2 else X)

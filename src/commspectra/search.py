@@ -6,7 +6,9 @@ Frobenius sphere alternates two exact maximizations:
 (a) with X fixed, the optimal orthonormal 2k-family {Y_i} consists of the
     top eigenvectors of the lifted operator, achieving f_k(X);
 (b) with {Y_i} fixed, sum_i ||[X, Y_i]||^2 is a quadratic form in vec(X)
-    with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector.
+    with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector;
+    :func:`lifted.family_lift` builds that matrix as it builds T_X's lift,
+    which is the family {X}.
 
 Each half-step is a global maximum of its subproblem, so the objective
 never decreases. Every iterate is checked against the proven caps
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import ensembles
 from .errors import PreconditionError
-from .lifted import check_lift_order, double_commutator_lift
+from .lifted import check_lift_order, double_commutator_lift, family_lift
 from .matrices import as_matrix, normalized, unvec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
@@ -150,32 +152,6 @@ def _objective_and_vectors(X: np.ndarray, k2: int, proven: float):
     return obj, dec
 
 
-def _family_form(vectors: np.ndarray, n: int) -> np.ndarray:
-    """sum_j L_{Y_j}* L_{Y_j} for the columns Y_j (vec coordinates) of
-    ``vectors``, assembled once as in :func:`double_commutator_lift`.
-
-    The Gram part takes the two n x n sums sum_j Y_j* Y_j and
-    sum_j conj(Y_j) Y_j^T; the cross part
-    -sum_j (Y_j^T kron Y_j* + conj(Y_j) kron Y_j) is one (n^2 x 4k)(4k x n^2)
-    product indexed (i, j), (k, l), realigned to row (i, k), column (j, l).
-    The form is Hermitian to about one ulp of its largest entry, not
-    exactly: max |M - M*| was at most 1.04 eps max |M| over 5 unit Gaussian
-    draws at each of orders 3, 6, 10 and 16 (top-6 vectors of the lift).
-    """
-    Ys = vectors.T.reshape(-1, n, n).swapaxes(-1, -2)
-    Yt = Ys.swapaxes(-1, -2)
-    Yc = Ys.conj()
-    left = np.concatenate([Yt, Yc]).reshape(-1, n * n)
-    right = np.concatenate([Yc.swapaxes(-1, -2), Ys]).reshape(-1, n * n)
-    M = np.ascontiguousarray((left.T @ -right).reshape(n, n, n, n).transpose(0, 2, 1, 3))
-    rows = Ys.reshape(-1, n)  # the Y_j stacked vertically
-    cols = Yt.reshape(-1, n).T  # and side by side
-    d = np.arange(n)
-    M[d, :, d, :] += rows.conj().T @ rows
-    M[:, d, :, d] += cols.conj() @ cols.T
-    return M.reshape(n * n, n * n)
-
-
 def _single_ascent(
     X: np.ndarray, config: SearchConfig, proven: float
 ) -> tuple[float, np.ndarray, int, float, bool]:
@@ -183,8 +159,8 @@ def _single_ascent(
     obj, dec = _objective_and_vectors(X, k2, proven)
     first, monotone, flat = obj, True, 0
     for iterations in range(1, config.max_iters + 1):  # max_iters >= 1 (validate_config)
-        M = _family_form(dec.vectors, n)
-        X = normalized(unvec(eigensolver.eigh(M, top=1).vectors[:, 0], n))
+        family = dec.vectors.T.reshape(k2, n, n).swapaxes(-1, -2)  # the unvec'd columns
+        X = normalized(unvec(eigensolver.eigh(family_lift(family), top=1).vectors[:, 0], n))
         new_obj, dec = _objective_and_vectors(X, k2, proven)
         monotone = monotone and new_obj >= obj - 1e-10
         rel = (new_obj - obj) / max(abs(obj), 1e-300)

@@ -123,10 +123,8 @@ def spectral_batch(X) -> SpectralBatch:
     for rows, part in ((real, Xh.real), (~real, Xh)):
         if rows.any():
             values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
-    # |Tr Xhat|^2 rounded as the scalar abs(tr) ** 2 (hypot, libm pow), not numpy's vector square
     tr = np.trace(Xh, axis1=-2, axis2=-1)
-    tr_sq = np.array([t**2 for t in np.hypot(tr.real, tr.imag).tolist()])
-    residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * tr_sq))
+    residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * np.square(np.hypot(tr.real, tr.imag))))
     with np.errstate(over="ignore"):  # ||X||^2 saturates to inf beyond about 1e154
         norm_scale = frobenius_norm(X) ** 2
     return SpectralBatch(Xh, values, norm_scale, residual)

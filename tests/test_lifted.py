@@ -11,6 +11,8 @@ from commspectra import (
     unvec,
     vec,
 )
+from commspectra.eigensolver import eigh
+from commspectra.lifted import family_lift
 from conftest import apply_double_commutator
 
 
@@ -89,8 +91,6 @@ def test_lift_eigenpairs_are_operator_eigenpairs():
     rng = trial_rng(24, 0)
     n = 3
     X = _random_complex(rng, n)
-    from commspectra.eigensolver import eigh
-
     dec = eigh(double_commutator_lift(X))
     for j in (0, 2, n * n - 1):
         Y = unvec(dec.vectors[:, j], n)
@@ -139,20 +139,28 @@ def test_real_lift_is_float64_and_matches_complex_lift(n, real_matrices):
         assert T.dtype == np.float64 and Tc.dtype == np.complex128, name
         assert np.linalg.norm(T - Tc) <= 1e-15 * np.linalg.norm(Tc), name
         assert np.array_equal(T, T.T), name
-    stack = double_commutator_lift(np.stack(list(real_matrices(n).values())))
-    assert stack.dtype == np.float64
+    members = np.stack(list(real_matrices(n).values()))
+    assert double_commutator_lift(members).dtype == np.float64
+    # and one family of them all gives a float64, exactly symmetric form
+    F = family_lift(members)
+    assert F.dtype == np.float64 and np.array_equal(F, F.T)
 
 
 def test_complex_lift_is_hermitian_up_to_its_gram_products():
     # the cross part is assembled exactly Hermitian; the Gram part's order-n
     # products X*X and conj(X) X^T may miss their adjoints by a few ulps, and
-    # they add only where i = j or k = l (row (i, k), column (j, l))
+    # they add only where i = j or k = l (row (i, k), column (j, l)). So for
+    # a family: here the top-6 eigenvectors of the lift, as the ascent's step (b)
     eps = np.finfo(np.float64).eps
     for n in range(2, 17):
         i, k, j, l = np.ogrid[:n, :n, :n, :n]
         off = np.broadcast_to((i != j) & (k != l), (n, n, n, n))
         for t in range(3):
             T = double_commutator_lift(_random_complex(trial_rng(27, n, t), n))
-            D = (T - T.conj().T).reshape(n, n, n, n)
-            assert not D[off].any()
-            assert np.abs(D).max() <= 8 * eps * np.abs(T).max()
+            lifts = [T]
+            if n > 2:
+                lifts.append(family_lift([unvec(v, n) for v in eigh(T, top=6).vectors.T]))
+            for M in lifts:
+                D = (M - M.conj().T).reshape(n, n, n, n)
+                assert not D[off].any()
+                assert np.abs(D).max() <= 8 * eps * np.abs(M).max()

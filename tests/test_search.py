@@ -16,10 +16,11 @@ from commspectra import (
     sweep,
     trial_rng,
     unit_gaussian,
+    unvec,
     validate_config,
 )
 from commspectra import eigensolver, ensembles
-from commspectra.search import _family_form
+from commspectra.lifted import family_lift
 from conftest import make_maximal_pair
 
 
@@ -114,14 +115,18 @@ def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
 
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("order, k", [(3, 2), (5, 3)])
-def test_family_form_depends_only_on_the_kept_span(order, k, real):
+def test_family_lift_depends_only_on_the_kept_span(order, k, real):
     # step (b) reads the projector onto the top-2k eigenvectors: mixing them
     # by any 2k x 2k unitary leaves its form unchanged
     rng = trial_rng(53, order)
     H = double_commutator_lift(unit_gaussian(rng, order, real=real))
     V = eigensolver.eigh(H, top=2 * k).vectors
     mixed = V @ haar_unitary(rng, 2 * k)
-    assert np.abs(_family_form(mixed, order) - _family_form(V, order)).max() <= 1e-13
+
+    def form(W):
+        return family_lift([unvec(w, order) for w in W.T])
+
+    assert np.abs(form(mixed) - form(V)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -136,13 +141,28 @@ def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ascent_is_blind_to_the_triangle_eigh_reads(seed, monkeypatch):
-    # the lift and the family form are Hermitian to about an ulp, so an
+    # the lift and step (b)'s family lift are Hermitian to a few ulps, so an
     # ascent whose eigh reads the upper triangle takes the same steps
     config = SearchConfig(order=4, k=2, restarts=2, seed=seed)
     plain = ascend(config)
     eigh = eigensolver.eigh
     monkeypatch.setattr(eigensolver, "eigh", lambda M, top=None: eigh(M.conj().T, top=top))
     _same_ascent(plain, ascend(config))
+
+
+def test_order_2_k_2_ascents_survive_lapack_short_bisections(run_python):
+    # with k = 2 at order 2, step (b) keeps all four eigenvectors, and its
+    # form has the top eigenvalue 4 three times up to rounding. On some steps
+    # zheevr's bisection then finds no eigenvalue and writes one slot before
+    # its integer workspace, which in a malloc'd workspace corrupts the heap
+    # and can abort the process. A subprocess, so a crash fails only this test
+    code = (
+        "from commspectra import SearchConfig, lambda13_search\n"
+        "for seed in range(16):\n"
+        "    lambda13_search(SearchConfig(order=2, k=2, restarts=6, seed=seed, max_iters=50))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_config_rejections():
@@ -472,7 +492,6 @@ def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_ascent_quadratic_form_matches_commutator_lift_sum(n):
-    import commspectra.search as search
     from commspectra import commutator_lift, double_commutator_lift, trial_rng, unit_gaussian, unvec
     from commspectra.eigensolver import eigh
 
@@ -483,4 +502,4 @@ def test_ascent_quadratic_form_matches_commutator_lift_sum(n):
     for j in range(k2):
         L = commutator_lift(unvec(vectors[:, j], n))
         old += L.conj().T @ L
-    assert np.abs(search._family_form(vectors, n) - old).max() <= 1e-12
+    assert np.abs(family_lift([unvec(v, n) for v in vectors.T]) - old).max() <= 1e-12

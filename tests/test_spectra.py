@@ -360,6 +360,28 @@ def test_order_32_eigh_holds_about_two_lifts(run_python):
     assert _order_32_growth_in_lifts(run_python, solve) < 2.5
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="minor faults as Linux counts them")
+def test_repeated_order_16_spectrum_takes_about_two_lifts_of_fresh_pages(run_python):
+    # per op, after a warm-up: about 2.0 lifts of minor faults (one complex
+    # order-16 lift is 256 pages of 4 KiB); a lift allocated after its cross
+    # product instead of before takes about 2.9
+    code = (
+        "import resource\n"
+        "from commspectra import double_commutator_spectrum, gaussian_matrix, trial_rng\n"
+        "X = gaussian_matrix(trial_rng(0, 1), 16)\n"
+        "for _ in range(3):\n"
+        "    double_commutator_spectrum(X)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    double_commutator_spectrum(X)\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "print(faults * resource.getpagesize() / 20)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) / (16**4 * 16) <= 2.5
+
+
 def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     kinds = [t % 3 == 1 for t in range(8)]  # rows 1, 4 and 7 are real
     X = np.stack([unit_gaussian(trial_rng(42, t), 4, real=r) for t, r in enumerate(kinds)])
