@@ -164,7 +164,7 @@ def closed_form_summary(X) -> dict:
             "values": cf,
             "max_abs_diff": float(np.abs(cf - spec.values).max()),
         }
-    if r1_flag:
+    if r1_flag and spec.order >= 2:  # rank_one_spectrum is defined from n = 2
         cf = rank_one_spectrum(spec.order, t)
         out["rank_one_closed_form"] = {
             "trace_abs_sq": t,

@@ -293,7 +293,7 @@ def sweep(
                 ]
             )
             spec = spectral_batch(X)
-            ladder = ladder_batch(spec.matrices, spec.values)
+            ladder = ladder_batch(spec.matrix, spec.values)
             # raise what the lowest failing trial would raise on its own
             min_slack = ladder.min_slack()
             ok = holds(-spec.values[:, -1], 0.0, IDENTITY_TOL) & holds(spec.trace_residual, 0.0, IDENTITY_TOL)
@@ -306,14 +306,14 @@ def sweep(
             top = f[best, np.arange(len(ks))]
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
-                argmax[j] = spec.matrices[best[j]]
+                argmax[j] = spec.matrix[best[j]]
             # holds() flags the chunk's breaches; judge() decides each on the same floats
             for i, j in zip(*np.nonzero(~holds(f, caps, tol))):
-                verdict = judge("C2A", [spec.matrices[i]], f[i, j], caps[j], 0.0, tol, seed)
+                verdict = judge("C2A", [spec.matrix[i]], f[i, j], caps[j], 0.0, tol, seed)
                 row_violations[j].append(verdict.witness)
             c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
             for i in np.flatnonzero(~c4_ok):
-                verdict = judge("C4", [spec.matrices[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
+                verdict = judge("C4", [spec.matrix[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
                 majorization_violations.append(verdict.witness)
         for j, k in enumerate(ks):
             rows.append(

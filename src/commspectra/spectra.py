@@ -19,6 +19,9 @@ Everything runs on stacks (B, n, n) through one batched core:
 arithmetic, trace-identity residuals), :func:`ladder_batch` (the ladder's
 slacks, prefix sums) and :func:`majorization_batch` (the C4 monitor). The
 per-matrix functions are batches of one; :func:`verdicts.require` raises.
+One type holds both: :func:`spectral_batch` returns a :class:`Spectrum` over
+the stack, :func:`double_commutator_spectrum` row 0 of it, whose ``clusters``
+and ``pairing_ok`` are derived from its values when first read.
 
 X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
 carries it as ``matrix``, and the ladder, the monitors and their bundles
@@ -26,7 +29,8 @@ read it, so every verdict refers to exactly the matrix that was judged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -47,26 +51,42 @@ def cluster_tolerance(lambda1: float) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of T_X for the unit-normalized X, descending.
+    """Spectra of T_X, each for the unit-normalized X, descending.
 
-    ``clusters`` holds (representative value, multiplicity) per group under
-    :func:`cluster_tolerance`; ``pairing_ok`` records whether every positive
-    cluster has even multiplicity; ``norm_scale`` is the ||X||^2 divided out
-    (multiply ``values`` by it to recover the spectrum of the raw input);
-    ``trace_residual`` is |sum(values) - (2n - 2|Tr Xhat|^2)|; ``matrix`` is
-    the unit matrix X / ||X|| the values belong to.
+    From :func:`spectral_batch` every field has the stack as its first axis;
+    from :func:`double_commutator_spectrum` (a batch of one) it has none.
+    ``values`` holds the eigenvalues (B, n^2); ``norm_scale`` the ||X||^2
+    divided out (multiply ``values`` by it to recover the spectrum of the
+    raw input); ``trace_residual`` |sum(values) - (2n - 2|Tr Xhat|^2)|;
+    ``matrix`` the unit matrices X / ||X|| (B, n, n) the values belong to.
     """
 
     values: np.ndarray
-    clusters: tuple[tuple[float, int], ...]
-    pairing_ok: bool
-    norm_scale: float
-    trace_residual: float
+    norm_scale: np.ndarray | float
+    trace_residual: np.ndarray | float
     matrix: np.ndarray
 
     @property
     def order(self) -> int:
-        return int(round(np.sqrt(self.values.size)))
+        return self.matrix.shape[-1]
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        """(representative value, multiplicity) per group under
+        :func:`cluster_tolerance`, for the spectrum of one matrix."""
+        return _cluster(self.values)
+
+    @cached_property
+    def pairing_ok(self) -> bool:
+        """Whether every positive cluster of one matrix's spectrum has even multiplicity."""
+        tol = cluster_tolerance(float(self.values[0]))
+        return all(mult % 2 == 0 for val, mult in self.clusters if val > tol)
+
+    def require_identities(self, i: int, where: str = "") -> None:
+        """Raise if matrix i broke positivity, then the trace identity; ``where`` ends the message."""
+        low, resid = self.values[i, -1], self.trace_residual[i]
+        require(-low, 0.0, IDENTITY_TOL, f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
+        require(resid, 0.0, IDENTITY_TOL, f"trace identity failed: residual {resid:.3e}{where}")
 
 
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
@@ -81,34 +101,13 @@ def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple(zip(means.tolist(), counts.tolist()))
 
 
-@dataclass(frozen=True)
-class SpectralBatch:
-    """Spectra of T_X for a stack of matrices, each unit-normalized.
-
-    ``matrices`` holds X / ||X|| (B, n, n), ``values`` the descending
-    eigenvalues (B, n^2), ``norm_scale`` the ||X||^2 divided out (B,) and
-    ``trace_residual`` |sum(lambda) - (2n - 2|Tr Xhat|^2)| (B,).
-    """
-
-    matrices: np.ndarray
-    values: np.ndarray
-    norm_scale: np.ndarray
-    trace_residual: np.ndarray
-
-    def require_identities(self, i: int, where: str = "") -> None:
-        """Raise if matrix i broke positivity, then the trace identity; ``where`` ends the message."""
-        low, resid = self.values[i, -1], self.trace_residual[i]
-        require(-low, 0.0, IDENTITY_TOL, f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
-        require(resid, 0.0, IDENTITY_TOL, f"trace identity failed: residual {resid:.3e}{where}")
-
-
-def spectral_batch(X) -> SpectralBatch:
+def spectral_batch(X) -> Spectrum:
     """Spectra of T_X for every matrix of a stack (B, n, n).
 
     One O(n^4) lift per matrix, one stacked solve of the lifts as built (their
     lower triangles) for the real rows and one for the others, then the residual
     of the trace identity sum(lambda) = 2n - 2|Tr Xhat|^2 per matrix, decided by
-    the caller (:meth:`SpectralBatch.require_identities`) among its own checks.
+    the caller (:meth:`Spectrum.require_identities`) among its own checks.
     """
     X = np.asarray(X)
     if X.ndim != 3:
@@ -127,7 +126,7 @@ def spectral_batch(X) -> SpectralBatch:
     residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * np.square(np.hypot(tr.real, tr.imag))))
     with np.errstate(over="ignore"):  # ||X||^2 saturates to inf beyond about 1e154
         norm_scale = frobenius_norm(X) ** 2
-    return SpectralBatch(Xh, values, norm_scale, residual)
+    return Spectrum(values, norm_scale, residual, Xh)
 
 
 def double_commutator_spectrum(X) -> Spectrum:
@@ -142,18 +141,7 @@ def double_commutator_spectrum(X) -> Spectrum:
     X = as_matrix(X)
     batch = spectral_batch(X[None])
     batch.require_identities(0)
-    values = batch.values[0]
-    clusters = _cluster(values)
-    tol = cluster_tolerance(float(values[0]))
-    pairing_ok = all(mult % 2 == 0 for val, mult in clusters if val > tol)
-    return Spectrum(
-        values=values,
-        clusters=clusters,
-        pairing_ok=pairing_ok,
-        norm_scale=float(batch.norm_scale[0]),
-        trace_residual=float(batch.trace_residual[0]),
-        matrix=batch.matrices[0],
-    )
+    return Spectrum(*(getattr(batch, f.name)[0] for f in fields(Spectrum)))
 
 
 def partial_sums(spectrum: Spectrum) -> np.ndarray:

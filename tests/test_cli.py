@@ -364,6 +364,18 @@ def test_closed_form_on_a_normal_matrix_with_a_repeated_eigenvalue(run_cli, tmp_
     assert report["normal_closed_form"]["max_abs_diff"] < 1e-12
 
 
+def test_closed_form_accepts_an_order_one_matrix(run_cli, tmp_path):
+    # a nonzero 1x1 matrix is rank one, but the rank-one closed form starts at n = 2
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "re": [[2]], "im": [[0]]}))
+    proc = run_cli("closed-form", path, "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert_report_valid(report)
+    assert report["closed_form"]["dense_values"] == [0.0]
+    assert "rank_one_closed_form" not in report["closed_form"]
+
+
 def test_closed_form_reports_equality_witness(run_cli, tmp_path):
     X, _ = make_maximal_pair(3)
     path = tmp_path / "max.json"

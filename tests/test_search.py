@@ -284,7 +284,7 @@ def test_sweep_bundles_hold_the_unit_matrices_it_judged():
     for n in (2, 3):
         draws = [gaussian_matrix(trial_rng(4, n, t), n, real=bool(t % 2)) for t in range(10)]
         batch = spectral_batch(np.stack(draws))
-        units = [[matrix_payload(M)] for M in batch.matrices]
+        units = [[matrix_payload(M)] for M in batch.matrix]
         prefix = np.cumsum(np.maximum(batch.values, 0.0), axis=-1)
         for k in range(1, n * n // 2 + 1):
             row = next(rows)

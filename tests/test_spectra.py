@@ -1,4 +1,5 @@
 """Spectrum computation, eigenvalue pairing, and the proven bound ladder."""
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +58,54 @@ def test_e21_spectrum_order_three():
     spec = double_commutator_spectrum(_embed(E21, 3))
     np.testing.assert_allclose(spec.values, [2, 2, 1, 1, 0, 0, 0, 0, 0], atol=1e-12)
     assert spec.pairing_ok
+
+
+def test_derived_fields_follow_a_replaced_spectrum():
+    spec = double_commutator_spectrum(_embed(E12, 3))
+    assert spec.clusters == ((2.0, 2), (1.0, 2), (0.0, 5)) and spec.pairing_ok
+    v = spec.values.copy()
+    v[1] = 1.5
+    edited = dataclasses.replace(spec, values=v)
+    assert edited.clusters == ((2.0, 1), (1.5, 1), (1.0, 2), (0.0, 5))
+    assert not edited.pairing_ok
+    assert spec.clusters == ((2.0, 2), (1.0, 2), (0.0, 5)) and spec.pairing_ok
+
+
+def test_clustering_runs_only_where_a_report_reads_it(monkeypatch, tmp_path, isotropic_family):
+    from commspectra import cli, spectra
+    from commspectra.closed_forms import closed_form_summary
+    from commspectra.conjectures import check_isotropic_trace_bound
+    from commspectra.matrixio import save_matrix
+
+    calls = []
+    cluster = spectra._cluster
+
+    def counting(values):
+        calls.append(None)
+        return cluster(values)
+
+    monkeypatch.setattr(spectra, "_cluster", counting)
+    X = unit_gaussian(trial_rng(49, 0), 3)
+    path = tmp_path / "x.json"
+    save_matrix(path, X)
+    monkeypatch.chdir(tmp_path)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    spec = double_commutator_spectrum(X)
+    assert count(lambda: bound_report(X, spectrum=spec)) == 0
+    assert count(lambda: monitor_partial_sums(X, spectrum=spec)) == 0
+    assert count(lambda: monitor_majorization(X, spectrum=spec)) == 0
+    assert count(lambda: closed_form_summary(X)) == 0
+    family = isotropic_family(X, 2, trial_rng(49, 1))
+    assert count(lambda: check_isotropic_trace_bound(X, family)) == 0
+    assert count(lambda: cli.main(["check", "conj4", str(path), "--json"])) == 0
+    # the spectrum section reads clusters and pairing_ok: one clustering per report
+    assert count(lambda: cli.main(["spectrum", str(path), "--json"])) == 1
+    assert count(lambda: cli.main(["bounds", str(path), "--json"])) == 1
 
 
 def test_identity_spectrum_is_zero():
@@ -258,7 +307,7 @@ def test_bundles_hold_the_unit_matrix_whose_spectrum_was_judged():
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X = 10.0 ** rng.uniform(-3, 3) * G
         spec = double_commutator_spectrum(X)
-        assert spec.matrix.tobytes() == spectral_batch(X[None]).matrices[0].tobytes()
+        assert spec.matrix.tobytes() == spectral_batch(X[None]).matrix[0].tobytes()
         assert spec.matrix.tobytes() == normalized(X).tobytes()
         for monitor in (monitor_partial_sums, monitor_majorization):
             witness = monitor(X, spectrum=spec, tol=-100.0).witness
@@ -313,7 +362,7 @@ def test_spectral_core_solves_the_lift_as_built(real):
     for n in (2, 3, 5, 8, 11, 16):
         X = np.stack([unit_gaussian(trial_rng(43, n, t), n, real=real) for t in range(3)])
         batch = spectral_batch(X)
-        T = double_commutator_lift(batch.matrices.real if real else batch.matrices)
+        T = double_commutator_lift(batch.matrix.real if real else batch.matrix)
         assert batch.values.tobytes() == np.linalg.eigvalsh(T)[:, ::-1].tobytes()
         H = (T + np.swapaxes(T, -1, -2).conj()) / 2
         assert np.abs(batch.values - eigensolver.eigvalsh(H)).max() <= 1e-14
@@ -400,9 +449,14 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     for i in range(len(X)):
         alone = spectral_batch(X[i : i + 1])
         assert batch.values[i].tobytes() == alone.values[0].tobytes()
-        assert batch.matrices[i].tobytes() == alone.matrices[0].tobytes()
+        assert batch.matrix[i].tobytes() == alone.matrix[0].tobytes()
         assert batch.norm_scale[i] == alone.norm_scale[0]
         assert batch.trace_residual[i] == alone.trace_residual[0]
+        single = double_commutator_spectrum(X[i])  # the same Spectrum type, without the batch axis
+        assert all(
+            getattr(single, f).tobytes() == getattr(batch, f)[i].tobytes()
+            for f in ("values", "norm_scale", "trace_residual", "matrix")
+        )
     assert (batch.trace_residual <= 1e-9).all() and (batch.values[:, -1] >= -1e-9).all()
 
 
