@@ -19,10 +19,15 @@ downstream consumes this module's contracts:
 * :func:`eigvalsh` keeps a float64 (real symmetric) input float64, so LAPACK
   solves it in real arithmetic; every other input, and every input of
   :func:`eigh`, is solved in complex128;
-* :func:`eigh` has one driver, LAPACK ``zheevr``, for all N eigenpairs as
-  for the ``m`` largest (``top=m``).
+* :func:`eigh`'s dense solve has one driver, LAPACK ``zheevr``, for all N
+  eigenpairs as for the ``m`` largest (``top=m``).
   Where numpy's LAPACK does not export ``zheevr`` it keeps a copy of the
   top ``m`` columns of numpy's full solve instead;
+* :func:`eigh` with an N x p ``start`` block returns instead the top ``m``
+  Rayleigh-Ritz pairs on span[V, MV, M^2 V], from a Householder QR basis
+  and numpy's ``eigh`` of the projected 3p x 3p matrix (lower triangle):
+  lower bounds on the top ``m`` eigenvalues, exact when the span holds
+  their invariant subspace. When 3p > N/2 it is the dense solve, bit for bit;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -41,7 +46,8 @@ LAPACK_COL_MAJOR = 102
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvectors, with LAPACK's phases."""
+    """Eigenvalues (descending) and orthonormal eigenvectors, with LAPACK's
+    phases; Ritz pairs when :func:`eigh` was given a start block."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -119,15 +125,46 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], Z
 
 
-def eigh(M, top: int | None = None) -> EigenDecomposition:
+def _ritz_pays(N: int, p: int) -> bool:
+    """Whether :func:`eigh` uses a start block of p vectors on an order-N
+    matrix: its Ritz basis of 3p vectors is at most half of N. A larger
+    basis costs about as much as the dense solve."""
+    return 6 * p <= N
+
+
+def _ritz_pairs(M: np.ndarray, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], values
+    ascending.
+
+    The basis is the Q of a Householder QR, orthonormal to rounding even
+    when the block is rank deficient (a start that spans an invariant
+    subspace); the projected matrix's lower triangle is solved.
+
+    :raises np.linalg.LinAlgError: if the projected solve fails
+    """
+    MV = M @ V
+    Q = np.linalg.qr(np.hstack([V, MV, M @ MV]))[0]
+    w, S = np.linalg.eigh(Q.conj().T @ (M @ Q))
+    return w[-m:], Q @ S[:, -m:]
+
+
+def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
     """Eigendecomposition of the Hermitian matrix that the lower triangle of
     M defines, with the module's determinism contract.
 
     With ``top=m`` only the m largest eigenpairs are computed and returned;
     ``top=None`` is ``top=N``.
 
-    :raises PreconditionError: if M has non-finite entries, or ``top`` is
-        outside 1..N
+    With an N x p block ``start`` (p >= m) the result is instead the m
+    largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], V = ``start``:
+    each Ritz value is at most the eigenvalue of the same rank, and a span
+    that holds the top-m invariant subspace gives the top-m eigenpairs.
+    The products read all of M, which must be Hermitian (to rounding). When
+    3p > N/2 (:func:`_ritz_pays`) ``start`` is checked and not used: the
+    result is the dense solve's, bit for bit.
+
+    :raises PreconditionError: if M or ``start`` has non-finite entries,
+        ``top`` is outside 1..N, or ``start`` is not N x p with p >= m
     :raises ConvergenceError: if the LAPACK kernel fails to converge on
         that matrix and on its exactly permuted copy
     """
@@ -136,6 +173,18 @@ def eigh(M, top: int | None = None) -> EigenDecomposition:
     m = N if top is None else top
     if not 1 <= m <= N:
         raise PreconditionError(f"top must be in 1..{N}, got {top}")
+    if start is not None:
+        V = np.asarray(start, dtype=np.complex128)
+        if V.ndim != 2 or V.shape[0] != N or V.shape[1] < m:
+            raise PreconditionError(f"start must be {N} x p with p >= {m}, got shape {V.shape}")
+        if not np.isfinite(V).all():
+            raise PreconditionError("start contains non-finite entries")
+        if _ritz_pays(N, V.shape[1]):
+            try:
+                w, V = _ritz_pairs(M, V, m)
+                return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
+            except np.linalg.LinAlgError:
+                pass  # the dense solve below, with its retry
     try:
         w, V = _top_pairs(M, m)
     except np.linalg.LinAlgError:

@@ -6,6 +6,7 @@ from commspectra import (
     ConvergenceError,
     PreconditionError,
     double_commutator_lift,
+    haar_unitary,
     trial_rng,
     unit_gaussian,
 )
@@ -353,3 +354,105 @@ def test_eigh_top_m_rejects_a_short_eigenpair_count(monkeypatch):
 def test_eigh_top_outside_one_to_n_is_rejected(top):
     with pytest.raises(PreconditionError, match="top must be in 1..25"):
         eigh(_random_hermitian(trial_rng(51, 0), 25), top=top)
+
+
+def _ritz_case(n=8, p=8, real=False, seed=0):
+    """The lift of an order-n T_X (N = n^2) and a random N x p start block."""
+    rng = trial_rng(54, seed)
+    X = unit_gaussian(rng, n, real=real)
+    H = double_commutator_lift(X.real if real else X)
+    V = rng.standard_normal((n * n, p)) + 1j * rng.standard_normal((n * n, p))
+    return H, V
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigh_start_gives_descending_lower_bounds_on_orthonormal_vectors(seed):
+    H, V = _ritz_case(seed=seed)
+    assert eigensolver._ritz_pays(*V.shape)
+    full = eigh(H)
+    for m in (1, 6, 8):
+        dec = eigh(H, top=m, start=V)
+        assert dec.values.shape == (m,) and dec.vectors.shape == (64, m)
+        assert np.all(np.diff(dec.values) <= 0)
+        # Cauchy interlacing: each Ritz value is at most the eigenvalue of its rank
+        assert np.all(dec.values <= full.values[:m] + 1e-13)
+        gram = dec.vectors.conj().T @ dec.vectors
+        assert np.abs(gram - np.eye(m)).max() <= 1e-13
+        # Ritz pairs: the residual is orthogonal to the vectors
+        residual = H @ dec.vectors - dec.vectors * dec.values
+        assert np.abs(dec.vectors.conj().T @ residual).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mix", [False, True])
+def test_eigh_start_on_the_top_invariant_subspace_is_the_dense_solve(mix):
+    # [V, HV, H^2 V] has rank 8 in 24 columns: the QR basis stays orthonormal
+    H, _ = _ritz_case(seed=5)
+    full = eigh(H)
+    V = eigh(H, top=8).vectors
+    if mix:
+        V = V @ haar_unitary(trial_rng(55, 0), 8)
+    for m in (1, 6, 8):
+        dec = eigh(H, top=m, start=V)
+        assert np.abs(dec.values - full.values[:m]).max() <= 1e-13
+        assert np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(m)).max() <= 1e-13
+        assert _max_residual(H, dec) <= 1e-13
+
+
+def test_eigh_start_is_deterministic_bit_for_bit():
+    H, V = _ritz_case(seed=6)
+    a, b = eigh(H.copy(), top=6, start=V.copy()), eigh(H.copy(), top=6, start=V.copy())
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+@pytest.mark.parametrize("real_start", [False, True])
+def test_eigh_start_takes_a_float64_input(real_start):
+    H, V = _ritz_case(real=True, seed=7)
+    assert H.dtype == np.float64
+    if real_start:
+        V = V.real.copy()
+    dec = eigh(H, top=6, start=V)
+    want = eigh(H.astype(complex), top=6, start=V.astype(complex))
+    assert np.abs(dec.values - want.values).max() <= 1e-13
+    assert np.all(dec.values <= eigvalsh(H)[:6] + 1e-13)
+
+
+@pytest.mark.parametrize("n, p", [(4, 8), (6, 8), (7, 9), (2, 1)])
+def test_eigh_start_below_the_size_rule_is_the_dense_solve(n, p):
+    # 3p > N/2: start is checked and not used
+    H, V = _ritz_case(n=n, p=p, seed=8)
+    assert not eigensolver._ritz_pays(n * n, p)
+    for m in sorted({1, p}):
+        got, want = eigh(H, top=m, start=V), eigh(H, top=m)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_eigh_start_falls_back_to_the_dense_solve_when_the_projection_fails(monkeypatch):
+    H, V = _ritz_case(seed=9)
+    want = eigh(H, top=6)
+    real = np.linalg.eigh
+
+    def fails_on_small(A, *args, **kwargs):
+        if A.shape[-1] < H.shape[0]:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_small)
+    got = eigh(H, top=6, start=V)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_eigh_start_is_checked_against_the_matrix_and_top():
+    H, V = _ritz_case(seed=10)
+    for start, top in [(V[:-1], 6), (V[:, :5], 6), (V[0], 1), (V[None], 6)]:
+        with pytest.raises(PreconditionError, match="start must be 64 x p"):
+            eigh(H, top=top, start=start)
+    bad = V.copy()
+    bad[3, 2] = np.nan
+    with pytest.raises(PreconditionError, match="start contains non-finite"):
+        eigh(H, top=6, start=bad)
+    # checked below the size rule too
+    with pytest.raises(PreconditionError, match="start must be 64 x p"):
+        eigh(H, top=40, start=V)

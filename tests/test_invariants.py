@@ -131,8 +131,8 @@ def _ascent_top_values(monkeypatch, k2, values):
     """eigh whose top-``k2`` eigenvalues (the ascent objective's) are ``values``."""
     real = eigensolver.eigh
 
-    def forced(M, top=None):
-        dec = real(M, top=top)
+    def forced(M, top=None, start=None):
+        dec = real(M, top=top, start=start)
         if top != k2:
             return dec
         return dataclasses.replace(dec, values=np.asarray(values, dtype=np.float64))

@@ -67,8 +67,9 @@ def test_ascend_user_matrix_restart_zero_is_unperturbed():
 
 @pytest.mark.parametrize("seed", [41524744, 2507731943])
 def test_ascend_survives_lapack_non_convergence(seed):
-    # a step-(b) matrix of these restarts makes LAPACK zheevd fail to
-    # converge (zheevr solves it); the fallback test below covers the retry
+    # a dense step-(b) matrix of these restarts made LAPACK zheevd fail to
+    # converge (zheevr solves it); at order 10 step (b) is now a Ritz solve.
+    # The fallback test below runs the dense solves through zheevd
     result = ascend(SearchConfig(order=10, k=3, restarts=1, seed=seed))
     assert result.monotone_ok
     assert result.restarts[0].iterations >= 1
@@ -105,12 +106,50 @@ def test_lambda13_search_subset_solve_matches_its_fallback(monkeypatch):
 
 @pytest.mark.parametrize("seed", [41524744, 2507731943])
 def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
-    # without zheevr, step (b) takes the full zheevd solve that fails on
-    # these restarts and is retried on the reversed matrix
+    # without zheevr, the cold and the certifying solves take numpy's full
+    # solve (zheevd). A dense step (b) of these restarts made zheevd fail
+    # to converge; at order 10 step (b) is now a Ritz solve, and the retry on
+    # the reversed matrix is tested in test_eigensolver.py
     config = SearchConfig(order=10, k=3, restarts=1, seed=seed)
     fallback = _without_zheevr(monkeypatch, lambda: ascend(config))
     assert fallback.violation is None
     _same_ascent(ascend(config), fallback)
+
+
+def _dense_leg(monkeypatch, run):
+    """``run()`` with eigh's start block never used: every step of the
+    ascent is a dense solve of 2k (step (a)) or 1 (step (b)) pairs."""
+    with monkeypatch.context() as patched:
+        patched.setattr(eigensolver, "_ritz_pays", lambda N, p: False)
+        return run()
+
+
+@pytest.mark.parametrize(
+    "order, seeds",
+    [
+        (7, range(10)),
+        (8, range(10, 20)),
+        # the first ten seeds of bench/ascent_pool.json, and its two seeds
+        # whose dense step (b) once failed to converge in zheevd
+        (10, [2083679832, 369571992, 1009178997, 3466196061, 3335713882,
+              1002604896, 924414274, 1750529956, 41524744, 2507731943]),
+        (16, [0, 1]),
+    ],
+)
+def test_warm_ascent_certifies_the_dense_objective(order, seeds, monkeypatch):
+    # the maximizers of f_k form a continuum (unitary orbits and more), and
+    # the Ritz steps take another path through it than the dense steps, so
+    # best_matrix is compared through what it attains, not entry by entry
+    for seed in seeds:
+        config = SearchConfig(order=order, k=3, restarts=1, seed=seed)
+        warm = ascend(config)
+        dense = _dense_leg(monkeypatch, lambda: ascend(config))
+        assert abs(warm.best_objective - dense.best_objective) <= 1e-13
+        assert warm.monotone_ok and dense.monotone_ok
+        assert warm.violation is None and dense.violation is None
+        for result in (warm, dense):
+            values = double_commutator_spectrum(result.best_matrix).values
+            assert abs(values[:6].sum() - dense.best_objective) <= 1e-13
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -132,22 +171,26 @@ def test_family_lift_depends_only_on_the_kept_span(order, k, real):
 @pytest.mark.parametrize("seed", range(5))
 def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
     # T_{cX} = T_X for |c| = 1 and step (b) reads only the kept span, so an
-    # ascent whose eigenvectors carry random phases takes the same steps
-    config = SearchConfig(order=4, k=2, restarts=2, seed=seed)
-    plain = ascend(config)
+    # ascent whose eigenvectors carry random phases takes the same steps;
+    # order 4 takes the dense solves, order 8 the warm-started ones
+    configs = [SearchConfig(order=order, k=2, restarts=2, seed=seed) for order in (4, 8)]
+    plain = [ascend(config) for config in configs]
     rotate_eigh_phases(trial_rng(54, seed))
-    _same_ascent(plain, ascend(config))
+    for config, want in zip(configs, plain):
+        _same_ascent(want, ascend(config))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_ascent_is_blind_to_the_triangle_eigh_reads(seed, monkeypatch):
     # the lift and step (b)'s family lift are Hermitian to a few ulps, so an
-    # ascent whose eigh reads the upper triangle takes the same steps
-    config = SearchConfig(order=4, k=2, restarts=2, seed=seed)
-    plain = ascend(config)
+    # ascent whose eigh reads the upper triangle takes the same steps;
+    # order 4 takes the dense solves, order 8 the warm-started ones
+    configs = [SearchConfig(order=order, k=2, restarts=2, seed=seed) for order in (4, 8)]
+    plain = [ascend(config) for config in configs]
     eigh = eigensolver.eigh
-    monkeypatch.setattr(eigensolver, "eigh", lambda M, top=None: eigh(M.conj().T, top=top))
-    _same_ascent(plain, ascend(config))
+    monkeypatch.setattr(eigensolver, "eigh", lambda M, top=None, start=None: eigh(M.conj().T, top=top, start=start))
+    for config, want in zip(configs, plain):
+        _same_ascent(want, ascend(config))
 
 
 def test_order_2_k_2_ascents_survive_lapack_short_bisections(run_python):
