@@ -9,9 +9,11 @@ downstream consumes this module's contracts:
 * :func:`eigh` and :func:`eigvalsh` solve the Hermitian matrix that the
   lower triangle of their input defines, unchecked: ``zheevr`` and
   numpy's solvers (the fallback included) read that triangle alone, never
-  the strict upper triangle or the imaginary part of the diagonal. Every
-  matrix the library passes to either one is Hermitian up to the rounding
-  of its construction;
+  the strict upper triangle or the imaginary part of the diagonal. The one
+  exception is :func:`eigh` with a ``start`` block, whose products read all
+  of the input, which must then be Hermitian to rounding. Every matrix the
+  library passes to either one is Hermitian up to the rounding of its
+  construction;
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, with the column phases LAPACK returns;
 * identical input bits give identical output bits (fixed LAPACK build and
@@ -25,9 +27,9 @@ downstream consumes this module's contracts:
   top ``m`` columns of numpy's full solve instead;
 * :func:`eigh` with an N x p ``start`` block returns instead the top ``m``
   Rayleigh-Ritz pairs on span[V, MV, M^2 V], from a Householder QR basis
-  and numpy's ``eigh`` of the projected 3p x 3p matrix (lower triangle):
-  lower bounds on the top ``m`` eigenvalues, exact when the span holds
-  their invariant subspace. When 3p > N/2 it is the dense solve, bit for bit;
+  and numpy's ``eigh`` of the projected matrix of order min(3p, N) (lower
+  triangle): lower bounds on the top ``m`` eigenvalues, exact when the
+  span holds their invariant subspace. The caller decides when that pays;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -125,13 +127,6 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], Z
 
 
-def _ritz_pays(N: int, p: int) -> bool:
-    """Whether :func:`eigh` uses a start block of p vectors on an order-N
-    matrix: its Ritz basis of 3p vectors is at most half of N. A larger
-    basis costs about as much as the dense solve."""
-    return 6 * p <= N
-
-
 def _ritz_pairs(M: np.ndarray, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], values
     ascending.
@@ -159,9 +154,8 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
     largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], V = ``start``:
     each Ritz value is at most the eigenvalue of the same rank, and a span
     that holds the top-m invariant subspace gives the top-m eigenpairs.
-    The products read all of M, which must be Hermitian (to rounding). When
-    3p > N/2 (:func:`_ritz_pays`) ``start`` is checked and not used: the
-    result is the dense solve's, bit for bit.
+    The products read all of M, which must be Hermitian (to rounding). If
+    the projected solve fails, the result is the dense solve's.
 
     :raises PreconditionError: if M or ``start`` has non-finite entries,
         ``top`` is outside 1..N, or ``start`` is not N x p with p >= m
@@ -179,12 +173,11 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
             raise PreconditionError(f"start must be {N} x p with p >= {m}, got shape {V.shape}")
         if not np.isfinite(V).all():
             raise PreconditionError("start contains non-finite entries")
-        if _ritz_pays(N, V.shape[1]):
-            try:
-                w, V = _ritz_pairs(M, V, m)
-                return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
-            except np.linalg.LinAlgError:
-                pass  # the dense solve below, with its retry
+        try:
+            w, V = _ritz_pairs(M, V, m)
+            return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
+        except np.linalg.LinAlgError:
+            pass  # the dense solve below, with its retry
     try:
         w, V = _top_pairs(M, m)
     except np.linalg.LinAlgError:

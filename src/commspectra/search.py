@@ -22,10 +22,11 @@ most the eigenvalue of its rank (Cauchy interlacing), so the proven caps
 iterate cannot fire falsely. The restart ends with one dense top-2k solve
 of its last iterate: that f_k is the one reported and held to the caps.
 
-Where step (a)'s block would not pay (:func:`eigensolver.eigh`'s size rule;
-orders up to 6 at k = 3), both steps solve densely for the top 2k and the
-top 1: each half-step is then a global maximum of its subproblem, and the
-last step (a) is already exact.
+Below order 6, and where step (a)'s Ritz basis of 3(2k + 2) vectors would
+be more than half of n^2 (from k = 3 at order 6, k = 4 at order 7), the
+Ritz steps cost more than they save (:func:`_warm_start_pays`): both
+steps solve densely for the top 2k and the top 1, each half-step is a
+global maximum of its subproblem, and the last step (a) is already exact.
 
 The open question is whether f_k can exceed 2k + 2 (id C2A), and any
 observed breach is serialized as a violation bundle.
@@ -166,13 +167,22 @@ def _checked_sum(values: np.ndarray, k2: int, proven: float) -> float:
     return obj
 
 
+def _warm_start_pays(n: int, k: int) -> bool:
+    """Whether the order-n ascent on f_k takes Rayleigh-Ritz steps: from
+    order 6, where its step-(a) basis of 3(2k + 2) vectors is at most half
+    of n^2. Restarts timed at one BLAS thread (k = 1..32, orders 3..16) ran
+    1.1x to 2.4x faster with Ritz steps wherever this holds; below order 6
+    they ran slower at every k, by up to 1.5x."""
+    return n >= 6 and 6 * (2 * k + 2) <= n * n
+
+
 def _single_ascent(
     X: np.ndarray, config: SearchConfig, proven: float
 ) -> tuple[float, np.ndarray, int, float, bool]:
     n, k2 = config.order, 2 * config.k
     # step (a) keeps two vectors beyond the 2k, so its block does not cut a
-    # pair; where eigh would not use that block, both steps stay dense
-    warm = eigensolver._ritz_pays(n * n, k2 + 2)
+    # pair; below the size rule both steps stay dense
+    warm = _warm_start_pays(n, config.k)
     p = k2 + 2 if warm else k2
     T = double_commutator_lift(X)
     dec = eigensolver.eigh(T, top=p)

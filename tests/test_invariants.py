@@ -127,40 +127,58 @@ def test_sweep_ladder_boundary(monkeypatch, factor):
     assert raised == (factor > 1)
 
 
-def _ascent_top_values(monkeypatch, k2, values):
-    """eigh whose top-``k2`` eigenvalues (the ascent objective's) are ``values``."""
+def _ascent_top_values(monkeypatch, values):
+    """eigh whose step-(a) eigenvalues are ``values``: every solve for
+    len(values) pairs, which is 2k at a dense order and the 2k + 2 of the
+    cold and the Rayleigh-Ritz solves at a warm-started one."""
     real = eigensolver.eigh
 
     def forced(M, top=None, start=None):
         dec = real(M, top=top, start=start)
-        if top != k2:
+        if top != len(values):
             return dec
         return dataclasses.replace(dec, values=np.asarray(values, dtype=np.float64))
 
     monkeypatch.setattr(eigensolver, "eigh", forced)
 
 
+def _cap_boundary(monkeypatch, cases, factor, message):
+    """Each ``(config, values)`` ascent raises ``message`` exactly when
+    ``factor`` > 1."""
+    for config, values in cases:
+        with monkeypatch.context() as patched:
+            _ascent_top_values(patched, values)
+            raised = _raises(lambda: ascend(config))
+            assert raised == (factor > 1)
+            if raised:
+                with pytest.raises(InvariantViolationError, match=message):
+                    ascend(config)
+
+
 @pytest.mark.parametrize("factor", FACTORS)
 def test_ascent_top_eigenvalue_cap_boundary(monkeypatch, factor):
-    _ascent_top_values(monkeypatch, 2, [2.0 + factor * PROVEN_TOL, 1.0])
-    config = SearchConfig(order=3, k=1, restarts=1, max_iters=1, seed=0)
-    raised = _raises(lambda: ascend(config))
-    assert raised == (factor > 1)
-    if raised:
-        with pytest.raises(InvariantViolationError, match="^iterate broke the proven top-eigenvalue cap"):
-            ascend(config)
+    # order 3 solves densely; order 8 at k = 1 takes Ritz steps
+    assert not search._warm_start_pays(3, 1) and search._warm_start_pays(8, 1)
+    top = 2.0 + factor * PROVEN_TOL
+    cases = [
+        (SearchConfig(order=3, k=1, restarts=1, max_iters=1, seed=0), [top, 1.0]),
+        (SearchConfig(order=8, k=1, restarts=1, max_iters=1, seed=0), [top, 1.0, 1.0, 1.0]),
+    ]
+    _cap_boundary(monkeypatch, cases, factor, "^iterate broke the proven top-eigenvalue cap")
 
 
 @pytest.mark.parametrize("factor", FACTORS)
 def test_ascent_partial_sum_cap_boundary(monkeypatch, factor):
-    # order 2, k = 2: the proven cap is min(5 + 2 sqrt(2), 4) = 4
-    _ascent_top_values(monkeypatch, 4, [2.0, 2.0, factor * PROVEN_TOL, 0.0])
-    config = SearchConfig(order=2, k=2, restarts=1, max_iters=1, seed=0)
-    raised = _raises(lambda: ascend(config))
-    assert raised == (factor > 1)
-    if raised:
-        with pytest.raises(InvariantViolationError, match="^iterate broke the proven partial-sum cap"):
-            ascend(config)
+    # order 2, k = 2: the proven cap is min(5 + 2 sqrt(2), 4) = 4; order 8,
+    # k = 2 (Ritz steps): min(5 + 2 sqrt(2), 16), and the two values past
+    # the 2k must not enter the sum
+    assert search._warm_start_pays(8, 2)
+    over = 5 + 2 * np.sqrt(2) - 6 + factor * PROVEN_TOL
+    cases = [
+        (SearchConfig(order=2, k=2, restarts=1, max_iters=1, seed=0), [2.0, 2.0, factor * PROVEN_TOL, 0.0]),
+        (SearchConfig(order=8, k=2, restarts=1, max_iters=1, seed=0), [2.0, 2.0, 2.0, over, 1.0, 1.0]),
+    ]
+    _cap_boundary(monkeypatch, cases, factor, "^iterate broke the proven partial-sum cap")
 
 
 @pytest.mark.parametrize("factor", FACTORS)

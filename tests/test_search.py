@@ -19,7 +19,7 @@ from commspectra import (
     unvec,
     validate_config,
 )
-from commspectra import eigensolver, ensembles
+from commspectra import eigensolver, ensembles, search
 from commspectra.lifted import family_lift
 from conftest import make_maximal_pair
 
@@ -67,9 +67,9 @@ def test_ascend_user_matrix_restart_zero_is_unperturbed():
 
 @pytest.mark.parametrize("seed", [41524744, 2507731943])
 def test_ascend_survives_lapack_non_convergence(seed):
-    # a dense step-(b) matrix of these restarts made LAPACK zheevd fail to
-    # converge (zheevr solves it); at order 10 step (b) is now a Ritz solve.
-    # The fallback test below runs the dense solves through zheevd
+    # a dense step-(b) matrix of these restarts makes LAPACK zheevd fail to
+    # converge (zheevr solves it); at order 10 step (b) is a Ritz solve, and
+    # the fallback test below runs the dense leg through zheevd
     result = ascend(SearchConfig(order=10, k=3, restarts=1, seed=seed))
     assert result.monotone_ok
     assert result.restarts[0].iterations >= 1
@@ -106,21 +106,23 @@ def test_lambda13_search_subset_solve_matches_its_fallback(monkeypatch):
 
 @pytest.mark.parametrize("seed", [41524744, 2507731943])
 def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
-    # without zheevr, the cold and the certifying solves take numpy's full
-    # solve (zheevd). A dense step (b) of these restarts made zheevd fail
-    # to converge; at order 10 step (b) is now a Ritz solve, and the retry on
-    # the reversed matrix is tested in test_eigensolver.py
+    # without zheevr, every dense solve takes numpy's full solve (zheevd).
+    # A dense step (b) of these restarts makes zheevd fail to converge, and
+    # the dense leg's solve is retried on the reversed matrix; the warm leg
+    # solves step (b) by Rayleigh-Ritz and only its cold and certifying
+    # solves take zheevd
     config = SearchConfig(order=10, k=3, restarts=1, seed=seed)
-    fallback = _without_zheevr(monkeypatch, lambda: ascend(config))
-    assert fallback.violation is None
-    _same_ascent(ascend(config), fallback)
+    for leg in (lambda run: run(), lambda run: _dense_leg(monkeypatch, run)):
+        fallback = leg(lambda: _without_zheevr(monkeypatch, lambda: ascend(config)))
+        assert fallback.violation is None
+        _same_ascent(leg(lambda: ascend(config)), fallback)
 
 
 def _dense_leg(monkeypatch, run):
-    """``run()`` with eigh's start block never used: every step of the
-    ascent is a dense solve of 2k (step (a)) or 1 (step (b)) pairs."""
+    """``run()`` with the Ritz steps turned off: every step of the ascent
+    is a dense solve of 2k (step (a)) or 1 (step (b)) pairs."""
     with monkeypatch.context() as patched:
-        patched.setattr(eigensolver, "_ritz_pays", lambda N, p: False)
+        patched.setattr(search, "_warm_start_pays", lambda n, k: False)
         return run()
 
 
