@@ -1,11 +1,12 @@
 """Run reports: JSON-ready sections and deterministic dumps.
 
 The ``bounds``, ``verdicts`` and ``search`` sections are the result
-dataclasses themselves (``BoundReport``, ``ConjectureVerdict``,
-``SearchResult``): :func:`jsonable` serializes any dataclass field by field,
-so their keys are the fields. :func:`spectrum_section` stays a function
-because it derives fields the ``Spectrum`` does not hold (order, cluster
-lists, partial sums) and leaves out its unit matrix.
+dataclasses themselves: row 0 of the ladder (the ``BoundReport`` that
+``bound_report`` returns), ``ConjectureVerdict`` and ``SearchResult``.
+:func:`jsonable` serializes any dataclass field by field, so their keys are
+the fields. :func:`spectrum_section` stays a function because it derives
+fields the ``Spectrum`` does not hold (order, cluster lists, partial sums)
+and leaves out its unit matrix.
 
 Every command-line invocation assembles one report dict. Its shape is the
 contract published as ``report_schema.json`` (package data; bump

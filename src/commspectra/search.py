@@ -42,7 +42,7 @@ from . import ensembles
 from .errors import PreconditionError
 from .lifted import check_lift_order, double_commutator_lift, family_lift
 from .matrices import as_matrix, normalized, unvec, vec
-from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_caps, spectral_batch
+from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
 from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, holds, judge, require
 from . import eigensolver
@@ -162,8 +162,8 @@ def _checked_sum(values: np.ndarray, k2: int, proven: float) -> float:
     """The sum of the top ``k2`` of ``values`` (descending), held to the caps
     lambda_1 <= 2 and f_k <= ``proven``."""
     top, obj = values[0], float(values[:k2].sum())
-    require(top, 2.0, PROVEN_TOL, f"iterate broke the proven top-eigenvalue cap: {top!r}")
-    require(obj, proven, PROVEN_TOL, f"iterate broke the proven partial-sum cap: {obj!r} > {proven!r}")
+    require(holds(top, 2.0, PROVEN_TOL), f"iterate broke the proven top-eigenvalue cap: {top!r}")
+    require(holds(obj, proven, PROVEN_TOL), f"iterate broke the proven partial-sum cap: {obj!r} > {proven!r}")
     return obj
 
 
@@ -264,7 +264,7 @@ def lambda13_search(config: SearchConfig) -> SearchResult:
     base = ascend(config)
     half = base.best_objective / 2.0
     broke = f"lambda_1 + lambda_3 = {half!r} broke its proven cap {LAMBDA13_BOUND!r}"
-    require(half, LAMBDA13_BOUND, PROVEN_TOL, broke)
+    require(holds(half, LAMBDA13_BOUND, PROVEN_TOL), broke)
     return replace(
         base,
         objective="lambda13",
@@ -319,7 +319,6 @@ def sweep(
     rows = []
     majorization_violations: list[dict] = []
     for n, ks in plan:
-        cols = 2 * np.asarray(ks, dtype=np.intp) - 1
         caps, proven = partial_sum_caps(ks, n)
         max_f = np.full(len(ks), -np.inf)
         argmax: list[np.ndarray | None] = [None] * len(ks)
@@ -333,22 +332,21 @@ def sweep(
                 ]
             )
             spec = spectral_batch(X)
-            ladder = ladder_batch(spec.matrix, spec.values)
+            ladder = ladder_batch(spec)
             # raise what the lowest failing trial would raise on its own
-            min_slack = ladder.min_slack()
             ok = holds(-spec.values[:, -1], 0.0, IDENTITY_TOL) & holds(spec.trace_residual, 0.0, IDENTITY_TOL)
-            for i in np.flatnonzero(~(ok & holds(-min_slack, 0.0, PROVEN_TOL)))[:1]:
+            for i in np.flatnonzero(~(ok & ladder.all_proven_hold))[:1]:
                 where = f" (order {n}, trial {start + i})"
                 spec.require_identities(i, where)
-                require(-min_slack[i], 0.0, PROVEN_TOL, "proven ladder failed on a sweep draw" + where)
-            f = ladder.prefix[:, cols]
+                require(ladder.all_proven_hold[i], "proven ladder failed on a sweep draw" + where)
+            c2a_ok, f, _ = partial_sum_batch(spec.values, ks, tol)
             best = np.argmax(f, axis=0)  # first occurrence, as a strict > scan
             top = f[best, np.arange(len(ks))]
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
                 argmax[j] = spec.matrix[best[j]]
-            # holds() flags the chunk's breaches; judge() decides each on the same floats
-            for i, j in zip(*np.nonzero(~holds(f, caps, tol))):
+            # the batch flags the chunk's breaches; judge() decides each on the same floats
+            for i, j in zip(*np.nonzero(~c2a_ok)):
                 verdict = judge("C2A", [spec.matrix[i]], f[i, j], caps[j], 0.0, tol, seed)
                 row_violations[j].append(verdict.witness)
             c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)

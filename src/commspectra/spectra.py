@@ -16,12 +16,13 @@ Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
 
 Everything runs on stacks (B, n, n) through one batched core:
 :func:`spectral_batch` (lift, stacked eigensolves with real matrices in real
-arithmetic, trace-identity residuals), :func:`ladder_batch` (the ladder's
-slacks, prefix sums) and :func:`majorization_batch` (the C4 monitor). The
-per-matrix functions are batches of one; :func:`verdicts.require` raises.
-One type holds both: :func:`spectral_batch` returns a :class:`Spectrum` over
-the stack, :func:`double_commutator_spectrum` row 0 of it, whose ``clusters``
-and ``pairing_ok`` are derived from its values when first read.
+arithmetic, trace-identity residuals), :func:`ladder_batch` (the ladder and
+its one decision), :func:`partial_sum_batch` (C2A) and
+:func:`majorization_batch` (C4). A single matrix is a batch of one:
+:func:`double_commutator_spectrum` and :func:`bound_report` are row 0 of a
+:class:`Spectrum` and a :class:`BoundReport`, the monitors judge row 0, and
+these per-matrix functions (and :func:`majorization_target`, given n) refuse
+order 1. :func:`verdicts.require` raises.
 
 X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
 carries it as ``matrix``, and the ladder, the monitors and their bundles
@@ -85,8 +86,8 @@ class Spectrum:
     def require_identities(self, i: int, where: str = "") -> None:
         """Raise if matrix i broke positivity, then the trace identity; ``where`` ends the message."""
         low, resid = self.values[i, -1], self.trace_residual[i]
-        require(-low, 0.0, IDENTITY_TOL, f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
-        require(resid, 0.0, IDENTITY_TOL, f"trace identity failed: residual {resid:.3e}{where}")
+        require(holds(-low, 0.0, IDENTITY_TOL), f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
+        require(holds(resid, 0.0, IDENTITY_TOL), f"trace identity failed: residual {resid:.3e}{where}")
 
 
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
@@ -141,20 +142,34 @@ def double_commutator_spectrum(X) -> Spectrum:
     X = as_matrix(X)
     batch = spectral_batch(X[None])
     batch.require_identities(0)
-    return Spectrum(*(getattr(batch, f.name)[0] for f in fields(Spectrum)))
+    return _row0(batch)
 
 
-def partial_sums(spectrum: Spectrum) -> np.ndarray:
-    """Prefix sums of the spectrum, nondecreasing.
+def _row0(batch):
+    """Row 0 of a dataclass over a stack: every field, and every entry of a dict field."""
+    def at(v):
+        return {name: x[0] for name, x in v.items()} if isinstance(v, dict) else v[0]
+
+    return type(batch)(*(at(getattr(batch, f.name)) for f in fields(batch)))
+
+
+def _batch_of_one(X, spectrum: Spectrum | None, needs: str) -> Spectrum:
+    """The spectrum of X (``spectrum`` if given) as a stack of one; ``needs`` refuses order 1."""
+    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
+    if spec.order < 2:
+        raise PreconditionError(f"{needs} needs n >= 2, got {spec.order}")
+    return Spectrum(*(np.asarray(getattr(spec, f.name))[None] for f in fields(Spectrum)))
+
+
+def partial_sums(spectrum: Spectrum | np.ndarray) -> np.ndarray:
+    """Prefix sums of a spectrum (a :class:`Spectrum` or its ``values``)
+    along its last axis, nondecreasing.
 
     Rounding noise below zero (bounded by the PSD invariant) is clipped so
     monotonicity holds exactly; the final entry equals the trace identity
     value to ``IDENTITY_TOL``.
     """
-    return _prefix_sums(spectrum.values)
-
-
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    values = spectrum.values if isinstance(spectrum, Spectrum) else spectrum
     return np.cumsum(np.maximum(values, 0.0), axis=-1)
 
 
@@ -164,6 +179,20 @@ def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     k = np.asarray(k, dtype=np.float64)
     return 2.0 * k + 2.0, np.minimum(2.0 * k + 1.0 + 2.0 * np.sqrt(k), 2.0 * n)
+
+
+def partial_sum_batch(
+    values: np.ndarray, ks, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C2A on a stack of descending spectra (B, n^2) of unit-norm matrices.
+
+    Returns (holds, lhs, rhs): per (matrix, k) whether the top-2k sum lhs
+    (B, len(ks)) is at most the conjectured cap rhs = 2k + 2 (len(ks),).
+    """
+    ks = np.asarray(ks, dtype=np.intp)
+    lhs = partial_sums(values)[:, 2 * ks - 1]
+    rhs, _ = partial_sum_caps(ks, round(np.sqrt(values.shape[-1])))
+    return holds(lhs, rhs, tol), lhs, rhs
 
 
 def majorization_target(n: int) -> np.ndarray:
@@ -204,30 +233,16 @@ def majorization_batch(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The proven bound ladder evaluated on one unit-normalized matrix."""
+    """The proven bound ladder on unit-normalized matrices, decided by
+    ``all_proven_hold``: every slack is at least -``PROVEN_TOL``. From
+    :func:`ladder_batch` every field and dict entry has the stack as its first
+    axis; from :func:`bound_report` (a batch of one) none has."""
 
-    lambda1: float
-    norm_scale: float
+    lambda1: np.ndarray | float
+    norm_scale: np.ndarray | float
     bounds: dict
     slacks: dict
-    all_proven_hold: bool
-
-
-@dataclass(frozen=True)
-class LadderBatch:
-    """The proven bound ladder on a stack of unit-normalized matrices.
-
-    Every entry of ``bounds`` and ``slacks`` has the batch as its first
-    axis; ``prefix`` holds the prefix sums of each spectrum.
-    """
-
-    bounds: dict
-    slacks: dict
-    prefix: np.ndarray
-
-    def min_slack(self) -> np.ndarray:
-        """Each matrix's smallest slack; the ladder holds at -``PROVEN_TOL`` or above."""
-        return np.min(list(self.slacks.values()), axis=0)
+    all_proven_hold: np.ndarray | bool
 
 
 def _part_spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,12 +254,12 @@ def _part_spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return eigensolver.svd(matrices), eigensolver.eigvalsh(A), eigensolver.eigvalsh(Bsk / 1j)
 
 
-def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
-    """Evaluate every proven bound and its slack for a stack of
-    unit-normalized matrices (B, n, n), n >= 2, and their spectra (B, n^2).
-    """
+def ladder_batch(spec: Spectrum) -> BoundReport:
+    """Evaluate every proven bound and its slack, and decide the ladder, for
+    each matrix of a :func:`spectral_batch` stack of order n >= 2."""
+    values = spec.values
     B, N = values.shape
-    s, a, b = _part_spectra(matrices)
+    s, a, b = _part_spectra(spec.matrix)
     top2 = s[:, 0] ** 2 + s[:, 1] ** 2
     norm22 = 2.0 * top2
     cx = (
@@ -259,7 +274,6 @@ def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
     k1 = 2.0 * np.sort((s2[:, :, None] + s2[:, None, :]).reshape(B, -1), axis=-1)[:, ::-1]
     ks = np.arange(1, N // 2 + 1)
     partial_weak = 2.0 * ks + 1.0 + 2.0 * np.sqrt(ks)
-    prefix = _prefix_sums(values)
     lam1 = values[:, 0]
     min_bound = np.minimum(np.minimum(2.0, norm22), cx)
     bounds = {
@@ -278,9 +292,10 @@ def ladder_batch(matrices: np.ndarray, values: np.ndarray) -> LadderBatch:
         "min_bound": min_bound - lam1,
         "k1_entrywise": (k1 - values).min(axis=-1),
         "lambda13_weak": LAMBDA13_BOUND - (values[:, 0] + values[:, 2]),
-        "partial_sum_weak": (partial_weak - prefix[:, 2 * ks - 1]).min(axis=-1),
+        "partial_sum_weak": (partial_weak - partial_sums(values)[:, 2 * ks - 1]).min(axis=-1),
     }
-    return LadderBatch(bounds=bounds, slacks=slacks, prefix=prefix)
+    min_slack = np.min(list(slacks.values()), axis=0)
+    return BoundReport(lam1, spec.norm_scale, bounds, slacks, holds(-min_slack, 0.0, PROVEN_TOL))
 
 
 def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
@@ -290,20 +305,7 @@ def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
     :func:`double_commutator_spectrum` of the same X; the ladder reads its
     unit matrix.
     """
-    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    if spec.order < 2:
-        raise PreconditionError("the bound ladder needs n >= 2")
-    ladder = ladder_batch(spec.matrix[None], spec.values[None])
-    return BoundReport(
-        lambda1=float(spec.values[0]),
-        norm_scale=spec.norm_scale,
-        bounds={
-            name: v[0].copy() if v.ndim > 1 else float(v[0])
-            for name, v in ladder.bounds.items()
-        },
-        slacks={name: float(v[0]) for name, v in ladder.slacks.items()},
-        all_proven_hold=bool(holds(-ladder.min_slack()[0], 0.0, PROVEN_TOL)),
-    )
+    return _row0(ladder_batch(_batch_of_one(X, spectrum, "the bound ladder")))
 
 
 def first_four_sum_bound(X) -> float:
@@ -329,21 +331,16 @@ def monitor_partial_sums(
     X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor the open bound sum(top 2k) <= 2k + 2 for every k (id C2A)."""
-    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    if spec.order < 2:
-        raise PreconditionError(f"the partial-sum monitor needs n >= 2, got {spec.order}")
-    prefix = partial_sums(spec)
-    ks = np.arange(1, spec.values.size // 2 + 1)
-    lhs_all = prefix[2 * ks - 1]
-    rhs_all, _ = partial_sum_caps(ks, spec.order)
-    worst = int(np.argmax(lhs_all - rhs_all))
-    return judge("C2A", [spec.matrix], lhs_all[worst], rhs_all[worst], 0.0, tol, seed)
+    one = _batch_of_one(X, spectrum, "the partial-sum monitor")
+    _, lhs, rhs = partial_sum_batch(one.values, np.arange(1, one.values.shape[-1] // 2 + 1), tol)
+    worst = int(np.argmax(lhs[0] - rhs))
+    return judge("C2A", [one.matrix[0]], lhs[0, worst], rhs[worst], 0.0, tol, seed)
 
 
 def monitor_majorization(
     X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor weak majorization by the rank-one profile (id C4)."""
-    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    _, lhs, rhs = majorization_batch(spec.values[None], tol=tol)
-    return judge("C4", [spec.matrix], lhs[0], rhs[0], 0.0, tol, seed)
+    one = _batch_of_one(X, spectrum, "the profile")
+    _, lhs, rhs = majorization_batch(one.values, tol=tol)
+    return judge("C4", [one.matrix[0]], lhs[0], rhs[0], 0.0, tol, seed)

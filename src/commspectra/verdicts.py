@@ -105,10 +105,10 @@ def holds(lhs, rhs, tol):
     return lhs <= rhs + tol
 
 
-def require(lhs, rhs, tol: float, what: str) -> None:
+def require(ok, what: str) -> None:
     """Raise :class:`InvariantViolationError` (broken numerics, not a counterexample)
-    with message ``what`` unless ``holds(lhs, rhs, tol)``; ``tol`` is a proven-invariant tolerance."""
-    if not holds(lhs, rhs, tol):
+    with message ``what`` unless ``ok``, a :func:`holds` decision at a proven-invariant tolerance."""
+    if not ok:
         raise InvariantViolationError(what)
 
 

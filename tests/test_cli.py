@@ -618,7 +618,7 @@ def test_bounds_exits_3_when_a_proven_bound_fails(cli_main, exact_files, monkeyp
 
     def failing(X, spectrum=None):
         br = real(X, spectrum=spectrum)
-        return dataclasses.replace(br, slacks={**br.slacks, "bw": -1.0})
+        return dataclasses.replace(br, slacks={**br.slacks, "bw": -1.0}, all_proven_hold=False)
 
     monkeypatch.setattr(spectra, "bound_report", failing)
     code, out, err = cli_main("bounds", exact_files["e12"], "--json", "--out", "report.json")

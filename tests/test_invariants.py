@@ -1,5 +1,6 @@
-"""The proven invariants are decided by ``verdicts.require`` at two named
-tolerances: at every site an excess of 0.99 tol passes and 1.01 tol raises.
+"""The proven invariants are decided by ``verdicts.holds`` at two named
+tolerances and raised by ``verdicts.require``: at every site an excess of
+0.99 tol passes and 1.01 tol raises.
 
 The tolerances are written out here, not imported, so that moving one fails
 these tests."""
@@ -38,10 +39,10 @@ def _raises(run) -> bool:
 
 
 def test_require_is_holds_or_raise():
-    require(1.0, 1.0, 0.0, "never raised")
-    require(1.0 + 0.5e-9, 1.0, IDENTITY_TOL, "never raised")
+    require(holds(1.0, 1.0, 0.0), "never raised")
+    require(holds(1.0 + 0.5e-9, 1.0, IDENTITY_TOL), "never raised")
     with pytest.raises(InvariantViolationError, match="^the message$"):
-        require(1.0 + 2e-8, 1.0, PROVEN_TOL, "the message")
+        require(holds(1.0 + 2e-8, 1.0, PROVEN_TOL), "the message")
     assert holds(IDENTITY_TOL, 0.0, IDENTITY_TOL)
 
 
@@ -114,15 +115,19 @@ def test_ladder_boundary(factor):
 
 @pytest.mark.parametrize("factor", FACTORS)
 def test_sweep_ladder_boundary(monkeypatch, factor):
-    real = search.ladder_batch
+    # every draw becomes E12, which attains lambda_1 = 2, so raising lambda_1
+    # by d leaves the ladder a smallest slack of -d
+    real = search.spectral_batch
 
-    def short(matrices, values):
-        ladder = real(matrices, values)
-        bw = ladder.slacks["bw"].copy()
-        bw[0] = -factor * PROVEN_TOL
-        return dataclasses.replace(ladder, slacks={**ladder.slacks, "bw": bw})
+    def raised_e12(X):
+        E = np.zeros_like(X)
+        E[:, 0, 1] = 1.0
+        batch = real(E)
+        values = batch.values.copy()
+        values[:, 0] += factor * PROVEN_TOL
+        return dataclasses.replace(batch, values=values)
 
-    monkeypatch.setattr(search, "ladder_batch", short)
+    monkeypatch.setattr(search, "spectral_batch", raised_e12)
     raised = _raises(lambda: sweep([2], trials=2, seed=0))
     assert raised == (factor > 1)
 

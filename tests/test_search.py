@@ -505,9 +505,9 @@ def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
 
     def ladder_fails_from(i):
         def edit(ladder):
-            bw = ladder.slacks["bw"].copy()
-            bw[i:] = -1.0
-            return dataclasses.replace(ladder, slacks={**ladder.slacks, "bw": bw})
+            flags = ladder.all_proven_hold.copy()
+            flags[i:] = False
+            return dataclasses.replace(ladder, all_proven_hold=flags)
 
         return second_chunk(real_ladder, edit)
 

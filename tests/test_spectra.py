@@ -29,7 +29,14 @@ from commspectra import (
     unvec,
 )
 from commspectra import eigensolver
-from commspectra.spectra import _cluster, majorization_batch, partial_sum_caps, spectral_batch
+from commspectra.spectra import (
+    _cluster,
+    ladder_batch,
+    majorization_batch,
+    partial_sum_batch,
+    partial_sum_caps,
+    spectral_batch,
+)
 from commspectra.verdicts import matrix_payload
 from conftest import apply_double_commutator, random_traceless_embedded
 
@@ -446,6 +453,8 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     batch = spectral_batch(X)
     # one real solve for the real rows, one complex solve for the others
     assert solves == [(np.float64, 3), (np.complex128, 5)]
+    ladder = ladder_batch(batch)
+    _, lhs, rhs = partial_sum_batch(batch.values, np.arange(1, 9))
     for i in range(len(X)):
         alone = spectral_batch(X[i : i + 1])
         assert batch.values[i].tobytes() == alone.values[0].tobytes()
@@ -457,6 +466,15 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
             getattr(single, f).tobytes() == getattr(batch, f)[i].tobytes()
             for f in ("values", "norm_scale", "trace_residual", "matrix")
         )
+        # the ladder and C2A of the stack: row i is what the per-matrix functions return
+        br = bound_report(X[i])
+        for f in dataclasses.fields(br):
+            got, row = getattr(br, f.name), getattr(ladder, f.name)
+            pairs = [(got[k], row[k][i]) for k in got] if isinstance(got, dict) else [(got, row[i])]
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in pairs), f.name
+        verdict = monitor_partial_sums(X[i])
+        worst = np.argmax(lhs[i] - rhs)
+        assert (verdict.lhs, verdict.rhs) == (lhs[i, worst], rhs[worst])
     assert (batch.trace_residual <= 1e-9).all() and (batch.values[:, -1] >= -1e-9).all()
 
 
