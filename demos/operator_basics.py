@@ -13,7 +13,6 @@ import numpy as np
 
 from commspectra import (
     commutator,
-    commutator_lift,
     double_commutator_lift,
     gaussian_matrix,
     trial_rng,
@@ -65,7 +64,8 @@ def demo_kronecker_lift(n: int, trials: int, seed: int) -> tuple[float, float]:
         rng = trial_rng(seed, 2, t)
         X = unit_gaussian(rng, n)
         Y = gaussian_matrix(rng, n)
-        K = commutator_lift(X)
+        I = np.eye(n, dtype=np.complex128)
+        K = np.kron(I, X) - np.kron(X.T, I)
         worst_action = max(
             worst_action,
             np.abs(K @ vec(Y) - vec(commutator(X, Y))).max(),

@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .lifted import MAX_LIFT_ENTRIES, commutator_lift, double_commutator_lift
+from .lifted import MAX_LIFT_ENTRIES, double_commutator_lift
 from .matrices import (
     commutator,
     frobenius_norm,

@@ -65,8 +65,8 @@ def _stack(Bs, lead: np.ndarray | None = None) -> np.ndarray:
 
 
 def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[A_a, B_b] for every a, b: stacks (a, n, n) and (b, n, n) give (a, b, n, n)."""
-    A, B = A[:, None], B[None]
+    """[A, B] = AB - BA over the leading axes: a matrix and a stack (b, n, n) give
+    (b, n, n); ``_comm(A[:, None], B[None])`` gives every pair (a, b, n, n)."""
     return A @ B - B @ A
 
 
@@ -86,8 +86,8 @@ def check_conj1(Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> Conjec
     norms = frobenius_norm(B)
     U = np.zeros_like(B)
     U[norms > 0] = normalized(B[norms > 0])
-    resid = np.abs(_trace(U, _comm(U, U))).max()
-    lhs = (frobenius_norm(_comm(B, B)) ** 2).sum()
+    resid = np.abs(_trace(U, _comm(U[:, None], U[None]))).max()
+    lhs = (frobenius_norm(_comm(B[:, None], B[None])) ** 2).sum()
     return judge("C1", list(B), lhs, (norms**2).sum() ** 2, resid, tol, seed)
 
 
@@ -106,8 +106,8 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     G = _gram(U, U)
     resid = np.abs(G - np.diag(np.diag(G))).max()
     if cid == "C2":
-        resid = max(resid, np.abs(_trace(U, _comm(normalized(B)[None], U)[0])).max())
-    lhs = (frobenius_norm(_comm(B[None], F)) ** 2).sum()
+        resid = max(resid, np.abs(_trace(U, _comm(normalized(B), U))).max())
+    lhs = (frobenius_norm(_comm(B, F)) ** 2).sum()
     norms_sq = norms**2
     coef = 1.0 if cid == "C2" else 2.0
     rhs = (coef * norms_sq.max() + norms_sq.sum()) * frobenius_norm(B) ** 2
@@ -200,7 +200,7 @@ def check_isotropic_trace_bound(
             f"an isotropic family has at most {n * n // 2} members, got {m}"
         )
     spec = double_commutator_spectrum(X)
-    images = _comm(spec.matrix[None], W)[0]  # [X^, w_i]
+    images = _comm(spec.matrix, W)  # [X^, w_i]
     orth = np.abs(_gram(W, W) - np.eye(m)).max()
     iso = np.abs(_trace(W, images)).max()  # |<[X^, w_i]*, w_j>| = |Tr(w_j [X^, w_i])|
     lhs = spec.norm_scale * (frobenius_norm(images) ** 2).sum()

@@ -15,11 +15,9 @@ form splits as G + C where
     C = -(S + S*)  for  S = sum_j Y_j^T kron Y_j*          (the cross part)
 
 For one X the lift of Y -> XY + YX, A_X = I kron X + X^T kron I, satisfies
-G - C = A_X* A_X >= 0. That identity, and the unitary equivalence of L_X to
-a lift built from the SVD of X, are test oracles in ``tests/test_lifted.py``.
-:func:`commutator_lift` (L_X itself) stays public though no library code
-calls it: the benchmark's tracer hooks it (``bench/tracer.py``), and the
-tests build L_X with it.
+G - C = A_X* A_X >= 0. That identity, the unitary equivalence of L_X to
+a lift built from the SVD of X, and L_X itself are test oracles
+(``tests/test_lifted.py``, ``tests/conftest.py``).
 
 :func:`family_lift` is the library's one assembly of these forms, entry by
 entry, with S from one (n^2 x m)(m x n^2) product: the spectra's lifts are
@@ -39,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderMismatchError, PreconditionError
-from .matrices import as_matrix, as_stack
+from .matrices import as_stack
 
 MAX_LIFT_ENTRIES = 2**24
 
@@ -48,14 +46,6 @@ def check_lift_order(n: int) -> None:
     """:raises PreconditionError: if an order-n lift has more than MAX_LIFT_ENTRIES entries"""
     if n**4 > MAX_LIFT_ENTRIES:
         raise PreconditionError(f"order {n} is above 64: its lift would have {n**4} > 2**24 entries")
-
-
-def commutator_lift(X) -> np.ndarray:
-    """Matrix of Y -> [X, Y] on column-major vec coordinates."""
-    X = as_matrix(X)
-    check_lift_order(X.shape[0])
-    I = np.eye(X.shape[0], dtype=np.complex128)
-    return np.kron(I, X) - np.kron(X.T, I)
 
 
 def family_lift(Y) -> np.ndarray:

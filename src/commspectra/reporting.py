@@ -1,7 +1,7 @@
 """Run reports: JSON-ready sections and deterministic dumps.
 
 The ``bounds``, ``verdicts`` and ``search`` sections are the result
-dataclasses themselves: row 0 of the ladder (the ``BoundReport`` that
+dataclasses themselves: the ladder of one matrix (the ``BoundReport`` that
 ``bound_report`` returns), ``ConjectureVerdict`` and ``SearchResult``.
 :func:`jsonable` serializes any dataclass field by field, so their keys are
 the fields. :func:`spectrum_section` stays a function because it derives

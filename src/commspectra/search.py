@@ -44,7 +44,7 @@ from .lifted import check_lift_order, double_commutator_lift, family_lift
 from .matrices import as_matrix, normalized, unvec, vec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
-from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, holds, judge, require
+from .verdicts import DEFAULT_TOL, PROVEN_TOL, holds, judge, require
 from . import eigensolver
 
 INIT_KINDS = ("random_gaussian", "normal_class", "rank_one", "user_matrix")
@@ -334,8 +334,8 @@ def sweep(
             spec = spectral_batch(X)
             ladder = ladder_batch(spec)
             # raise what the lowest failing trial would raise on its own
-            ok = holds(-spec.values[:, -1], 0.0, IDENTITY_TOL) & holds(spec.trace_residual, 0.0, IDENTITY_TOL)
-            for i in np.flatnonzero(~(ok & ladder.all_proven_hold))[:1]:
+            ok = spec.positivity_holds & spec.trace_identity_holds & ladder.all_proven_hold
+            for i in np.flatnonzero(~ok)[:1]:
                 where = f" (order {n}, trial {start + i})"
                 spec.require_identities(i, where)
                 require(ladder.all_proven_hold[i], "proven ladder failed on a sweep draw" + where)

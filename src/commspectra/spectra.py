@@ -14,15 +14,14 @@ unit Frobenius norm and eigenvalues descending:
 Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
 (id C2A) and weak majorization by the rank-one profile (id C4).
 
-Everything runs on stacks (B, n, n) through one batched core:
-:func:`spectral_batch` (lift, stacked eigensolves with real matrices in real
-arithmetic, trace-identity residuals), :func:`ladder_batch` (the ladder and
-its one decision), :func:`partial_sum_batch` (C2A) and
-:func:`majorization_batch` (C4). A single matrix is a batch of one:
-:func:`double_commutator_spectrum` and :func:`bound_report` are row 0 of a
-:class:`Spectrum` and a :class:`BoundReport`, the monitors judge row 0, and
-these per-matrix functions (and :func:`majorization_target`, given n) refuse
-order 1. :func:`verdicts.require` raises.
+One batched core: :func:`spectral_batch` (lift, stacked eigensolves with
+real matrices in real arithmetic, trace-identity residuals),
+:func:`ladder_batch` (the ladder and its one decision),
+:func:`partial_sum_batch` (C2A) and :func:`majorization_batch` (C4). Each runs
+the same lines on one matrix (n, n) as on a stack (..., n, n); fields carry
+the input's leading shape, so one matrix's scalar fields are numpy scalars.
+The per-matrix functions call it directly. The ladder, the C2A monitor and
+:func:`majorization_target` refuse order 1; :func:`verdicts.require` raises.
 
 X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
 carries it as ``matrix``, and the ladder, the monitors and their bundles
@@ -30,13 +29,13 @@ read it, so every verdict refers to exactly the matrix that was judged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import eigensolver
-from .errors import OrderMismatchError, PreconditionError
+from .errors import PreconditionError
 from .lifted import double_commutator_lift
 from .matrices import as_matrix, frobenius_norm, herm_skew_split, normalized
 from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, ConjectureVerdict, holds, judge, require
@@ -54,17 +53,16 @@ def cluster_tolerance(lambda1: float) -> float:
 class Spectrum:
     """Spectra of T_X, each for the unit-normalized X, descending.
 
-    From :func:`spectral_batch` every field has the stack as its first axis;
-    from :func:`double_commutator_spectrum` (a batch of one) it has none.
-    ``values`` holds the eigenvalues (B, n^2); ``norm_scale`` the ||X||^2
+    Fields carry the input's leading shape (...): none for one matrix.
+    ``values`` holds the eigenvalues (..., n^2); ``norm_scale`` the ||X||^2
     divided out (multiply ``values`` by it to recover the spectrum of the
     raw input); ``trace_residual`` |sum(values) - (2n - 2|Tr Xhat|^2)|;
-    ``matrix`` the unit matrices X / ||X|| (B, n, n) the values belong to.
+    ``matrix`` the unit matrices X / ||X|| (..., n, n) the values belong to.
     """
 
     values: np.ndarray
-    norm_scale: np.ndarray | float
-    trace_residual: np.ndarray | float
+    norm_scale: np.ndarray | np.float64
+    trace_residual: np.ndarray | np.float64
     matrix: np.ndarray
 
     @property
@@ -83,11 +81,21 @@ class Spectrum:
         tol = cluster_tolerance(float(self.values[0]))
         return all(mult % 2 == 0 for val, mult in self.clusters if val > tol)
 
-    def require_identities(self, i: int, where: str = "") -> None:
-        """Raise if matrix i broke positivity, then the trace identity; ``where`` ends the message."""
-        low, resid = self.values[i, -1], self.trace_residual[i]
-        require(holds(-low, 0.0, IDENTITY_TOL), f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
-        require(holds(resid, 0.0, IDENTITY_TOL), f"trace identity failed: residual {resid:.3e}{where}")
+    @property
+    def positivity_holds(self) -> np.ndarray | np.bool_:
+        """Per matrix, whether the lift kept positivity: min eigenvalue >= -``IDENTITY_TOL``."""
+        return holds(-self.values[..., -1], 0.0, IDENTITY_TOL)
+
+    @property
+    def trace_identity_holds(self) -> np.ndarray | np.bool_:
+        """Per matrix, whether ``trace_residual`` is at most ``IDENTITY_TOL``."""
+        return holds(self.trace_residual, 0.0, IDENTITY_TOL)
+
+    def require_identities(self, i: int | tuple = (), where: str = "") -> None:
+        """Raise if matrix i (by default the one matrix) broke positivity, then the trace identity."""
+        low, resid = self.values[..., -1][i], self.trace_residual[i]
+        require(self.positivity_holds[i], f"lifted operator lost positivity: min eigenvalue {low:.3e}{where}")
+        require(self.trace_identity_holds[i], f"trace identity failed: residual {resid:.3e}{where}")
 
 
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
@@ -103,35 +111,35 @@ def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
 
 
 def spectral_batch(X) -> Spectrum:
-    """Spectra of T_X for every matrix of a stack (B, n, n).
+    """Spectra of T_X for one matrix (n, n) or every matrix of a stack (..., n, n).
 
     One O(n^4) lift per matrix, one stacked solve of the lifts as built (their
     lower triangles) for the real rows and one for the others, then the residual
     of the trace identity sum(lambda) = 2n - 2|Tr Xhat|^2 per matrix, decided by
-    the caller (:meth:`Spectrum.require_identities`) among its own checks.
+    the caller (:meth:`Spectrum.require_identities`) among its own checks. The
+    fields carry the input's leading shape.
     """
     X = np.asarray(X)
-    if X.ndim != 3:
-        raise OrderMismatchError(f"expected a stack (B, n, n), got shape {X.shape}")
     Xh = normalized(X)  # complex128 for any input, so the ladder does not depend on it
     n = X.shape[-1]
     # a matrix with no imaginary part gets the real lift and LAPACK's real
     # symmetric solver; deciding per row gives a matrix the same bits alone
-    # or inside any stack
+    # or inside any stack (a 0-d mask solves one matrix as a stack of one)
     real = ~Xh.imag.any(axis=(-2, -1))
-    values = np.empty((len(Xh), n * n))
+    values = np.empty((*Xh.shape[:-2], n * n))
     for rows, part in ((real, Xh.real), (~real, Xh)):
         if rows.any():
             values[rows] = eigensolver.eigvalsh(double_commutator_lift(part[rows]))
     tr = np.trace(Xh, axis1=-2, axis2=-1)
     residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * np.square(np.hypot(tr.real, tr.imag))))
-    with np.errstate(over="ignore"):  # ||X||^2 saturates to inf beyond about 1e154
-        norm_scale = frobenius_norm(X) ** 2
+    # ||X||^2 saturates to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
+    with np.errstate(over="ignore"):
+        norm_scale = np.square(frobenius_norm(X))
     return Spectrum(values, norm_scale, residual, Xh)
 
 
 def double_commutator_spectrum(X) -> Spectrum:
-    """Spectrum of T_X via the Kronecker lift (a batch of one).
+    """Spectrum of T_X via the Kronecker lift: :func:`spectral_batch` of one matrix.
 
     Internally verifies positivity and the trace identity
     sum(lambda) = 2n - 2|Tr Xhat|^2 at ``IDENTITY_TOL``, raising
@@ -139,26 +147,9 @@ def double_commutator_spectrum(X) -> Spectrum:
     above the lift limit (:func:`lifted.check_lift_order`, 64) raises
     ``PreconditionError``.
     """
-    X = as_matrix(X)
-    batch = spectral_batch(X[None])
-    batch.require_identities(0)
-    return _row0(batch)
-
-
-def _row0(batch):
-    """Row 0 of a dataclass over a stack: every field, and every entry of a dict field."""
-    def at(v):
-        return {name: x[0] for name, x in v.items()} if isinstance(v, dict) else v[0]
-
-    return type(batch)(*(at(getattr(batch, f.name)) for f in fields(batch)))
-
-
-def _batch_of_one(X, spectrum: Spectrum | None, needs: str) -> Spectrum:
-    """The spectrum of X (``spectrum`` if given) as a stack of one; ``needs`` refuses order 1."""
-    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    if spec.order < 2:
-        raise PreconditionError(f"{needs} needs n >= 2, got {spec.order}")
-    return Spectrum(*(np.asarray(getattr(spec, f.name))[None] for f in fields(Spectrum)))
+    spec = spectral_batch(as_matrix(X))
+    spec.require_identities()
+    return spec
 
 
 def partial_sums(spectrum: Spectrum | np.ndarray) -> np.ndarray:
@@ -184,13 +175,13 @@ def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
 def partial_sum_batch(
     values: np.ndarray, ks, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C2A on a stack of descending spectra (B, n^2) of unit-norm matrices.
+    """C2A on descending spectra (..., n^2) of unit-norm matrices.
 
     Returns (holds, lhs, rhs): per (matrix, k) whether the top-2k sum lhs
-    (B, len(ks)) is at most the conjectured cap rhs = 2k + 2 (len(ks),).
+    (..., len(ks)) is at most the conjectured cap rhs = 2k + 2 (len(ks),).
     """
     ks = np.asarray(ks, dtype=np.intp)
-    lhs = partial_sums(values)[:, 2 * ks - 1]
+    lhs = partial_sums(values)[..., 2 * ks - 1]
     rhs, _ = partial_sum_caps(ks, round(np.sqrt(values.shape[-1])))
     return holds(lhs, rhs, tol), lhs, rhs
 
@@ -206,22 +197,20 @@ def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of each row of v and of t at the row's worst prefix,
     the one where the excess of v over t is largest.
 
-    Rows of ``v`` (B, N) and ``t`` (N,) must be descending.
+    Rows of ``v`` (..., N) and ``t`` (N,) must be descending.
     """
-    scale = np.maximum(np.abs(v).max(axis=-1, initial=1.0), np.abs(t).max(initial=0.0))
-    if np.any(np.diff(v, axis=-1) > 1e-9 * scale[:, None]) or np.any(
-        np.diff(t)[None, :] > 1e-9 * scale[:, None]
-    ):
+    scale = np.maximum(np.abs(v).max(axis=-1, initial=1.0), np.abs(t).max(initial=0.0))[..., None]
+    if np.any(np.diff(v, axis=-1) > 1e-9 * scale) or np.any(np.diff(t) > 1e-9 * scale):
         raise PreconditionError("inputs must be sorted in descending order")
     cv, ct = np.cumsum(v, axis=-1), np.cumsum(t)
     worst = np.argmax(cv - ct, axis=-1)
-    return cv[np.arange(len(v)), worst], ct[worst]
+    return np.take_along_axis(cv, worst[..., None], -1)[..., 0], ct[worst]
 
 
 def majorization_batch(
     values: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C4 on a stack of descending spectra (B, n^2) of unit-norm matrices.
+    """C4 on descending spectra (..., n^2) of unit-norm matrices.
 
     Returns per matrix (dominated, lhs, rhs): the prefix sums of the
     spectrum and of :func:`majorization_target` at the worst prefix.
@@ -234,56 +223,58 @@ def majorization_batch(
 @dataclass(frozen=True)
 class BoundReport:
     """The proven bound ladder on unit-normalized matrices, decided by
-    ``all_proven_hold``: every slack is at least -``PROVEN_TOL``. From
-    :func:`ladder_batch` every field and dict entry has the stack as its first
-    axis; from :func:`bound_report` (a batch of one) none has."""
+    ``all_proven_hold``: every slack is at least -``PROVEN_TOL``. Fields and
+    dict entries carry the leading shape of the :class:`Spectrum`."""
 
-    lambda1: np.ndarray | float
-    norm_scale: np.ndarray | float
+    lambda1: np.ndarray | np.float64
+    norm_scale: np.ndarray | np.float64
     bounds: dict
     slacks: dict
-    all_proven_hold: np.ndarray | bool
+    all_proven_hold: np.ndarray | np.bool_
 
 
 def _part_spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The singular values of each matrix of a stack (B, n, n) and the
-    descending eigenvalues of its Hermitian part A and of B / i, B its
-    skew-Hermitian part: three (B, n) arrays, for the ladder and the
-    certificate."""
+    """The singular values of a matrix or of each matrix of a stack
+    (..., n, n) and the descending eigenvalues of its Hermitian part A and of
+    B / i, B its skew-Hermitian part: three (..., n) arrays, for the ladder
+    and the certificate."""
     A, Bsk = herm_skew_split(matrices)
     return eigensolver.svd(matrices), eigensolver.eigvalsh(A), eigensolver.eigvalsh(Bsk / 1j)
 
 
 def ladder_batch(spec: Spectrum) -> BoundReport:
     """Evaluate every proven bound and its slack, and decide the ladder, for
-    each matrix of a :func:`spectral_batch` stack of order n >= 2."""
+    the matrix or each matrix of a :func:`spectral_batch` of order n >= 2."""
+    if spec.order < 2:
+        raise PreconditionError(f"the bound ladder needs n >= 2, got {spec.order}")
     values = spec.values
-    B, N = values.shape
+    lead, N = values.shape[:-1], values.shape[-1]
     s, a, b = _part_spectra(spec.matrix)
-    top2 = s[:, 0] ** 2 + s[:, 1] ** 2
+    top2 = s[..., 0] ** 2 + s[..., 1] ** 2
     norm22 = 2.0 * top2
     cx = (
         2.0
         * (
-            (-(a[:, :, None] * a[:, None, :])).max(axis=(1, 2))
-            + (-(b[:, :, None] * b[:, None, :])).max(axis=(1, 2))
+            (-(a[..., :, None] * a[..., None, :])).max(axis=(-2, -1))
+            + (-(b[..., :, None] * b[..., None, :])).max(axis=(-2, -1))
         )
         + top2
     )
     s2 = s**2
-    k1 = 2.0 * np.sort((s2[:, :, None] + s2[:, None, :]).reshape(B, -1), axis=-1)[:, ::-1]
+    k1 = 2.0 * np.sort((s2[..., :, None] + s2[..., None, :]).reshape(*lead, -1), axis=-1)[..., ::-1]
     ks = np.arange(1, N // 2 + 1)
     partial_weak = 2.0 * ks + 1.0 + 2.0 * np.sqrt(ks)
-    lam1 = values[:, 0]
+    # [()] makes a 0-d result a numpy scalar: one matrix's fields hold no view of its spectrum
+    lam1 = values[..., 0][()]
     min_bound = np.minimum(np.minimum(2.0, norm22), cx)
     bounds = {
-        "bw": np.full(B, 2.0),
+        "bw": np.full(lead, 2.0)[()],
         "norm22": norm22,
         "cx": cx,
         "min_bound": min_bound,
         "k1_entrywise": k1,
-        "lambda13_weak": np.full(B, LAMBDA13_BOUND),
-        "partial_sum_weak": np.broadcast_to(partial_weak, (B, ks.size)),
+        "lambda13_weak": np.full(lead, LAMBDA13_BOUND)[()],
+        "partial_sum_weak": np.broadcast_to(partial_weak, (*lead, ks.size)),
     }
     slacks = {
         "bw": 2.0 - lam1,
@@ -291,21 +282,21 @@ def ladder_batch(spec: Spectrum) -> BoundReport:
         "cx": cx - lam1,
         "min_bound": min_bound - lam1,
         "k1_entrywise": (k1 - values).min(axis=-1),
-        "lambda13_weak": LAMBDA13_BOUND - (values[:, 0] + values[:, 2]),
-        "partial_sum_weak": (partial_weak - partial_sums(values)[:, 2 * ks - 1]).min(axis=-1),
+        "lambda13_weak": LAMBDA13_BOUND - (values[..., 0] + values[..., 2]),
+        "partial_sum_weak": (partial_weak - partial_sums(values)[..., 2 * ks - 1]).min(axis=-1),
     }
     min_slack = np.min(list(slacks.values()), axis=0)
     return BoundReport(lam1, spec.norm_scale, bounds, slacks, holds(-min_slack, 0.0, PROVEN_TOL))
 
 
 def bound_report(X, spectrum: Spectrum | None = None) -> BoundReport:
-    """Evaluate every proven bound and its slack for X / ||X|| (a batch of one).
+    """The :func:`ladder_batch` of X / ||X||: every proven bound and its slack.
 
     ``spectrum`` may be passed to reuse a precomputed
     :func:`double_commutator_spectrum` of the same X; the ladder reads its
     unit matrix.
     """
-    return _row0(ladder_batch(_batch_of_one(X, spectrum, "the bound ladder")))
+    return ladder_batch(double_commutator_spectrum(X) if spectrum is None else spectrum)
 
 
 def first_four_sum_bound(X) -> float:
@@ -318,7 +309,7 @@ def first_four_sum_bound(X) -> float:
     X = as_matrix(X)
     if X.shape[0] < 2:
         raise PreconditionError("the certificate needs n >= 2")
-    s, a, b = (v[0] for v in _part_spectra(X[None]))
+    s, a, b = _part_spectra(X)
     mu_a = np.sort((-np.outer(a, a)).ravel())[::-1]
     mu_b = np.sort((-np.outer(b, b)).ravel())[::-1]
     phi = (4.0 * mu_a[0] + 2.0 * mu_a[1:3].sum()) + (
@@ -331,16 +322,18 @@ def monitor_partial_sums(
     X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor the open bound sum(top 2k) <= 2k + 2 for every k (id C2A)."""
-    one = _batch_of_one(X, spectrum, "the partial-sum monitor")
-    _, lhs, rhs = partial_sum_batch(one.values, np.arange(1, one.values.shape[-1] // 2 + 1), tol)
-    worst = int(np.argmax(lhs[0] - rhs))
-    return judge("C2A", [one.matrix[0]], lhs[0, worst], rhs[worst], 0.0, tol, seed)
+    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
+    if spec.order < 2:
+        raise PreconditionError(f"the partial-sum monitor needs n >= 2, got {spec.order}")
+    _, lhs, rhs = partial_sum_batch(spec.values, np.arange(1, spec.values.shape[-1] // 2 + 1), tol)
+    worst = int(np.argmax(lhs - rhs))
+    return judge("C2A", [spec.matrix], lhs[worst], rhs[worst], 0.0, tol, seed)
 
 
 def monitor_majorization(
     X, spectrum: Spectrum | None = None, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> ConjectureVerdict:
     """Monitor weak majorization by the rank-one profile (id C4)."""
-    one = _batch_of_one(X, spectrum, "the profile")
-    _, lhs, rhs = majorization_batch(one.values, tol=tol)
-    return judge("C4", [one.matrix[0]], lhs[0], rhs[0], 0.0, tol, seed)
+    spec = double_commutator_spectrum(X) if spectrum is None else spectrum
+    _, lhs, rhs = majorization_batch(spec.values, tol=tol)
+    return judge("C4", [spec.matrix], lhs, rhs, 0.0, tol, seed)

@@ -5,7 +5,8 @@ phases.
 
 It also holds the oracles that state identities the library does not need:
 the Frobenius inner product :func:`frobenius_inner`, the matrix-free
-:func:`apply_double_commutator` (T_X Y = [X*, [X, Y]]), the canonical
+:func:`apply_double_commutator` (T_X Y = [X*, [X, Y]]), the Kronecker lift
+:func:`commutator_lift` of Y -> [X, Y], the canonical
 BW-equality pair :func:`make_maximal_pair` and the equality-case draw
 :func:`random_traceless_embedded` (X with lambda_1(T_X) = 2)."""
 import dataclasses
@@ -47,6 +48,13 @@ def apply_double_commutator(X, Y) -> np.ndarray:
     inner = X @ Y - Y @ X
     Xs = X.conj().T
     return Xs @ inner - inner @ Xs
+
+
+def commutator_lift(X) -> np.ndarray:
+    """L_X = I kron X - X^T kron I, the matrix of Y -> [X, Y] on column-major vec coordinates."""
+    X = as_matrix(X)
+    I = np.eye(X.shape[0], dtype=np.complex128)
+    return np.kron(I, X) - np.kron(X.T, I)
 
 
 def make_maximal_pair(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,6 @@ import pytest
 
 from commspectra import (
     commutator,
-    commutator_lift,
     double_commutator_lift,
     herm_skew_split,
     trial_rng,
@@ -13,7 +12,7 @@ from commspectra import (
 )
 from commspectra.eigensolver import eigh
 from commspectra.lifted import family_lift
-from conftest import apply_double_commutator
+from conftest import apply_double_commutator, commutator_lift
 
 
 def _random_complex(rng, n):

@@ -15,7 +15,6 @@ from commspectra import (
     bound_report,
     check_isotropic_trace_bound,
     closed_form_summary,
-    commutator_lift,
     double_commutator_lift,
     double_commutator_spectrum,
     lambda13_search,
@@ -51,7 +50,6 @@ def _entry_points(n: int) -> dict:
         ),
         "sweep": lambda: sweep([n], k_rule=1, trials=1),
         "double_commutator_lift": lambda: double_commutator_lift(X),
-        "commutator_lift": lambda: commutator_lift(X),
     }
 
 

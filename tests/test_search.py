@@ -537,8 +537,9 @@ def test_sweep_raises_for_the_lowest_failing_trial(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_ascent_quadratic_form_matches_commutator_lift_sum(n):
-    from commspectra import commutator_lift, double_commutator_lift, trial_rng, unit_gaussian, unvec
+    from commspectra import double_commutator_lift, trial_rng, unit_gaussian, unvec
     from commspectra.eigensolver import eigh
+    from conftest import commutator_lift
 
     k2 = 6
     X = unit_gaussian(trial_rng(40, n), n)

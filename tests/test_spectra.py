@@ -455,23 +455,37 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     assert solves == [(np.float64, 3), (np.complex128, 5)]
     ladder = ladder_batch(batch)
     _, lhs, rhs = partial_sum_batch(batch.values, np.arange(1, 9))
+
+    def assert_row(got, stack, i):
+        """Every field of ``got`` (and entry of a dict field) is row i of ``stack``'s, bit for bit."""
+        for f in dataclasses.fields(got):
+            mine, rows = getattr(got, f.name), getattr(stack, f.name)
+            pairs = [(mine[k], rows[k][i]) for k in mine] if isinstance(mine, dict) else [(mine, rows[i])]
+            for a, b in pairs:
+                assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
     for i in range(len(X)):
         alone = spectral_batch(X[i : i + 1])
         assert batch.values[i].tobytes() == alone.values[0].tobytes()
         assert batch.matrix[i].tobytes() == alone.matrix[0].tobytes()
         assert batch.norm_scale[i] == alone.norm_scale[0]
         assert batch.trace_residual[i] == alone.trace_residual[0]
-        single = double_commutator_spectrum(X[i])  # the same Spectrum type, without the batch axis
-        assert all(
-            getattr(single, f).tobytes() == getattr(batch, f)[i].tobytes()
-            for f in ("values", "norm_scale", "trace_residual", "matrix")
-        )
-        # the ladder and C2A of the stack: row i is what the per-matrix functions return
-        br = bound_report(X[i])
-        for f in dataclasses.fields(br):
-            got, row = getattr(br, f.name), getattr(ladder, f.name)
-            pairs = [(got[k], row[k][i]) for k in got] if isinstance(got, dict) else [(got, row[i])]
-            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in pairs), f.name
+        # one matrix runs the stack's lines: row i, bit for bit, without the batch axis
+        one = spectral_batch(X[i])
+        for single in (one, double_commutator_spectrum(X[i])):
+            assert_row(single, batch, i)
+        # the ladder of that spectrum is the stack's ladder row, and so is bound_report's
+        br = ladder_batch(one)
+        for report in (br, bound_report(X[i])):
+            assert_row(report, ladder, i)
+        # a row holds numpy scalars and arrays of its own, never a view of its spectrum
+        scalars = [br.lambda1, br.norm_scale, one.norm_scale, one.trace_residual, *br.slacks.values()]
+        scalars += [br.bounds["bw"], br.bounds["lambda13_weak"]]
+        assert all(type(v) is np.float64 for v in scalars)
+        assert type(br.all_proven_hold) is np.bool_
+        assert all(type(br.bounds[k]) is np.ndarray for k in ("k1_entrywise", "partial_sum_weak"))
+        held = [br.lambda1, br.norm_scale, br.all_proven_hold, *br.bounds.values(), *br.slacks.values()]
+        assert not any(np.shares_memory(v, getattr(one, f.name)) for v in held for f in dataclasses.fields(one))
         verdict = monitor_partial_sums(X[i])
         worst = np.argmax(lhs[i] - rhs)
         assert (verdict.lhs, verdict.rhs) == (lhs[i, worst], rhs[worst])
