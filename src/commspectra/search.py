@@ -290,7 +290,10 @@ def sweep(
 
     Draws alternate complex (even trial index) and real (odd) Gaussian
     matrices, normalized once by the spectral core, so each is bit for bit
-    ``ensembles.unit_gaussian`` of its trial stream. Per trial the proven
+    ``ensembles.unit_gaussian`` of its trial stream: trial t of order n
+    draws from ``trial_rng(seed, n, t)``'s stream, whose state
+    :func:`ensembles.pcg64_states` computes per chunk for the one
+    generator of the call. Per trial the proven
     ladder is asserted hard; a C2A breach at some k lands as a bundle in
     that (n, k) row, and weak-majorization (C4) breaches, which are not tied
     to a single k, go to the report's top-level ``majorization_violations``.
@@ -304,31 +307,42 @@ def sweep(
     ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
     the chunks break, and a failed check raises what the lowest failing trial raises.
     """
-    if _require_integer(trials, "trials") < 1:
+    # kept as ints: a numpy integer in the rows or bundles is not JSON
+    trials = _require_integer(trials, "trials")
+    if trials < 1:
         raise PreconditionError(f"sweep needs at least one trial, got {trials}")
-    if _require_integer(seed, "seed") < 0:
+    seed = _require_integer(seed, "seed")
+    if seed < 0:
         raise PreconditionError(f"seed must be nonnegative, got {seed}")
     orders = [_require_integer(n, "order") for n in n_values]
     if len(set(orders)) != len(orders):
         raise PreconditionError(f"sweep names an order twice: {orders}")
     plan = []
     for n in orders:
-        ks = list(range(1, n * n // 2 + 1)) if k_rule == "all" else [_require_integer(k_rule, "k")]
-        _check_order_and_k(n, ks)
-        plan.append((n, ks))
+        if k_rule == "all":
+            _check_order_and_k(n, ())
+            plan.append((n, list(range(1, n * n // 2 + 1))))  # in range by construction
+        else:
+            ks = [_require_integer(k_rule, "k")]
+            _check_order_and_k(n, ks)
+            plan.append((n, ks))
+    # one generator for the whole sweep, moved onto each trial's stream
+    rng = np.random.default_rng(0)
     rows = []
     majorization_violations: list[dict] = []
     for n, ks in plan:
         caps, proven = partial_sum_caps(ks, n)
         max_f = np.full(len(ks), -np.inf)
         argmax: list[np.ndarray | None] = [None] * len(ks)
+        argmax_trial: list[int | None] = [None] * len(ks)
         row_violations: list[list[dict]] = [[] for _ in ks]
         step = _chunk_size(n)
         for start in range(0, trials, step):
+            chunk = range(start, min(start + step, trials))
             X = np.stack(
                 [
-                    ensembles.gaussian_matrix(ensembles.trial_rng(seed, n, t), n, real=bool(t % 2))
-                    for t in range(start, min(start + step, trials))
+                    ensembles.gaussian_matrix(ensembles.set_stream(rng, *state), n, real=bool(t % 2))
+                    for t, state in zip(chunk, ensembles.pcg64_states(seed, (n,), chunk))
                 ]
             )
             spec = spectral_batch(X)
@@ -345,6 +359,7 @@ def sweep(
             for j in np.flatnonzero(top > max_f):
                 max_f[j] = top[j]
                 argmax[j] = spec.matrix[best[j]]
+                argmax_trial[j] = start + int(best[j])
             # the batch flags the chunk's breaches; judge() decides each on the same floats
             for i, j in zip(*np.nonzero(~c2a_ok)):
                 verdict = judge("C2A", [spec.matrix[i]], f[i, j], caps[j], 0.0, tol, seed)
@@ -353,22 +368,28 @@ def sweep(
             for i in np.flatnonzero(~c4_ok):
                 verdict = judge("C4", [spec.matrix[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
                 majorization_violations.append(verdict.witness)
-        for j, k in enumerate(ks):
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "trials": trials,
-                    "max_f": float(max_f[j]),
-                    "argmax_matrix": None if argmax[j] is None else matrix_payload(argmax[j]),
-                    "bound_conjectured": float(caps[j]),
-                    "bound_proven": float(proven[j]),
-                    "violations": row_violations[j],
-                }
+        # many k share one argmax trial: encode each such matrix once
+        payloads = {
+            t: matrix_payload(M) for t, M in dict(zip(argmax_trial, argmax)).items() if t is not None
+        }
+        rows += [
+            {
+                "n": n,
+                "k": k,
+                "trials": trials,
+                "max_f": value,
+                "argmax_matrix": payloads.get(t),
+                "bound_conjectured": cap,
+                "bound_proven": weak,
+                "violations": found,
+            }
+            for k, value, t, cap, weak, found in zip(
+                ks, max_f.tolist(), argmax_trial, caps.tolist(), proven.tolist(), row_violations
             )
+        ]
     return {
-        "seed": int(seed),
-        "trials_per_order": int(trials),
+        "seed": seed,
+        "trials_per_order": trials,
         "ensemble": "unit gaussian, alternating complex/real",
         "rows": rows,
         "majorization_violations": majorization_violations,

@@ -182,7 +182,7 @@ def partial_sum_batch(
     """
     ks = np.asarray(ks, dtype=np.intp)
     lhs = partial_sums(values)[..., 2 * ks - 1]
-    rhs, _ = partial_sum_caps(ks, round(np.sqrt(values.shape[-1])))
+    rhs = 2.0 * ks.astype(np.float64) + 2.0  # partial_sum_caps' conjectured cap, bit for bit
     return holds(lhs, rhs, tol), lhs, rhs
 
 
@@ -197,10 +197,13 @@ def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix sums of each row of v and of t at the row's worst prefix,
     the one where the excess of v over t is largest.
 
-    Rows of ``v`` (..., N) and ``t`` (N,) must be descending.
+    Rows of ``v`` (..., N) must be descending: a rise above 1e-9 of the
+    row's scale, max(|v|, 2), is refused. ``t`` (N,) is the profile of
+    :func:`majorization_target`, descending with largest entry 2.
     """
-    scale = np.maximum(np.abs(v).max(axis=-1, initial=1.0), np.abs(t).max(initial=0.0))[..., None]
-    if np.any(np.diff(v, axis=-1) > 1e-9 * scale) or np.any(np.diff(t) > 1e-9 * scale):
+    rises = np.diff(v, axis=-1)
+    # the scale is at least 2, so only a row that rises at all can be refused
+    if (rises > 0.0).any() and (rises > 1e-9 * np.abs(v).max(axis=-1, initial=2.0)[..., None]).any():
         raise PreconditionError("inputs must be sorted in descending order")
     cv, ct = np.cumsum(v, axis=-1), np.cumsum(t)
     worst = np.argmax(cv - ct, axis=-1)

@@ -234,6 +234,28 @@ def test_check_weak_majorization_paths():
         majorization_batch(np.array([[0.0, 1, 0, 0]]))
 
 
+def _rise_at_the_edge(a: float, scale: float) -> tuple[float, float]:
+    """Neighbouring floats lo < hi with lo - a <= 1e-9 scale < hi - a."""
+    edge = 1e-9 * scale
+    b = a + edge
+    while b - a > edge:
+        b = np.nextafter(b, -np.inf)
+    while b - a <= edge:
+        b = np.nextafter(b, np.inf)
+    return np.nextafter(b, -np.inf), b
+
+
+@pytest.mark.parametrize("first, last, scale", [(1.0, 0.0, 2.0), (5.0, 0.0, 5.0), (1.0, -5.0, 5.0)])
+def test_majorization_refuses_a_rise_just_above_the_sort_tolerance(first, last, scale):
+    # a row may rise by at most 1e-9 of its scale, max(|v|, 2), 2 being the
+    # profile's top entry; a larger row elsewhere in the stack does not count
+    lo, hi = _rise_at_the_edge(0.5, scale)
+    other = [50.0, 0.0, 0.0, 0.0]
+    majorization_batch(np.array([other, [first, 0.5, lo, last]]))
+    with pytest.raises(PreconditionError, match="descending"):
+        majorization_batch(np.array([other, [first, 0.5, hi, last]]))
+
+
 def test_bound_report_extremal_diagonal():
     X = np.diag([1 / np.sqrt(2), -1 / np.sqrt(2)]).astype(complex)
     br = bound_report(X)
