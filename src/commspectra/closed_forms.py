@@ -171,7 +171,6 @@ def closed_form_summary(X) -> dict:
             "values": cf,
             "max_abs_diff": float(np.abs(cf - spec.values).max()),
         }
-    witness = None
     try:
         witness = detect_equality_case(X, spectrum=spec)
     except DegenerateSupportError as exc:

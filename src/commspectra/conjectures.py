@@ -110,7 +110,9 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     lhs = (frobenius_norm(_comm(B, F)) ** 2).sum()
     norms_sq = norms**2
     coef = 1.0 if cid == "C2" else 2.0
-    rhs = (coef * norms_sq.max() + norms_sq.sum()) * frobenius_norm(B) ** 2
+    # ||B||^2 saturates to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
+    with np.errstate(over="ignore"):
+        rhs = (coef * norms_sq.max() + norms_sq.sum()) * np.square(frobenius_norm(B))
     return judge(cid, [B, *F], lhs, rhs, resid, tol, seed)
 
 

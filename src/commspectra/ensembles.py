@@ -4,11 +4,12 @@ Every draw takes an explicit ``numpy.random.Generator``. Reproducible
 per-trial streams come from :func:`trial_rng`, which splits a root seed by
 trial index (counter-mode), so results do not depend on evaluation order.
 
-The streams are numpy's: trial ``(seed, *indices)`` draws from
-``PCG64(SeedSequence(seed, spawn_key=indices))``, which numpy keeps stable
-across versions (NEP 19). :func:`pcg64_states` computes those PCG64 states
-without constructing a ``SeedSequence`` or a ``PCG64``, for many trial
-indices at once, and :func:`set_stream` puts one reusable generator on each.
+The streams are numpy's: :func:`trial_rng` is
+``Generator(PCG64(SeedSequence(seed, spawn_key=indices)))``, which numpy
+keeps stable across versions (NEP 19). :func:`pcg64_states` computes those
+PCG64 states for many trial indices at once, one ``SeedSequence`` per call
+absorbing the seed and the key prefix, and :func:`set_stream` puts one
+reusable generator on each.
 """
 from __future__ import annotations
 
@@ -70,23 +71,11 @@ def _mix_in(pool: list[int], words, h: int) -> tuple[list[int], int]:
 def _absorb(seed: int, key) -> tuple[list[int], int]:
     """SeedSequence's pool and next hash constant after the words of ``seed``
     and of each entry of ``key``."""
-    # numpy zero-pads the seed to the pool size only when a spawn key
-    # follows; without one its pool fill hashes the same zeros
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for k in key:
-        entropy += _words(k)
-    pool, h = [], _INIT_A
-    for w in entropy[:_POOL_SIZE]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    # every pool word into every other one, so late words reach early ones
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    return _mix_in(pool, entropy[_POOL_SIZE:], h)
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.tolist()
+    # each absorbed word is hashed once per pool word; a seed of fewer words
+    # than the pool is absorbed as if zero-padded to the pool size
+    n_words = max(len(_words(seed)), _POOL_SIZE) + sum(len(_words(k)) for k in key)
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
 
 
 def _readout_constants() -> tuple[tuple[int, int, int, int, int], ...]:
@@ -121,8 +110,8 @@ def pcg64_states(seed: int, prefix: tuple[int, ...], indices) -> list[tuple[int,
     """The PCG64 ``(state, inc)`` that ``PCG64(SeedSequence(seed,
     spawn_key=(*prefix, t)))`` holds, for each t of ``indices``.
 
-    The words of ``seed`` and ``prefix`` are mixed once; each t mixes only
-    its own words into a copy of that pool.
+    One ``SeedSequence`` absorbs ``seed`` and ``prefix``; each t mixes only
+    its own words into a copy of its pool.
     """
     pool, h = _absorb(seed, prefix)
     return [_pcg64_state(_mix_in(pool, _words(t), h)[0]) for t in indices]
@@ -142,12 +131,7 @@ def set_stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Gene
 def trial_rng(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for a trial index (or index tuple) under a root
     ``seed``; counter-mode splitting, so streams are order-independent."""
-    if indices:
-        ((state, inc),) = pcg64_states(seed, indices[:-1], indices[-1:])
-    else:
-        state, inc = _pcg64_state(_absorb(seed, ())[0])
-    # the seed 0 is overwritten at once
-    return set_stream(np.random.default_rng(0), state, inc)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=indices)))
 
 
 def gaussian_matrix(rng: np.random.Generator, n: int, real: bool = False) -> np.ndarray:

@@ -40,13 +40,11 @@ def jsonable(obj):
     """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, np.generic):
+        item = obj.item()  # a Python scalar, except for extended precision
+        if not isinstance(item, np.generic):
+            return jsonable(item)
+    if isinstance(obj, complex):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):

@@ -22,7 +22,7 @@ from commspectra import (
 )
 from commspectra import cli, matrixio, spectra
 from commspectra.search import VIOLATION_MARGIN
-from commspectra.verdicts import HYPOTHESIS_TOL
+from commspectra.verdicts import HYPOTHESIS_TOL, make_bundle
 from conftest import assert_report_valid, make_maximal_pair
 
 
@@ -724,6 +724,26 @@ def test_check_bundle_reverifies_through_the_checker_table(cli_main, exact_files
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+# numpy warns as each lhs sum overflows, for C1 as for the pivot checks
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["conj2", "conj2c"])
+def test_check_pivot_beyond_the_square_range_reports_like_conj1(cli_main, tmp_path, kind):
+    # ||B||^2 of a pivot above about 1e154 saturates to inf, as C1's sums do:
+    # exit 0 with the overflowed sums, not a crash, and its bundle reverifies
+    B = np.zeros((2, 2))
+    B[0, 1] = 1e160
+    files = [tmp_path / "big.json", tmp_path / "e21.json"]
+    save_matrix(files[0], B)
+    save_matrix(files[1], B.T / 1e160)
+    for k in ("conj1", kind):
+        code, out, err = cli_main("check", k, *files, "--json")
+        assert (code, "Traceback" in err) == (0, False)
+        v = json.loads(out)["verdicts"][0]
+        assert (v["lhs"], v["rhs"], v["satisfied"]) == (np.inf, np.inf, True)
+    bundle = make_bundle(cli.CHECK_KINDS[kind], [B, B.T / 1e160], np.inf, np.inf, 0.0, None)
+    assert reverify_bundle(bundle).rhs == np.inf
 
 
 # Per check kind, a family that meets its side conditions and one that does

@@ -9,8 +9,8 @@ from commspectra import gaussian_matrix, sweep, trial_rng
 from commspectra.ensembles import pcg64_states
 from commspectra.matrixio import json_text
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**128 + 7]
-KEYS = [(), (0,), (5, 7), (6, 2**32), (2, 2**70)]
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 7]
+KEYS = [(), (0,), (5, 7), (6, 2**32), (2, 2**70), (2**64, 0, 9)]
 
 
 def _oracle(seed, key) -> np.random.Generator:

@@ -49,6 +49,8 @@ def test_jsonable_arrays_and_nesting():
     with pytest.raises(TypeError):
         jsonable(object())
     with pytest.raises(TypeError):
+        jsonable(np.longdouble(0.5))  # no Python scalar holds it
+    with pytest.raises(TypeError):
         jsonable(SearchConfig)  # a dataclass type, not an instance
 
 
