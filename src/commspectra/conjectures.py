@@ -87,8 +87,11 @@ def check_conj1(Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> Conjec
     U = np.zeros_like(B)
     U[norms > 0] = normalized(B[norms > 0])
     resid = np.abs(_trace(U, _comm(U[:, None], U[None]))).max()
-    lhs = (frobenius_norm(_comm(B[:, None], B[None])) ** 2).sum()
-    return judge("C1", list(B), lhs, (norms**2).sum() ** 2, resid, tol, seed)
+    # the squares saturate to inf beyond about 1e154, as in spectral_batch
+    with np.errstate(over="ignore"):
+        lhs = np.square(frobenius_norm(_comm(B[:, None], B[None]))).sum()
+        rhs = np.square(np.square(norms).sum())
+    return judge("C1", list(B), lhs, rhs, resid, tol, seed)
 
 
 def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVerdict:
@@ -107,11 +110,11 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     resid = np.abs(G - np.diag(np.diag(G))).max()
     if cid == "C2":
         resid = max(resid, np.abs(_trace(U, _comm(normalized(B), U))).max())
-    lhs = (frobenius_norm(_comm(B, F)) ** 2).sum()
-    norms_sq = norms**2
     coef = 1.0 if cid == "C2" else 2.0
-    # ||B||^2 saturates to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
+    # the squares saturate to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
     with np.errstate(over="ignore"):
+        lhs = np.square(frobenius_norm(_comm(B, F))).sum()
+        norms_sq = np.square(norms)
         rhs = (coef * norms_sq.max() + norms_sq.sum()) * np.square(frobenius_norm(B))
     return judge(cid, [B, *F], lhs, rhs, resid, tol, seed)
 
@@ -205,8 +208,10 @@ def check_isotropic_trace_bound(
     images = _comm(spec.matrix, W)  # [X^, w_i]
     orth = np.abs(_gram(W, W) - np.eye(m)).max()
     iso = np.abs(_trace(W, images)).max()  # |<[X^, w_i]*, w_j>| = |Tr(w_j [X^, w_i])|
-    lhs = spec.norm_scale * (frobenius_norm(images) ** 2).sum()
-    rhs = (spec.norm_scale * spec.values)[0 : 2 * m : 2].sum()
+    # both sides saturate to inf with norm_scale, beyond about 1e154, as in spectral_batch
+    with np.errstate(over="ignore"):
+        lhs = spec.norm_scale * np.square(frobenius_norm(images)).sum()
+        rhs = (spec.norm_scale * spec.values)[0 : 2 * m : 2].sum()
     return judge("ISOTROPIC", [X, *W], lhs, rhs, max(orth, iso), tol, seed)
 
 

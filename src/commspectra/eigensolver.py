@@ -9,11 +9,9 @@ downstream consumes this module's contracts:
 * :func:`eigh` and :func:`eigvalsh` solve the Hermitian matrix that the
   lower triangle of their input defines, unchecked: ``zheevr`` and
   numpy's solvers (the fallback included) read that triangle alone, never
-  the strict upper triangle or the imaginary part of the diagonal. The one
-  exception is :func:`eigh` with a ``start`` block, whose products read all
-  of the input, which must then be Hermitian to rounding. Every matrix the
-  library passes to either one is Hermitian up to the rounding of its
-  construction;
+  the strict upper triangle or the imaginary part of the diagonal. Every
+  matrix the library passes to either one is Hermitian up to the rounding
+  of its construction;
 * eigenvalues are returned in descending order;
 * eigenvectors are orthonormal, with the column phases LAPACK returns;
 * identical input bits give identical output bits (fixed LAPACK build and
@@ -25,11 +23,14 @@ downstream consumes this module's contracts:
   eigenpairs as for the ``m`` largest (``top=m``).
   Where numpy's LAPACK does not export ``zheevr`` it keeps a copy of the
   top ``m`` columns of numpy's full solve instead;
-* :func:`eigh` with an N x p ``start`` block returns instead the top ``m``
-  Rayleigh-Ritz pairs on span[V, MV, M^2 V], from a Householder QR basis
-  and numpy's ``eigh`` of the projected matrix of order min(3p, N) (lower
-  triangle): lower bounds on the top ``m`` eigenvalues, exact when the
-  span holds their invariant subspace. The caller decides when that pays;
+* :func:`eigh` of a :class:`lifted.FamilyForm` F = L* L with an N x p
+  ``start`` block V returns instead the top ``m`` Rayleigh-Ritz pairs of F
+  on span[V, FV, F^2 V]: lower bounds on the top ``m`` eigenvalues, exact
+  when the span holds their invariant subspace. Every product is a
+  commutator; the projected matrix of order min(3p, N) is Q* F Q = W* W,
+  W = L Q for the Householder QR basis Q, solved by numpy's ``eigh``. No
+  N x N matrix is built unless that solve fails. The caller decides when
+  the Ritz step pays;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
+from .lifted import FamilyForm
 from .matrices import as_matrix, as_stack
 
 LAPACK_COL_MAJOR = 102
@@ -127,19 +129,21 @@ def _top_pairs(H: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], Z
 
 
-def _ritz_pairs(M: np.ndarray, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], values
+def _ritz_pairs(F: FamilyForm, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m largest Rayleigh-Ritz pairs of F on span[V, FV, F^2 V], values
     ascending.
 
     The basis is the Q of a Householder QR, orthonormal to rounding even
     when the block is rank deficient (a start that spans an invariant
-    subspace); the projected matrix's lower triangle is solved.
+    subspace). The projected matrix Q* F Q is formed as W* W, W = L Q with
+    F = L* L: Hermitian PSD, one commutator per basis column and member.
 
     :raises np.linalg.LinAlgError: if the projected solve fails
     """
-    MV = M @ V
-    Q = np.linalg.qr(np.hstack([V, MV, M @ MV]))[0]
-    w, S = np.linalg.eigh(Q.conj().T @ (M @ Q))
+    FV = F.adjoint_sum(F.commutators(V))
+    Q = np.linalg.qr(np.hstack([V, FV, F.adjoint_sum(F.commutators(FV))]))[0]
+    W = F.commutators(Q)
+    w, S = np.linalg.eigh(W.conj().T @ W)
     return w[-m:], Q @ S[:, -m:]
 
 
@@ -150,24 +154,30 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
     With ``top=m`` only the m largest eigenpairs are computed and returned;
     ``top=None`` is ``top=N``.
 
-    With an N x p block ``start`` (p >= m) the result is instead the m
-    largest Rayleigh-Ritz pairs of M on span[V, MV, M^2 V], V = ``start``:
-    each Ritz value is at most the eigenvalue of the same rank, and a span
-    that holds the top-m invariant subspace gives the top-m eigenpairs.
-    The products read all of M, which must be Hermitian (to rounding). If
-    the projected solve fails, the result is the dense solve's.
+    With an N x p block ``start`` (p >= m), M is a :class:`lifted.FamilyForm`
+    F of order N, and the result is instead the m largest Rayleigh-Ritz
+    pairs of F on span[V, FV, F^2 V], V = ``start``, computed from
+    commutator products: each Ritz value is at most the eigenvalue of the
+    same rank, and a span that holds the top-m invariant subspace gives the
+    top-m eigenpairs. If the projected solve fails, the result is the dense
+    solve's of F's lift, built only then.
 
     :raises PreconditionError: if M or ``start`` has non-finite entries,
-        ``top`` is outside 1..N, or ``start`` is not N x p with p >= m
+        ``top`` is outside 1..N, ``start`` is not N x p with p >= m, or
+        a start block comes without a FamilyForm M, or one without it
     :raises ConvergenceError: if the LAPACK kernel fails to converge on
         that matrix and on its exactly permuted copy
     """
-    M = as_matrix(M, "M")
+    ritz = isinstance(M, FamilyForm)
+    if ritz != (start is not None):
+        raise PreconditionError("a start block needs a FamilyForm, and a FamilyForm a start block")
+    if not ritz:
+        M = as_matrix(M, "M")
     N = M.shape[0]
     m = N if top is None else top
     if not 1 <= m <= N:
         raise PreconditionError(f"top must be in 1..{N}, got {top}")
-    if start is not None:
+    if ritz:
         V = np.asarray(start, dtype=np.complex128)
         if V.ndim != 2 or V.shape[0] != N or V.shape[1] < m:
             raise PreconditionError(f"start must be {N} x p with p >= {m}, got shape {V.shape}")
@@ -177,7 +187,7 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
             w, V = _ritz_pairs(M, V, m)
             return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
         except np.linalg.LinAlgError:
-            pass  # the dense solve below, with its retry
+            M = as_matrix(M.lift(), "M")  # the dense solve below, with its retry
     try:
         w, V = _top_pairs(M, m)
     except np.linalg.LinAlgError:

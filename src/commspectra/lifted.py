@@ -20,13 +20,18 @@ a lift built from the SVD of X, and L_X itself are test oracles
 (``tests/test_lifted.py``, ``tests/conftest.py``).
 
 :func:`family_lift` is the library's one assembly of these forms, entry by
-entry, with S from one (n^2 x m)(m x n^2) product: the spectra's lifts are
-its families of one (:func:`double_commutator_lift`), the ascent's step (b)
-its families of top-2k eigenvectors. The O(n^6) L_X* L_X is only a test
-oracle. A float64 input gives float64, anything else complex128. Real lifts
-are exactly symmetric; the cross part is summed exactly Hermitian, so a
-complex lift misses its adjoint only where i = j or k = l, where the Gram
-part adds BLAS products, Hermitian to a few ulps.
+entry, with S from one (n^2 x m)(m x n^2) product. Its callers are the
+spectra's lifts, families of one (:func:`double_commutator_lift`), and the
+ascent's dense solves: every step of an ascent below its size rule, and the
+cold and the certifying solve of each warm-started restart. The O(n^6)
+L_X* L_X is only a test oracle. A float64 input gives float64, anything
+else complex128. Real lifts are exactly symmetric; the cross part is summed
+exactly Hermitian, so a complex lift misses its adjoint only where i = j or
+k = l, where the Gram part adds BLAS products, Hermitian to a few ulps.
+
+:class:`FamilyForm` is its matrix-free twin for the warm-started ascent's
+Rayleigh-Ritz steps: L V and L* W for a block of vec'd columns, as
+commutators of order-n matrices, with no n^2 x n^2 matrix built.
 
 Every lift the library builds has n^4 entries. :func:`check_lift_order` refuses
 orders above 64, whose lift would hold more than :data:`MAX_LIFT_ENTRIES`
@@ -89,3 +94,67 @@ def double_commutator_lift(X) -> np.ndarray:
     """
     X = np.asarray(X)
     return family_lift(X[..., None, :, :] if X.ndim >= 2 else X)
+
+
+class FamilyForm:
+    """The form F = sum_j L_{Y_j}* L_{Y_j} of a family {Y_j} (m, n, n), applied
+    as commutators: the matrix-free twin of :func:`family_lift`.
+
+    L is the stacked commutator map vec Z -> (vec [Y_j, Z])_j, so F = L* L.
+    :meth:`commutators` applies L and :meth:`adjoint_sum` applies L*, each
+    as two products of an (m n) x n or n x (m n) stack of the family with the
+    block, for O(m n^3) flops per column against the lift's O(m n^4).
+    ``shape`` is F's, and ``conj()`` and ``T`` are the form of the conjugate
+    family, which for the Hermitian F is both conj(F) and F^T: ``F.conj().T``
+    is F bit for bit, as for the matrix :meth:`lift` builds.
+    """
+
+    def __init__(self, Y):
+        Y = as_stack(Y)
+        if Y.ndim != 3:
+            raise OrderMismatchError(f"expected a family (m, n, n), got shape {Y.shape}")
+        m, n, _ = Y.shape
+        self.family = Y
+        # Y_j[b, e] at row (j, b), column e, and the same for the Y_j^T
+        self._rows = Y.reshape(m * n, n)
+        self._cols = Y.swapaxes(-1, -2).reshape(m * n, n)
+        self._rows_h = self._rows.conj().T
+        self._cols_h = self._cols.conj().T
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        N = self.family.shape[-1] ** 2
+        return N, N
+
+    def commutators(self, V) -> np.ndarray:
+        """L V for V (n^2, p): the (m n^2, p) block whose rows j n^2 to
+        (j + 1) n^2 are vec [Y_j, Z_c] for the unvec'd columns Z_c of V."""
+        m, n, _ = self.family.shape
+        # in C order V reads as R[a, e, c] = Z_c[e, a], and the result as
+        # [j, a, b, c] = [Y_j, Z_c][b, a]
+        R = V.reshape(n, n, -1)
+        p = R.shape[-1]
+        YZ = (self._rows @ R.swapaxes(0, 1).reshape(n, n * p)).reshape(m, n, n, p).swapaxes(1, 2)
+        ZY = (self._cols @ R.reshape(n, n * p)).reshape(m, n, n, p)
+        return (YZ - ZY).reshape(m * n * n, p)
+
+    def adjoint_sum(self, W) -> np.ndarray:
+        """L* W = sum_j vec [Y_j*, W_j] for W (m n^2, p), W_j its j-th row block:
+        (n^2, p). ``adjoint_sum(commutators(V))`` is F V."""
+        m, n, _ = self.family.shape
+        R = W.reshape(m, n, n, -1)
+        p = R.shape[-1]
+        YZ = (self._rows_h @ R.swapaxes(1, 2).reshape(m * n, n * p)).reshape(n, n, p).swapaxes(0, 1)
+        ZY = (self._cols_h @ R.reshape(m * n, n * p)).reshape(n, n, p)
+        return (YZ - ZY).reshape(n * n, p)
+
+    def lift(self) -> np.ndarray:
+        """F as a matrix: :func:`family_lift` of the family."""
+        return family_lift(self.family)
+
+    def conj(self) -> FamilyForm:
+        return FamilyForm(self.family.conj())
+
+    @property
+    def T(self) -> FamilyForm:
+        return self.conj()

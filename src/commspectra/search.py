@@ -6,27 +6,30 @@ Frobenius sphere alternates two maximizations:
 (a) with X fixed, the optimal orthonormal 2k-family {Y_i} consists of the
     top eigenvectors of the lifted operator, achieving f_k(X);
 (b) with {Y_i} fixed, sum_i ||[X, Y_i]||^2 is a quadratic form in vec(X)
-    with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector;
-    :func:`lifted.family_lift` builds that matrix as it builds T_X's lift,
-    which is the family {X}.
+    with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector.
 
-Each restart solves step (a) once densely, for the top 2k + 2 pairs. From
-then on each half-step is a Rayleigh-Ritz solve (``eigensolver.eigh`` with
-a start block) on a subspace that holds the previous iterate: step (a)'s on
-the previous 2k + 2 vectors, step (b)'s on vec(X). By Ky Fan's maximum
-principle on that subspace, step (a)'s top-2k Ritz sum is at least
-sum_i <T_X Y_i, Y_i>, step (b)'s value, and step (b)'s is at least the form
-at the previous X; so the objective never decreases. A Ritz value is at
-most the eigenvalue of its rank (Cauchy interlacing), so the proven caps
-(lambda_1 <= 2 and f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on every
-iterate cannot fire falsely. The restart ends with one dense top-2k solve
-of its last iterate: that f_k is the one reported and held to the caps.
+Each restart solves step (a) once densely, for the top 2k + 2 pairs of
+T_X's lift. From then on each half-step is a Rayleigh-Ritz solve
+(``eigensolver.eigh`` of a :class:`lifted.FamilyForm` with a start block)
+on a subspace that holds the previous iterate: step (a)'s on the previous
+2k + 2 vectors, with T_X V = [X*, [X, V]] the family {X}'s form, step (b)'s
+on vec(X), with F x = sum_i [Y_i*, [Y_i, x]]. Both forms are applied as
+commutators, so no lift is built between the cold solve and the last. By
+Ky Fan's maximum principle on that subspace, step (a)'s top-2k Ritz sum is
+at least sum_i <T_X Y_i, Y_i>, step (b)'s value, and step (b)'s is at least
+the form at the previous X; so the objective never decreases. A Ritz value
+is at most the eigenvalue of its rank (Cauchy interlacing), so the proven
+caps (lambda_1 <= 2 and f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on
+every iterate cannot fire falsely. The restart ends with the eigenvalues of
+its last iterate's lift, the second and last lift it builds: that f_k is
+the one reported and held to the caps.
 
 Below order 6, and where step (a)'s Ritz basis of 3(2k + 2) vectors would
 be more than half of n^2 (from k = 3 at order 6, k = 4 at order 7), the
 Ritz steps cost more than they save (:func:`_warm_start_pays`): both
-steps solve densely for the top 2k and the top 1, each half-step is a
-global maximum of its subproblem, and the last step (a) is already exact.
+steps solve their lifts densely (:func:`lifted.family_lift`) for the top 2k
+and the top 1, each half-step is a global maximum of its subproblem, and
+the last step (a) is already exact.
 
 The open question is whether f_k can exceed 2k + 2 (id C2A), and any
 observed breach is serialized as a violation bundle.
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import ensembles
 from .errors import PreconditionError
-from .lifted import check_lift_order, double_commutator_lift, family_lift
+from .lifted import FamilyForm, check_lift_order, double_commutator_lift, family_lift
 from .matrices import as_matrix, normalized, unvec, vec
 from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
@@ -184,17 +187,21 @@ def _single_ascent(
     # pair; below the size rule both steps stay dense
     warm = _warm_start_pays(n, config.k)
     p = k2 + 2 if warm else k2
-    T = double_commutator_lift(X)
-    dec = eigensolver.eigh(T, top=p)
+    dec = eigensolver.eigh(double_commutator_lift(X), top=p)
     x = vec(X)[:, None]
     obj = first = _checked_sum(dec.values, k2, proven)
     monotone, flat = True, 0
     for iterations in range(1, config.max_iters + 1):  # max_iters >= 1 (validate_config)
         family = dec.vectors[:, :k2].T.reshape(k2, n, n).swapaxes(-1, -2)  # the unvec'd columns
-        x = eigensolver.eigh(family_lift(family), top=1, start=x if warm else None).vectors
-        X = normalized(unvec(x, n))
-        T = double_commutator_lift(X)
-        dec = eigensolver.eigh(T, top=p, start=dec.vectors if warm else None)
+        if warm:
+            # Ritz steps on commutator products: no lift is built
+            x = eigensolver.eigh(FamilyForm(family), top=1, start=x).vectors
+            X = normalized(unvec(x, n))
+            dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=dec.vectors)
+        else:
+            x = eigensolver.eigh(family_lift(family), top=1).vectors
+            X = normalized(unvec(x, n))
+            dec = eigensolver.eigh(double_commutator_lift(X), top=p)
         new_obj = _checked_sum(dec.values, k2, proven)
         monotone = monotone and new_obj >= obj - 1e-10
         rel = (new_obj - obj) / max(abs(obj), 1e-300)
@@ -203,9 +210,10 @@ def _single_ascent(
         if flat >= FLAT_ITERS:
             break
     if warm:
-        # a Ritz sum is a lower bound on f_k; the dense top-2k of the last
-        # iterate is f_k itself, the value reported and held to the caps
-        certified = _checked_sum(eigensolver.eigh(T, top=k2).values, k2, proven)
+        # a Ritz sum is a lower bound on f_k; the top 2k eigenvalues of the
+        # last iterate's lift are f_k itself, the value reported and held to
+        # the caps
+        certified = _checked_sum(eigensolver.eigvalsh(double_commutator_lift(X)), k2, proven)
         monotone = monotone and certified >= obj - 1e-10
         obj = certified
     return obj, X, iterations, first, monotone

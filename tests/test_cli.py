@@ -726,8 +726,6 @@ def test_check_bundle_reverifies_through_the_checker_table(cli_main, exact_files
     assert "error:" in err
 
 
-# numpy warns as each lhs sum overflows, for C1 as for the pivot checks
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["conj2", "conj2c"])
 def test_check_pivot_beyond_the_square_range_reports_like_conj1(cli_main, tmp_path, kind):
     # ||B||^2 of a pivot above about 1e154 saturates to inf, as C1's sums do:

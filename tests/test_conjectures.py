@@ -177,6 +177,17 @@ def test_isotropic_families_satisfy_trace_bound(isotropic_family):
         assert v.satisfied
 
 
+@pytest.mark.parametrize("scale", [1.2e154, 1e200])
+def test_isotropic_sums_saturate_without_a_warning(scale, isotropic_family):
+    # norm_scale times either sum overflows from about ||X|| = 1.2e154: the
+    # rhs, or both sides, read inf, and numpy does not warn (the suite turns
+    # warnings into errors)
+    rng = trial_rng(53, 0)
+    X = unit_gaussian(rng, 3)
+    v = check_isotropic_trace_bound(scale * X, isotropic_family(X, 2, rng))
+    assert v.rhs == np.inf and v.satisfied
+
+
 def test_isotropic_rejects_non_isotropic_family():
     rng = trial_rng(54, 0)
     X = unit_gaussian(rng, 2)

@@ -12,6 +12,7 @@ from commspectra import (
 )
 from commspectra import eigensolver
 from commspectra.eigensolver import eigh, eigvalsh, svd
+from commspectra.lifted import FamilyForm
 
 
 def _random_hermitian(rng, n):
@@ -357,20 +358,22 @@ def test_eigh_top_outside_one_to_n_is_rejected(top):
 
 
 def _ritz_case(n=8, p=8, real=False, seed=0):
-    """The lift of an order-n T_X (N = n^2) and a random N x p start block."""
+    """The Ritz operator of an order-n T_X, its lift H (N = n^2) as the
+    dense oracle, and a random N x p start block."""
     rng = trial_rng(54, seed)
     X = unit_gaussian(rng, n, real=real)
-    H = double_commutator_lift(X.real if real else X)
+    F = FamilyForm((X.real if real else X)[None])
+    H = double_commutator_lift(F.family[0])
     V = rng.standard_normal((n * n, p)) + 1j * rng.standard_normal((n * n, p))
-    return H, V
+    return F, H, V
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_eigh_start_gives_descending_lower_bounds_on_orthonormal_vectors(seed):
-    H, V = _ritz_case(seed=seed)
+    F, H, V = _ritz_case(seed=seed)
     full = eigh(H)
     for m in (1, 6, 8):
-        dec = eigh(H, top=m, start=V)
+        dec = eigh(F, top=m, start=V)
         assert dec.values.shape == (m,) and dec.vectors.shape == (64, m)
         assert np.all(np.diff(dec.values) <= 0)
         # Cauchy interlacing: each Ritz value is at most the eigenvalue of its rank
@@ -384,34 +387,34 @@ def test_eigh_start_gives_descending_lower_bounds_on_orthonormal_vectors(seed):
 
 @pytest.mark.parametrize("mix", [False, True])
 def test_eigh_start_on_the_top_invariant_subspace_is_the_dense_solve(mix):
-    # [V, HV, H^2 V] has rank 8 in 24 columns: the QR basis stays orthonormal
-    H, _ = _ritz_case(seed=5)
+    # [V, FV, F^2 V] has rank 8 in 24 columns: the QR basis stays orthonormal
+    F, H, _ = _ritz_case(seed=5)
     full = eigh(H)
     V = eigh(H, top=8).vectors
     if mix:
         V = V @ haar_unitary(trial_rng(55, 0), 8)
     for m in (1, 6, 8):
-        dec = eigh(H, top=m, start=V)
+        dec = eigh(F, top=m, start=V)
         assert np.abs(dec.values - full.values[:m]).max() <= 1e-13
         assert np.abs(dec.vectors.conj().T @ dec.vectors - np.eye(m)).max() <= 1e-13
         assert _max_residual(H, dec) <= 1e-13
 
 
 def test_eigh_start_is_deterministic_bit_for_bit():
-    H, V = _ritz_case(seed=6)
-    a, b = eigh(H.copy(), top=6, start=V.copy()), eigh(H.copy(), top=6, start=V.copy())
+    F, _, V = _ritz_case(seed=6)
+    a, b = (eigh(FamilyForm(F.family.copy()), top=6, start=V.copy()) for _ in range(2))
     assert a.values.tobytes() == b.values.tobytes()
     assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 @pytest.mark.parametrize("real_start", [False, True])
 def test_eigh_start_takes_a_float64_input(real_start):
-    H, V = _ritz_case(real=True, seed=7)
-    assert H.dtype == np.float64
+    F, H, V = _ritz_case(real=True, seed=7)
+    assert F.family.dtype == np.float64
     if real_start:
         V = V.real.copy()
-    dec = eigh(H, top=6, start=V)
-    want = eigh(H.astype(complex), top=6, start=V.astype(complex))
+    dec = eigh(F, top=6, start=V)
+    want = eigh(FamilyForm(F.family.astype(complex)), top=6, start=V.astype(complex))
     assert np.abs(dec.values - want.values).max() <= 1e-13
     assert np.all(dec.values <= eigvalsh(H)[:6] + 1e-13)
 
@@ -420,16 +423,16 @@ def test_eigh_start_takes_a_float64_input(real_start):
 def test_eigh_start_spanning_the_whole_space_is_the_dense_solve(n, p):
     # 3p >= N: the QR basis is all of the space, so the Ritz pairs are the
     # eigenpairs
-    H, V = _ritz_case(n=n, p=p, seed=8)
+    F, H, V = _ritz_case(n=n, p=p, seed=8)
     for m in sorted({1, p}):
-        got, want = eigh(H, top=m, start=V), eigh(H, top=m)
+        got, want = eigh(F, top=m, start=V), eigh(H, top=m)
         assert np.abs(got.values - want.values).max() <= 1e-13
         assert np.abs(got.vectors.conj().T @ got.vectors - np.eye(m)).max() <= 1e-13
         assert _max_residual(H, got) <= 1e-13
 
 
 def test_eigh_start_falls_back_to_the_dense_solve_when_the_projection_fails(monkeypatch):
-    H, V = _ritz_case(seed=9)
+    F, H, V = _ritz_case(seed=9)
     want = eigh(H, top=6)
     real = np.linalg.eigh
 
@@ -439,17 +442,21 @@ def test_eigh_start_falls_back_to_the_dense_solve_when_the_projection_fails(monk
         return real(A, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_small)
-    got = eigh(H, top=6, start=V)
+    got = eigh(F, top=6, start=V)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 def test_eigh_start_is_checked_against_the_matrix_and_top():
-    H, V = _ritz_case(seed=10)
+    F, H, V = _ritz_case(seed=10)
     for start, top in [(V[:-1], 6), (V[:, :5], 6), (V[0], 1), (V[None], 6)]:
         with pytest.raises(PreconditionError, match="start must be 64 x p"):
-            eigh(H, top=top, start=start)
+            eigh(F, top=top, start=start)
     bad = V.copy()
     bad[3, 2] = np.nan
     with pytest.raises(PreconditionError, match="start contains non-finite"):
-        eigh(H, top=6, start=bad)
+        eigh(F, top=6, start=bad)
+    # a Ritz step takes the operator, and a dense solve the matrix
+    for M, start in [(H, V), (F, None)]:
+        with pytest.raises(PreconditionError, match="a start block needs a FamilyForm"):
+            eigh(M, top=6, start=start)

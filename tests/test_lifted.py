@@ -11,7 +11,7 @@ from commspectra import (
     vec,
 )
 from commspectra.eigensolver import eigh
-from commspectra.lifted import family_lift
+from commspectra.lifted import FamilyForm, family_lift
 from conftest import apply_double_commutator, commutator_lift
 
 
@@ -163,3 +163,35 @@ def test_complex_lift_is_hermitian_up_to_its_gram_products():
                 D = (M - M.conj().T).reshape(n, n, n, n)
                 assert not D[off].any()
                 assert np.abs(D).max() <= 8 * eps * np.abs(M).max()
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_form_products_match_the_lift(n, real):
+    # the matrix-free form against family_lift, for a family of one (T_X)
+    # and of 2k members (an ascent's step (b)): F V = L*(L V) against the
+    # lift's product, and the Gram form W* W, W = L Q, against Q* F Q
+    N, k = n * n, min(3, n * n // 2)
+    for m in (1, 2 * k):
+        rng = trial_rng(96, n, m)
+        Y = np.stack([_random_complex(rng, n) for _ in range(m)])
+        if real:
+            Y = Y.real.copy()
+        F, H = FamilyForm(Y), family_lift(Y)
+        assert F.shape == H.shape == (N, N)
+        V = rng.standard_normal((N, 5)) + 1j * rng.standard_normal((N, 5))
+        LV = F.commutators(V)
+        assert LV.shape == (m * N, 5)
+        for j, c in [(0, 0), (m - 1, 4)]:
+            want = vec(commutator(Y[j], unvec(V[:, c], n)))
+            assert np.abs(LV[j * N : (j + 1) * N, c] - want).max() <= 1e-14 * n
+        scale = 1e-15 * np.abs(H).max() * N
+        assert np.abs(F.adjoint_sum(LV) - H @ V).max() <= scale
+        Q = np.linalg.qr(V)[0]
+        W = F.commutators(Q)
+        assert np.abs(W.conj().T @ W - Q.conj().T @ H @ Q).max() <= scale
+        # the conjugate of the transpose is the form itself, bit for bit
+        G = F.conj().T
+        assert G.family.tobytes() == F.family.tobytes()
+        assert G.commutators(V).tobytes() == LV.tobytes()
+        assert F.lift().tobytes() == H.tobytes()

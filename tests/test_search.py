@@ -19,7 +19,7 @@ from commspectra import (
     unvec,
     validate_config,
 )
-from commspectra import eigensolver, ensembles, search
+from commspectra import eigensolver, ensembles, lifted, search
 from commspectra.lifted import family_lift
 from conftest import make_maximal_pair
 
@@ -152,6 +152,42 @@ def test_warm_ascent_certifies_the_dense_objective(order, seeds, monkeypatch):
         for result in (warm, dense):
             values = double_commutator_spectrum(result.best_matrix).values
             assert abs(values[:6].sum() - dense.best_objective) <= 1e-13
+
+
+def _counting_lifts(monkeypatch, run):
+    """``run()`` and the number of ``lifted.family_lift`` calls it made,
+    counted under every name the library looks the function up by."""
+    calls = []
+    real = lifted.family_lift
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lifted, "family_lift", counted)
+        patched.setattr(search, "family_lift", counted)
+        result = run()
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("order, k, restarts", [(6, 1, 1), (8, 2, 3), (10, 3, 2)])
+def test_warm_ascent_builds_two_lifts_per_restart(order, k, restarts, monkeypatch):
+    # the cold solve's lift and the certificate's: the Ritz steps between
+    # them apply both forms as commutators
+    assert search._warm_start_pays(order, k)
+    config = SearchConfig(order=order, k=k, restarts=restarts, seed=order)
+    result, lifts = _counting_lifts(monkeypatch, lambda: ascend(config))
+    assert lifts == 2 * restarts
+    assert all(t.iterations > 1 for t in result.restarts)
+
+
+def test_dense_ascent_builds_two_lifts_per_iteration(monkeypatch):
+    # below the size rule every half-step is a dense solve of its lift
+    assert not search._warm_start_pays(4, 2)
+    config = SearchConfig(order=4, k=2, restarts=2, seed=4)
+    result, lifts = _counting_lifts(monkeypatch, lambda: ascend(config))
+    assert lifts == sum(1 + 2 * t.iterations for t in result.restarts)
 
 
 @pytest.mark.parametrize("real", [False, True])
