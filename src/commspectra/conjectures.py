@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError
-from .matrices import as_matrix, frobenius_norm, normalized
+from .matrices import _power_of_two_scaled, as_matrix, frobenius_norm, normalized
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
 from .verdicts import DEFAULT_TOL, ConjectureVerdict, bundle_matrices, judge
 
@@ -70,6 +70,15 @@ def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
+def _comm_energy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """||[A, B]||_F^2 over the leading axes as :func:`_comm` pairs them, at any
+    scale: the products are taken of each matrix scaled by its power of two,
+    and the squared norms are scaled back (exactly, or saturating to inf)."""
+    As, ea = _power_of_two_scaled(A)
+    Bs, eb = _power_of_two_scaled(B)
+    return np.ldexp(np.square(frobenius_norm(_comm(As, Bs))), 2 * (ea + eb))
+
+
 def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """<A_a, B_b> = Tr(A_a B_b*) for every a, b: stacks (a, n, n) and (b, n, n) give (a, b)."""
     return np.einsum("aij,bij->ab", A, B.conj())
@@ -89,7 +98,7 @@ def check_conj1(Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> Conjec
     resid = np.abs(_trace(U, _comm(U[:, None], U[None]))).max()
     # the squares saturate to inf beyond about 1e154, as in spectral_batch
     with np.errstate(over="ignore"):
-        lhs = np.square(frobenius_norm(_comm(B[:, None], B[None]))).sum()
+        lhs = _comm_energy(B[:, None], B[None]).sum()
         rhs = np.square(np.square(norms).sum())
     return judge("C1", list(B), lhs, rhs, resid, tol, seed)
 
@@ -113,7 +122,7 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     coef = 1.0 if cid == "C2" else 2.0
     # the squares saturate to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
     with np.errstate(over="ignore"):
-        lhs = np.square(frobenius_norm(_comm(B, F))).sum()
+        lhs = _comm_energy(B, F).sum()
         norms_sq = np.square(norms)
         rhs = (coef * norms_sq.max() + norms_sq.sum()) * np.square(frobenius_norm(B))
     return judge(cid, [B, *F], lhs, rhs, resid, tol, seed)

@@ -9,7 +9,9 @@ LAPACK solves it in real arithmetic. ``vec`` stacks columns (Fortran order),
 the convention under which vec(A Y B) = (B^T kron A) vec(Y).
 
 :func:`frobenius_norm` is the library's one ||X||_F and :func:`normalized`
-its one X / ||X||; both take a matrix or a stack.
+its one X / ||X||; both take a matrix or a stack. The spectral core takes
+X / ||X|| and ||X|| from one scaling pass, the private helper that
+:func:`normalized` calls.
 """
 from __future__ import annotations
 
@@ -77,17 +79,26 @@ def frobenius_norm(X):
     return float(nrm) if nrm.ndim == 0 else nrm
 
 
+def _unit_and_norm(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X / ||X||_F as complex128, m, e) per matrix, ||X||_F = ``ldexp(m, e)``
+    (which may overflow), from one power-of-two scaling and one norm.
+
+    :raises DegenerateInputError: if a matrix is zero
+    """
+    X = as_stack(np.asarray(X, dtype=np.complex128))
+    Xs, e = _power_of_two_scaled(X)
+    nrm = np.linalg.norm(Xs, axis=(-2, -1))
+    if not nrm.all():
+        raise DegenerateInputError("cannot normalize the zero matrix")
+    return Xs / nrm[..., None, None], nrm, e
+
+
 def normalized(X) -> np.ndarray:
     """X / ||X||_F (complex128) of a matrix or of each matrix of a stack, at any scale.
 
     :raises DegenerateInputError: if a matrix is zero
     """
-    X = as_stack(np.asarray(X, dtype=np.complex128))
-    Xs, _ = _power_of_two_scaled(X)
-    nrm = np.linalg.norm(Xs, axis=(-2, -1))
-    if not nrm.all():
-        raise DegenerateInputError("cannot normalize the zero matrix")
-    return Xs / nrm[..., None, None]
+    return _unit_and_norm(X)[0]
 
 
 def commutator(X, Y) -> np.ndarray:

@@ -5,8 +5,8 @@ dataclasses themselves: the ladder of one matrix (the ``BoundReport`` that
 ``bound_report`` returns), ``ConjectureVerdict`` and ``SearchResult``.
 :func:`jsonable` serializes any dataclass field by field, so their keys are
 the fields. :func:`spectrum_section` stays a function because it derives
-fields the ``Spectrum`` does not hold (order, cluster lists, partial sums)
-and leaves out its unit matrix.
+fields the ``Spectrum`` does not hold as fields (order, cluster lists,
+partial sums) and leaves out its unit matrix.
 
 Every command-line invocation assembles one report dict. Its shape is the
 contract published as ``report_schema.json`` (package data; bump
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .matrixio import matrix_payload
-from .spectra import Spectrum, partial_sums
+from .spectra import Spectrum
 
 SCHEMA_VERSION = 3
 
@@ -67,7 +67,7 @@ def spectrum_section(spec: Spectrum) -> dict:
         "pairing_ok": bool(spec.pairing_ok),
         "norm_scale": float(spec.norm_scale),
         "trace_residual": spec.trace_residual,
-        "partial_sums": partial_sums(spec).tolist(),
+        "partial_sums": spec.partial_sums.tolist(),
     }
 
 

@@ -361,7 +361,7 @@ def sweep(
                 where = f" (order {n}, trial {start + i})"
                 spec.require_identities(i, where)
                 require(ladder.all_proven_hold[i], "proven ladder failed on a sweep draw" + where)
-            c2a_ok, f, _ = partial_sum_batch(spec.values, ks, tol)
+            c2a_ok, f, _ = partial_sum_batch(spec, ks, tol)
             best = np.argmax(f, axis=0)  # first occurrence, as a strict > scan
             top = f[best, np.arange(len(ks))]
             for j in np.flatnonzero(top > max_f):
@@ -372,7 +372,7 @@ def sweep(
             for i, j in zip(*np.nonzero(~c2a_ok)):
                 verdict = judge("C2A", [spec.matrix[i]], f[i, j], caps[j], 0.0, tol, seed)
                 row_violations[j].append(verdict.witness)
-            c4_ok, c4_lhs, c4_rhs = majorization_batch(spec.values, tol=tol)
+            c4_ok, c4_lhs, c4_rhs = majorization_batch(spec, tol=tol)
             for i in np.flatnonzero(~c4_ok):
                 verdict = judge("C4", [spec.matrix[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
                 majorization_violations.append(verdict.witness)

@@ -12,7 +12,9 @@ unit Frobenius norm and eigenvalues descending:
 * sum of the top 2k eigenvalues <= 2k + 1 + 2 sqrt(k)
 
 Two monitored conjectures sharpen the last two: partial sums <= 2k + 2
-(id C2A) and weak majorization by the rank-one profile (id C4).
+(id C2A) and weak majorization by the rank-one profile (id C4). C4 holds
+exactly when C2A holds at every k <= n - 1: the spectrum's and the
+profile's entries pair up, so the worst prefix is even.
 
 One batched core: :func:`spectral_batch` (lift, stacked eigensolves with
 real matrices in real arithmetic, trace-identity residuals),
@@ -20,12 +22,17 @@ real matrices in real arithmetic, trace-identity residuals),
 :func:`partial_sum_batch` (C2A) and :func:`majorization_batch` (C4). Each runs
 the same lines on one matrix (n, n) as on a stack (..., n, n); fields carry
 the input's leading shape, so one matrix's scalar fields are numpy scalars.
-The per-matrix functions call it directly. The ladder, the C2A monitor and
-:func:`majorization_target` refuse order 1; :func:`verdicts.require` raises.
+The per-matrix functions call it directly. The C2A and C4 batches take a
+:class:`Spectrum` or a descending array of its values. The ladder, the C2A
+monitor and :func:`majorization_target` refuse order 1;
+:func:`verdicts.require` raises.
 
-X / ||X|| is computed once, in :func:`spectral_batch`; a :class:`Spectrum`
-carries it as ``matrix``, and the ladder, the monitors and their bundles
-read it, so every verdict refers to exactly the matrix that was judged.
+X / ||X|| is computed once, in :func:`spectral_batch`, from the same scaling
+pass as ``norm_scale``; a :class:`Spectrum` carries it as ``matrix``, and the
+ladder, the monitors and their bundles read it, so every verdict refers to
+exactly the matrix that was judged. The prefix sums of a spectrum are taken
+once too: the ladder, both monitors and the report read
+``Spectrum.partial_sums``.
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ import numpy as np
 from . import eigensolver
 from .errors import PreconditionError
 from .lifted import double_commutator_lift
-from .matrices import as_matrix, frobenius_norm, herm_skew_split, normalized
+from .matrices import _unit_and_norm, as_matrix, herm_skew_split
 from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, ConjectureVerdict, holds, judge, require
 
 CLUSTER_TOL_FLOOR = 1e-7
@@ -58,6 +65,8 @@ class Spectrum:
     divided out (multiply ``values`` by it to recover the spectrum of the
     raw input); ``trace_residual`` |sum(values) - (2n - 2|Tr Xhat|^2)|;
     ``matrix`` the unit matrices X / ||X|| (..., n, n) the values belong to.
+    ``partial_sums`` and, for one matrix, ``clusters`` and ``pairing_ok``
+    are derived from ``values`` on first read.
     """
 
     values: np.ndarray
@@ -80,6 +89,14 @@ class Spectrum:
         """Whether every positive cluster of one matrix's spectrum has even multiplicity."""
         tol = cluster_tolerance(float(self.values[0]))
         return all(mult % 2 == 0 for val, mult in self.clusters if val > tol)
+
+    @cached_property
+    def partial_sums(self) -> np.ndarray:
+        """:func:`partial_sums` of ``values``, taken once per spectrum and
+        shared by the ladder, both monitors and the report (so read-only)."""
+        sums = partial_sums(self.values)
+        sums.flags.writeable = False
+        return sums
 
     @property
     def positivity_holds(self) -> np.ndarray | np.bool_:
@@ -119,9 +136,10 @@ def spectral_batch(X) -> Spectrum:
     the caller (:meth:`Spectrum.require_identities`) among its own checks. The
     fields carry the input's leading shape.
     """
-    X = np.asarray(X)
-    Xh = normalized(X)  # complex128 for any input, so the ladder does not depend on it
-    n = X.shape[-1]
+    # one scaling pass gives X / ||X|| and ||X||; the unit matrices are
+    # complex128 for any input, so the ladder does not depend on it
+    Xh, nrm, e = _unit_and_norm(X)
+    n = Xh.shape[-1]
     # a matrix with no imaginary part gets the real lift and LAPACK's real
     # symmetric solver; deciding per row gives a matrix the same bits alone
     # or inside any stack (a 0-d mask solves one matrix as a stack of one)
@@ -134,7 +152,7 @@ def spectral_batch(X) -> Spectrum:
     residual = np.abs(values.sum(axis=-1) - (2.0 * n - 2.0 * np.square(np.hypot(tr.real, tr.imag))))
     # ||X||^2 saturates to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
     with np.errstate(over="ignore"):
-        norm_scale = np.square(frobenius_norm(X))
+        norm_scale = np.square(np.ldexp(nrm, e))
     return Spectrum(values, norm_scale, residual, Xh)
 
 
@@ -154,14 +172,16 @@ def double_commutator_spectrum(X) -> Spectrum:
 
 def partial_sums(spectrum: Spectrum | np.ndarray) -> np.ndarray:
     """Prefix sums of a spectrum (a :class:`Spectrum` or its ``values``)
-    along its last axis, nondecreasing.
+    along its last axis, nondecreasing; a :class:`Spectrum` returns its
+    cached ``partial_sums``.
 
     Rounding noise below zero (bounded by the PSD invariant) is clipped so
     monotonicity holds exactly; the final entry equals the trace identity
     value to ``IDENTITY_TOL``.
     """
-    values = spectrum.values if isinstance(spectrum, Spectrum) else spectrum
-    return np.cumsum(np.maximum(values, 0.0), axis=-1)
+    if isinstance(spectrum, Spectrum):
+        return spectrum.partial_sums
+    return np.cumsum(np.maximum(spectrum, 0.0), axis=-1)
 
 
 def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +193,10 @@ def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def partial_sum_batch(
-    values: np.ndarray, ks, tol: float = DEFAULT_TOL
+    values: Spectrum | np.ndarray, ks, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C2A on descending spectra (..., n^2) of unit-norm matrices.
+    """C2A on descending spectra (..., n^2) of unit-norm matrices: a
+    :class:`Spectrum` or its ``values``.
 
     Returns (holds, lhs, rhs): per (matrix, k) whether the top-2k sum lhs
     (..., len(ks)) is at most the conjectured cap rhs = 2k + 2 (len(ks),).
@@ -193,33 +214,28 @@ def majorization_target(n: int) -> np.ndarray:
     return np.array([2.0] * 2 + [1.0] * (2 * n - 4) + [0.0] * ((n - 1) ** 2 + 1))
 
 
-def _dominance(v: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of each row of v and of t at the row's worst prefix,
-    the one where the excess of v over t is largest.
-
-    Rows of ``v`` (..., N) must be descending: a rise above 1e-9 of the
-    row's scale, max(|v|, 2), is refused. ``t`` (N,) is the profile of
-    :func:`majorization_target`, descending with largest entry 2.
-    """
-    rises = np.diff(v, axis=-1)
-    # the scale is at least 2, so only a row that rises at all can be refused
-    if (rises > 0.0).any() and (rises > 1e-9 * np.abs(v).max(axis=-1, initial=2.0)[..., None]).any():
-        raise PreconditionError("inputs must be sorted in descending order")
-    cv, ct = np.cumsum(v, axis=-1), np.cumsum(t)
-    worst = np.argmax(cv - ct, axis=-1)
-    return np.take_along_axis(cv, worst[..., None], -1)[..., 0], ct[worst]
-
-
 def majorization_batch(
-    values: np.ndarray, tol: float = DEFAULT_TOL
+    values: Spectrum | np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C4 on descending spectra (..., n^2) of unit-norm matrices.
+    """C4 on descending spectra (..., n^2) of unit-norm matrices: a
+    :class:`Spectrum` or its ``values``.
 
-    Returns per matrix (dominated, lhs, rhs): the prefix sums of the
-    spectrum and of :func:`majorization_target` at the worst prefix.
+    Returns per matrix (dominated, lhs, rhs): the :func:`partial_sums` of
+    the spectrum and the prefix sums of :func:`majorization_target` at the
+    worst prefix, the first where the excess of the one over the other is
+    largest. A raw array's rows must be descending: a rise above 1e-9 of
+    the row's scale, max(|v|, 2), is refused (a :class:`Spectrum` is
+    descending by the eigensolver's contract).
     """
-    n = round(np.sqrt(values.shape[-1]))
-    lhs, rhs = _dominance(values, majorization_target(n))
+    if not isinstance(values, Spectrum):
+        rises = np.diff(values, axis=-1)
+        # the scale is at least 2, so only a row that rises at all can be refused
+        if (rises > 0.0).any() and (rises > 1e-9 * np.abs(values).max(axis=-1, initial=2.0)[..., None]).any():
+            raise PreconditionError("inputs must be sorted in descending order")
+    cv = partial_sums(values)
+    ct = np.cumsum(majorization_target(round(np.sqrt(cv.shape[-1]))))
+    worst = np.argmax(cv - ct, axis=-1)
+    lhs, rhs = np.take_along_axis(cv, worst[..., None], -1)[..., 0], ct[worst]
     return holds(lhs, rhs, tol), lhs, rhs
 
 
@@ -242,7 +258,9 @@ def _part_spectra(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     B / i, B its skew-Hermitian part: three (..., n) arrays, for the ladder
     and the certificate."""
     A, Bsk = herm_skew_split(matrices)
-    return eigensolver.svd(matrices), eigensolver.eigvalsh(A), eigensolver.eigvalsh(Bsk / 1j)
+    # one stacked solve; LAPACK solves each matrix of a stack on its own
+    a, b = eigensolver.eigvalsh(np.stack((A, Bsk / 1j)))
+    return eigensolver.svd(matrices), a, b
 
 
 def ladder_batch(spec: Spectrum) -> BoundReport:
@@ -286,7 +304,7 @@ def ladder_batch(spec: Spectrum) -> BoundReport:
         "min_bound": min_bound - lam1,
         "k1_entrywise": (k1 - values).min(axis=-1),
         "lambda13_weak": LAMBDA13_BOUND - (values[..., 0] + values[..., 2]),
-        "partial_sum_weak": (partial_weak - partial_sums(values)[..., 2 * ks - 1]).min(axis=-1),
+        "partial_sum_weak": (partial_weak - spec.partial_sums[..., 2 * ks - 1]).min(axis=-1),
     }
     min_slack = np.min(list(slacks.values()), axis=0)
     return BoundReport(lam1, spec.norm_scale, bounds, slacks, holds(-min_slack, 0.0, PROVEN_TOL))
@@ -328,7 +346,7 @@ def monitor_partial_sums(
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
     if spec.order < 2:
         raise PreconditionError(f"the partial-sum monitor needs n >= 2, got {spec.order}")
-    _, lhs, rhs = partial_sum_batch(spec.values, np.arange(1, spec.values.shape[-1] // 2 + 1), tol)
+    _, lhs, rhs = partial_sum_batch(spec, np.arange(1, spec.values.shape[-1] // 2 + 1), tol)
     worst = int(np.argmax(lhs - rhs))
     return judge("C2A", [spec.matrix], lhs[worst], rhs[worst], 0.0, tol, seed)
 
@@ -338,5 +356,5 @@ def monitor_majorization(
 ) -> ConjectureVerdict:
     """Monitor weak majorization by the rank-one profile (id C4)."""
     spec = double_commutator_spectrum(X) if spectrum is None else spectrum
-    _, lhs, rhs = majorization_batch(spec.values, tol=tol)
+    _, lhs, rhs = majorization_batch(spec, tol=tol)
     return judge("C4", [spec.matrix], lhs, rhs, 0.0, tol, seed)

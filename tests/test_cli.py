@@ -744,6 +744,19 @@ def test_check_pivot_beyond_the_square_range_reports_like_conj1(cli_main, tmp_pa
     assert reverify_bundle(bundle).rhs == np.inf
 
 
+def test_check_conj1_at_large_scale_is_satisfied_without_a_bundle(cli_main, tmp_path):
+    # a 1e160-scaled member once made B_1 B_1 - B_1 B_1 read inf - inf: NaN
+    # against inf, a false violation (exit 1) and a bundle in the working directory
+    files = [tmp_path / "big.json", tmp_path / "y.json"]
+    save_matrix(files[0], 1e160 * unit_gaussian(trial_rng(1, 0), 3))
+    save_matrix(files[1], unit_gaussian(trial_rng(1, 1), 3))
+    code, out, err = cli_main("check", "conj1", *files, "--json")
+    assert (code, err) == (0, "")
+    v = json.loads(out)["verdicts"][0]
+    assert (v["lhs"], v["rhs"], v["satisfied"], v["witness"]) == (np.inf, np.inf, True, None)
+    assert not list(Path().glob("violation-*.json"))
+
+
 # Per check kind, a family that meets its side conditions and one that does
 # not. The scale multiplies every matrix, or X alone for isotropic.
 SCALE_CASES = [

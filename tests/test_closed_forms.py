@@ -252,17 +252,17 @@ def test_closed_form_summary_sections():
 
 
 def test_closed_forms_normalize_once(monkeypatch):
-    # every module that bound matrices.normalized counts its calls
+    # every module that bound the one X / ||X|| (matrices.normalized calls it) counts its calls
     calls = []
-    original = matrices.normalized
+    original = matrices._unit_and_norm
 
     def counting(X):
         calls.append(1)
         return original(X)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("commspectra") and getattr(mod, "normalized", None) is original:
-            monkeypatch.setattr(mod, "normalized", counting)
+        if name.startswith("commspectra") and getattr(mod, "_unit_and_norm", None) is original:
+            monkeypatch.setattr(mod, "_unit_and_norm", counting)
     normal = np.diag([1.0, 1j, -1.0])
     E12 = np.array([[0, 1], [0, 0]], dtype=complex)
     for X in (normal, unit_gaussian(trial_rng(48, 1), 3).real, E12):

@@ -188,6 +188,25 @@ def test_isotropic_sums_saturate_without_a_warning(scale, isotropic_family):
     assert v.rhs == np.inf and v.satisfied
 
 
+def test_commutator_sums_saturate_instead_of_reading_nan():
+    # with a member near 1e160, B_1 B_1 - B_1 B_1 was inf - inf: a NaN lhs
+    # judged a valid input a violation. Each member is scaled by its power of
+    # two before the products, so the sums saturate to inf, as rhs does.
+    X, Y = unit_gaussian(trial_rng(1, 0), 3), unit_gaussian(trial_rng(1, 1), 3)
+    for v in (
+        check_conj1([1e160 * X, Y]),
+        check_conj2(1e160 * X, [1e160 * Y]),
+        check_conj2c(1e160 * X, [1e160 * Y]),
+    ):
+        assert (v.lhs, v.rhs, v.satisfied, v.witness) == (np.inf, np.inf, True, None)
+    # power-of-two scaling is exact, so normal-range sums keep the products' bits
+    B = np.stack([1e3 * X, Y, 1e-3 * (X @ Y)])
+    direct = np.square(np.linalg.norm(B[:, None] @ B[None] - B[None] @ B[:, None], axis=(-2, -1)))
+    assert check_conj1(list(B)).lhs == direct.sum()
+    pivot = np.square(np.linalg.norm(B[0] @ B[1:] - B[1:] @ B[0], axis=(-2, -1)))
+    assert check_conj2c(B[0], list(B[1:])).lhs == pivot.sum()
+
+
 def test_isotropic_rejects_non_isotropic_family():
     rng = trial_rng(54, 0)
     X = unit_gaussian(rng, 2)

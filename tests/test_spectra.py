@@ -23,6 +23,7 @@ from commspectra import (
     monitor_partial_sums,
     normalized,
     partial_sums,
+    random_normal_matrix,
     random_rank_one,
     trial_rng,
     unit_gaussian,
@@ -30,6 +31,7 @@ from commspectra import (
 )
 from commspectra import eigensolver
 from commspectra.spectra import (
+    Spectrum,
     _cluster,
     ladder_batch,
     majorization_batch,
@@ -37,7 +39,7 @@ from commspectra.spectra import (
     partial_sum_caps,
     spectral_batch,
 )
-from commspectra.verdicts import matrix_payload
+from commspectra.verdicts import DEFAULT_TOL, matrix_payload
 from conftest import apply_double_commutator, random_traceless_embedded
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -348,7 +350,7 @@ def test_a_spectrum_op_normalizes_once(monkeypatch):
 
     X = unit_gaussian(trial_rng(62, 0), 5)
     calls = []
-    real = commspectra.matrices.normalized
+    real = commspectra.matrices._unit_and_norm  # the one X / ||X||, behind normalized
 
     def counted(M):
         calls.append(None)
@@ -356,13 +358,100 @@ def test_a_spectrum_op_normalizes_once(monkeypatch):
 
     for name in ("matrices", "spectra", "closed_forms", "search", "ensembles"):
         module = getattr(commspectra, name)
-        if getattr(module, "normalized", None) is real:
-            monkeypatch.setattr(module, "normalized", counted)
+        if getattr(module, "_unit_and_norm", None) is real:
+            monkeypatch.setattr(module, "_unit_and_norm", counted)
     spec = double_commutator_spectrum(X)
     bound_report(X, spectrum=spec)
     monitor_partial_sums(X, spectrum=spec)
     monitor_majorization(X, spectrum=spec)
     assert len(calls) == 1
+
+
+def test_each_spectrum_takes_its_prefix_sums_once(monkeypatch):
+    import commspectra
+    from commspectra.reporting import spectrum_section
+    from commspectra.search import sweep
+
+    calls = []
+    real = commspectra.spectra.partial_sums
+
+    def counted(spectrum):
+        if not isinstance(spectrum, Spectrum):  # a Spectrum hands back its cached sums
+            calls.append(None)
+        return real(spectrum)
+
+    for name in ("spectra", "reporting", "search", "conjectures"):
+        module = getattr(commspectra, name)
+        if getattr(module, "partial_sums", None) is real:
+            monkeypatch.setattr(module, "partial_sums", counted)
+    X = unit_gaussian(trial_rng(63, 0), 5)
+    spec = double_commutator_spectrum(X)
+    bound_report(X, spectrum=spec)
+    monitor_partial_sums(X, spectrum=spec)
+    monitor_majorization(X, spectrum=spec)
+    spectrum_section(spec)
+    assert len(calls) == 1
+    calls.clear()
+    # one chunk per order: the ladder, C2A and C4 of a chunk share its sums
+    sweep([3, 4], trials=5, seed=63)
+    assert len(calls) == 2
+
+
+def _c4_draws(orders, per):
+    """(n, Spectrum of a stack of ``per`` draws) per class and order: Ginibre,
+    real Ginibre, normal, rank-one and embedded (lambda_1 = 2) matrices."""
+    draws = (
+        lambda rng, n: unit_gaussian(rng, n),
+        lambda rng, n: unit_gaussian(rng, n, real=True),
+        random_normal_matrix,
+        random_rank_one,
+        random_traceless_embedded,
+    )
+    for c, draw in enumerate(draws):
+        for n in orders:
+            yield n, spectral_batch(np.stack([draw(trial_rng(64, c, n, t), n) for t in range(per)]))
+
+
+def _paired_profiles(rng, n, count):
+    """Synthetic descending spectra of order n with paired entries and total at
+    most 2n, as T_X's are, concentrated enough at the top to breach C2A."""
+    N = n * n
+    w = -np.sort(-(rng.exponential(size=(count, N // 2)) ** 4), axis=-1)
+    w *= (n * rng.uniform(0.5, 1.0, size=(count, 1))) / w.sum(axis=-1, keepdims=True)
+    return np.concatenate([np.repeat(w, 2, axis=-1), np.zeros((count, N % 2))], axis=-1)
+
+
+def test_c4_is_c2a_at_every_k_up_to_n_minus_1():
+    # T_X's positive eigenvalues pair up and so do the profile's entries, so
+    # each odd prefix's excess is the mean of its even neighbours' (prefix 0
+    # has excess 0). The worst prefix is then even, 2k with k <= n - 1, where
+    # the profile's prefix sum is C2A's 2k + 2: prefix 1 is BW, and from
+    # 2n - 2 on the profile sums to 2n, which the trace identity bounds.
+    rng = np.random.default_rng(64)
+    for n, spec in _c4_draws(range(2, 9), 4):
+        excess = partial_sums(spec) - np.cumsum(majorization_target(n))
+        excess = np.concatenate([np.zeros((len(excess), 1)), excess], axis=-1)
+        odd = np.arange(1, n * n, 2)
+        np.testing.assert_allclose(excess[:, odd], (excess[:, odd - 1] + excess[:, odd + 1]) / 2, rtol=0, atol=1e-14)
+        ks = np.arange(1, n)
+        for values in (spec, _paired_profiles(rng, n, 40)):
+            c2a = partial_sum_batch(values, ks)[0].all(axis=-1)
+            assert (majorization_batch(values)[0] == c2a).all()
+    # the synthetic spectra breach both somewhere, so the equivalence is not vacuous
+    assert not majorization_batch(_paired_profiles(rng, 4, 40))[0].all()
+
+
+def test_c4_of_a_spectrum_keeps_the_unclipped_bits():
+    # the prefix sums are clipped at zero now, as C2A's are; rounding noise
+    # below zero sits only at a spectrum's tail, after its worst prefix, so
+    # (holds, lhs, rhs) keep the bits of the unclipped formula, also where
+    # rank-one and embedded spectra tie with the profile near zero excess
+    for n, spec in _c4_draws(range(2, 13), 30):
+        cv, ct = np.cumsum(spec.values, axis=-1), np.cumsum(majorization_target(n))
+        worst = np.argmax(cv - ct, axis=-1)
+        lhs, rhs = np.take_along_axis(cv, worst[:, None], -1)[:, 0], ct[worst]
+        got = majorization_batch(spec)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (lhs <= rhs + DEFAULT_TOL, lhs, rhs)]
 
 
 def test_partial_sum_caps():
