@@ -11,7 +11,8 @@ so scaling a family moves lhs and rhs but not the residual. One threshold,
 :data:`commspectra.verdicts.HYPOTHESIS_TOL`, decides whether the hypotheses
 hold; a checker raises only for malformed input (shapes, non-finite entries,
 negative weights, a non-0/1 pattern, an oversized isotropic family, a zero
-C2/C2C pivot or member).
+C2/C2C pivot or member). Every commutator, of whole families at once, is
+:func:`~commspectra.matrices.commutator`.
 
 ==============  ============================================================
 id              statement checked; hypotheses residual
@@ -48,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, PreconditionError
-from .matrices import _power_of_two_scaled, as_matrix, frobenius_norm, normalized
+from .matrices import _power_of_two_scaled, as_matrix, commutator, frobenius_norm, normalized
 from .spectra import double_commutator_spectrum, monitor_majorization, monitor_partial_sums
 from .verdicts import DEFAULT_TOL, ConjectureVerdict, bundle_matrices, judge
 
@@ -64,19 +65,13 @@ def _stack(Bs, lead: np.ndarray | None = None) -> np.ndarray:
     return np.stack(mats)
 
 
-def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[A, B] = AB - BA over the leading axes: a matrix and a stack (b, n, n) give
-    (b, n, n); ``_comm(A[:, None], B[None])`` gives every pair (a, b, n, n)."""
-    return A @ B - B @ A
-
-
 def _comm_energy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """||[A, B]||_F^2 over the leading axes as :func:`_comm` pairs them, at any
+    """||[A, B]||_F^2 over the leading axes as :func:`commutator` pairs them, at any
     scale: the products are taken of each matrix scaled by its power of two,
     and the squared norms are scaled back (exactly, or saturating to inf)."""
     As, ea = _power_of_two_scaled(A)
     Bs, eb = _power_of_two_scaled(B)
-    return np.ldexp(np.square(frobenius_norm(_comm(As, Bs))), 2 * (ea + eb))
+    return np.ldexp(np.square(frobenius_norm(commutator(As, Bs))), 2 * (ea + eb))
 
 
 def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -95,7 +90,7 @@ def check_conj1(Bs, tol: float = DEFAULT_TOL, seed: int | None = None) -> Conjec
     norms = frobenius_norm(B)
     U = np.zeros_like(B)
     U[norms > 0] = normalized(B[norms > 0])
-    resid = np.abs(_trace(U, _comm(U[:, None], U[None]))).max()
+    resid = np.abs(_trace(U, commutator(U[:, None], U[None]))).max()
     # the squares saturate to inf beyond about 1e154, as in spectral_batch
     with np.errstate(over="ignore"):
         lhs = _comm_energy(B[:, None], B[None]).sum()
@@ -118,7 +113,7 @@ def _check_pivot(cid: str, B, Bs, tol: float, seed: int | None) -> ConjectureVer
     G = _gram(U, U)
     resid = np.abs(G - np.diag(np.diag(G))).max()
     if cid == "C2":
-        resid = max(resid, np.abs(_trace(U, _comm(normalized(B), U))).max())
+        resid = max(resid, np.abs(_trace(U, commutator(normalized(B), U))).max())
     coef = 1.0 if cid == "C2" else 2.0
     # the squares saturate to inf beyond about 1e154 (np.square: a float's ** 2 raises there)
     with np.errstate(over="ignore"):
@@ -214,7 +209,7 @@ def check_isotropic_trace_bound(
             f"an isotropic family has at most {n * n // 2} members, got {m}"
         )
     spec = double_commutator_spectrum(X)
-    images = _comm(spec.matrix, W)  # [X^, w_i]
+    images = commutator(spec.matrix, W)  # [X^, w_i]
     orth = np.abs(_gram(W, W) - np.eye(m)).max()
     iso = np.abs(_trace(W, images)).max()  # |<[X^, w_i]*, w_j>| = |Tr(w_j [X^, w_i])|
     # both sides saturate to inf with norm_scale, beyond about 1e154, as in spectral_batch

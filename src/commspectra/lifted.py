@@ -23,7 +23,7 @@ a lift built from the SVD of X, and L_X itself are test oracles
 entry, with S from one (n^2 x m)(m x n^2) product. Its callers are the
 spectra's lifts, families of one (:func:`double_commutator_lift`), and the
 ascent's dense solves: every step of an ascent below its size rule, and the
-cold and the certifying solve of each warm-started restart. The O(n^6)
+cold solve of each warm-started restart. The O(n^6)
 L_X* L_X is only a test oracle. A float64 input gives float64, anything
 else complex128. Real lifts are exactly symmetric; the cross part is summed
 exactly Hermitian, so a complex lift misses its adjoint only where i = j or
@@ -104,9 +104,8 @@ class FamilyForm:
     :meth:`commutators` applies L and :meth:`adjoint_sum` applies L*, each
     as two products of an (m n) x n or n x (m n) stack of the family with the
     block, for O(m n^3) flops per column against the lift's O(m n^4).
-    ``shape`` is F's, and ``conj()`` and ``T`` are the form of the conjugate
-    family, which for the Hermitian F is both conj(F) and F^T: ``F.conj().T``
-    is F bit for bit, as for the matrix :meth:`lift` builds.
+    ``shape`` is F's; :func:`eigensolver.eigh` reads the form only through
+    it and these products, and :meth:`lift` builds F itself.
     """
 
     def __init__(self, Y):
@@ -151,10 +150,3 @@ class FamilyForm:
     def lift(self) -> np.ndarray:
         """F as a matrix: :func:`family_lift` of the family."""
         return family_lift(self.family)
-
-    def conj(self) -> FamilyForm:
-        return FamilyForm(self.family.conj())
-
-    @property
-    def T(self) -> FamilyForm:
-        return self.conj()

@@ -1,6 +1,6 @@
 """Core matrix operations: validation, the commutator, the Frobenius norm
 and normalization, the Hermitian/skew split, and the column-major vec/unvec
-maps.
+maps. :func:`commutator` is the library's one [X, Y], over stacks too.
 
 Matrices are square complex128 numpy arrays, with one exception: the stack
 validator :func:`as_stack` keeps a float64 input float64, so the
@@ -52,12 +52,6 @@ def as_matrix(X, name: str = "X") -> np.ndarray:
     return as_stack(M, name)
 
 
-def same_order(X: np.ndarray, Y: np.ndarray) -> int:
-    if X.shape != Y.shape:
-        raise OrderMismatchError(f"order mismatch: {X.shape} vs {Y.shape}")
-    return X.shape[0]
-
-
 def _power_of_two_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X 2^-e, e) per matrix, 2^e just above its largest |x_ij|: the scaled
     squares neither over- nor underflow, and ``ldexp`` is exact (signed zeros
@@ -102,10 +96,13 @@ def normalized(X) -> np.ndarray:
 
 
 def commutator(X, Y) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    same_order(X, Y)
+    """[X, Y] = XY - YX in complex128, of two matrices or over stacks (..., n, n)
+    as matmul broadcasts them: ``commutator(A[:, None], B[None])`` gives every
+    pair (a, b, n, n). Operands of different orders raise OrderMismatchError."""
+    X = as_stack(np.asarray(X, dtype=np.complex128), "X")
+    Y = as_stack(np.asarray(Y, dtype=np.complex128), "Y")
+    if X.shape[-1] != Y.shape[-1]:
+        raise OrderMismatchError(f"order mismatch: {X.shape} vs {Y.shape}")
     return X @ Y - Y @ X
 
 

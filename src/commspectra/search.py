@@ -20,9 +20,9 @@ at least sum_i <T_X Y_i, Y_i>, step (b)'s value, and step (b)'s is at least
 the form at the previous X; so the objective never decreases. A Ritz value
 is at most the eigenvalue of its rank (Cauchy interlacing), so the proven
 caps (lambda_1 <= 2 and f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on
-every iterate cannot fire falsely. The restart ends with the eigenvalues of
-its last iterate's lift, the second and last lift it builds: that f_k is
-the one reported and held to the caps.
+every iterate cannot fire falsely. The restart ends with the spectral core's
+checked spectrum of its last iterate, the second and last lift it builds:
+that f_k is the one reported and held to the caps.
 
 Below order 6, and where step (a)'s Ritz basis of 3(2k + 2) vectors would
 be more than half of n^2 (from k = 3 at order 6, k = 4 at order 7), the
@@ -45,7 +45,8 @@ from . import ensembles
 from .errors import PreconditionError
 from .lifted import FamilyForm, check_lift_order, double_commutator_lift, family_lift
 from .matrices import as_matrix, normalized, unvec, vec
-from .spectra import LAMBDA13_BOUND, ladder_batch, majorization_batch, partial_sum_batch, partial_sum_caps, spectral_batch
+from .spectra import LAMBDA13_BOUND, double_commutator_spectrum, ladder_batch, majorization_batch
+from .spectra import partial_sum_batch, partial_sum_caps, spectral_batch
 from .matrixio import matrix_payload
 from .verdicts import DEFAULT_TOL, PROVEN_TOL, holds, judge, require
 from . import eigensolver
@@ -211,9 +212,9 @@ def _single_ascent(
             break
     if warm:
         # a Ritz sum is a lower bound on f_k; the top 2k eigenvalues of the
-        # last iterate's lift are f_k itself, the value reported and held to
-        # the caps
-        certified = _checked_sum(eigensolver.eigvalsh(double_commutator_lift(X)), k2, proven)
+        # last iterate are f_k, reported and held to the caps (the core
+        # normalizes x as normalized() did, to X bit for bit)
+        certified = _checked_sum(double_commutator_spectrum(unvec(x, n)).values, k2, proven)
         monotone = monotone and certified >= obj - 1e-10
         obj = certified
     return obj, X, iterations, first, monotone

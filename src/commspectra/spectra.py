@@ -37,7 +37,7 @@ once too: the ladder, both monitors and the report read
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,6 +214,14 @@ def majorization_target(n: int) -> np.ndarray:
     return np.array([2.0] * 2 + [1.0] * (2 * n - 4) + [0.0] * ((n - 1) ** 2 + 1))
 
 
+@lru_cache
+def _majorization_prefix(n: int) -> np.ndarray:
+    """Prefix sums of :func:`majorization_target`, built once per order (so read-only)."""
+    sums = np.cumsum(majorization_target(n))
+    sums.flags.writeable = False
+    return sums
+
+
 def majorization_batch(
     values: Spectrum | np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,7 +241,7 @@ def majorization_batch(
         if (rises > 0.0).any() and (rises > 1e-9 * np.abs(values).max(axis=-1, initial=2.0)[..., None]).any():
             raise PreconditionError("inputs must be sorted in descending order")
     cv = partial_sums(values)
-    ct = np.cumsum(majorization_target(round(np.sqrt(cv.shape[-1]))))
+    ct = _majorization_prefix(round(np.sqrt(cv.shape[-1])))
     worst = np.argmax(cv - ct, axis=-1)
     lhs, rhs = np.take_along_axis(cv, worst[..., None], -1)[..., 0], ct[worst]
     return holds(lhs, rhs, tol), lhs, rhs

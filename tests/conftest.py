@@ -4,7 +4,8 @@ of several classes, random isotropic families, and random eigenvector
 phases.
 
 It also holds the oracles that state identities the library does not need:
-the Frobenius inner product :func:`frobenius_inner`, the matrix-free
+the shape check :func:`same_order` they share, the Frobenius inner product
+:func:`frobenius_inner`, the matrix-free
 :func:`apply_double_commutator` (T_X Y = [X*, [X, Y]]), the Kronecker lift
 :func:`commutator_lift` of Y -> [X, Y], the canonical
 BW-equality pair :func:`make_maximal_pair` and the equality-case draw
@@ -22,10 +23,18 @@ import numpy as np
 import pytest
 
 from commspectra import commutator, eigensolver, haar_unitary, normalized, reporting, unvec, vec
-from commspectra.matrices import as_matrix, same_order
+from commspectra.errors import OrderMismatchError
+from commspectra.matrices import as_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPORT_SCHEMA = json.loads(resources.files("commspectra").joinpath("report_schema.json").read_text())
+
+
+def same_order(X: np.ndarray, Y: np.ndarray) -> int:
+    """The common order of two matrices of one shape."""
+    if X.shape != Y.shape:
+        raise OrderMismatchError(f"order mismatch: {X.shape} vs {Y.shape}")
+    return X.shape[0]
 
 
 def frobenius_inner(A, B) -> complex:

@@ -17,8 +17,8 @@ from commspectra import (
     vec,
 )
 from commspectra.lifted import check_lift_order
-from commspectra.matrices import as_matrix, same_order
-from conftest import apply_double_commutator, frobenius_inner
+from commspectra.matrices import as_matrix
+from conftest import apply_double_commutator, frobenius_inner, same_order
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -29,6 +29,19 @@ E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 def test_commutator_of_unit_blocks():
     assert np.array_equal(commutator(E12, E21), E11 - E22)
     assert np.array_equal(commutator(E11, E11), np.zeros((2, 2)))
+    # stacks broadcast as matmul does: every pair of two families at once
+    rng = trial_rng(0, 2)
+    A = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    B = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    pairs = commutator(A[:, None], B[None])
+    assert pairs.shape == (3, 2, 4, 4)
+    for a in range(3):
+        for b in range(2):
+            assert pairs[a, b].tobytes() == commutator(A[a], B[b]).tobytes()
+    # a real input gives complex128
+    assert commutator(A[0].real, B[0].real).dtype == np.complex128
+    with pytest.raises(OrderMismatchError):
+        commutator(np.eye(2), np.eye(3))
 
 
 def test_as_matrix_rejects_bad_shapes_and_values():

@@ -190,6 +190,26 @@ def test_dense_ascent_builds_two_lifts_per_iteration(monkeypatch):
     assert lifts == sum(1 + 2 * t.iterations for t in result.restarts)
 
 
+def test_warm_ascent_certifies_through_the_spectral_core(monkeypatch):
+    # a warm restart reports f_k of the core's spectrum of its last iterate,
+    # bit for bit the top 2k eigenvalues of that matrix's lift, and held to
+    # the core's positivity and trace-identity checks
+    import dataclasses
+
+    from commspectra import spectra
+
+    assert search._warm_start_pays(8, 1)
+    config = SearchConfig(order=8, k=1, restarts=1, seed=8)
+    result = ascend(config)
+    assert result.best_objective == eigensolver.eigvalsh(double_commutator_lift(result.best_matrix))[:2].sum()
+    real = spectra.spectral_batch
+    monkeypatch.setattr(
+        spectra, "spectral_batch", lambda X: dataclasses.replace(real(X), trace_residual=np.float64(1.0))
+    )
+    with pytest.raises(InvariantViolationError, match="trace identity failed"):
+        ascend(config)
+
+
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("order, k", [(3, 2), (5, 3)])
 def test_family_lift_depends_only_on_the_kept_span(order, k, real):
@@ -222,11 +242,17 @@ def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
 def test_ascent_is_blind_to_the_triangle_eigh_reads(seed, monkeypatch):
     # the lift and step (b)'s family lift are Hermitian to a few ulps, so an
     # ascent whose eigh reads the upper triangle takes the same steps;
-    # order 4 takes the dense solves, order 8 the warm-started ones
+    # order 4 takes the dense solves, order 8 the warm-started ones, whose
+    # cold solve is dense. A Ritz request reads no triangle: only dense
+    # operands are transposed
     configs = [SearchConfig(order=order, k=2, restarts=2, seed=seed) for order in (4, 8)]
     plain = [ascend(config) for config in configs]
     eigh = eigensolver.eigh
-    monkeypatch.setattr(eigensolver, "eigh", lambda M, top=None, start=None: eigh(M.conj().T, top=top, start=start))
+
+    def upper(M, top=None, start=None):
+        return eigh(M.conj().T if start is None else M, top=top, start=start)
+
+    monkeypatch.setattr(eigensolver, "eigh", upper)
     for config, want in zip(configs, plain):
         _same_ascent(want, ascend(config))
 

@@ -372,18 +372,25 @@ def test_each_spectrum_takes_its_prefix_sums_once(monkeypatch):
     from commspectra.reporting import spectrum_section
     from commspectra.search import sweep
 
-    calls = []
+    calls, profiles = [], []
     real = commspectra.spectra.partial_sums
+    target = commspectra.spectra.majorization_target
 
     def counted(spectrum):
         if not isinstance(spectrum, Spectrum):  # a Spectrum hands back its cached sums
             calls.append(None)
         return real(spectrum)
 
+    def counted_target(n):
+        profiles.append(n)
+        return target(n)
+
     for name in ("spectra", "reporting", "search", "conjectures"):
         module = getattr(commspectra, name)
         if getattr(module, "partial_sums", None) is real:
             monkeypatch.setattr(module, "partial_sums", counted)
+    monkeypatch.setattr(commspectra.spectra, "majorization_target", counted_target)
+    commspectra.spectra._majorization_prefix.cache_clear()
     X = unit_gaussian(trial_rng(63, 0), 5)
     spec = double_commutator_spectrum(X)
     bound_report(X, spectrum=spec)
@@ -395,6 +402,11 @@ def test_each_spectrum_takes_its_prefix_sums_once(monkeypatch):
     # one chunk per order: the ladder, C2A and C4 of a chunk share its sums
     sweep([3, 4], trials=5, seed=63)
     assert len(calls) == 2
+    # C4's profile and its prefix sums are built once per order, however
+    # many spectra and chunks read them
+    monitor_majorization(X, spectrum=spec)
+    sweep([3, 4], trials=5, seed=64)
+    assert profiles == [5, 3, 4]
 
 
 def _c4_draws(orders, per):
