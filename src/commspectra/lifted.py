@@ -22,8 +22,8 @@ a lift built from the SVD of X, and L_X itself are test oracles
 :func:`family_lift` is the library's one assembly of these forms, entry by
 entry, with S from one (n^2 x m)(m x n^2) product. Its callers are the
 spectra's lifts, families of one (:func:`double_commutator_lift`), and the
-ascent's dense solves: every step of an ascent below its size rule, and the
-cold solve of each warm-started restart. The O(n^6)
+ascent's dense solves, every step of an ascent below its size rule; a
+warm-started restart builds only its certificate's lift. The O(n^6)
 L_X* L_X is only a test oracle. A float64 input gives float64, anything
 else complex128. Real lifts are exactly symmetric; the cross part is summed
 exactly Hermitian, so a complex lift misses its adjoint only where i = j or

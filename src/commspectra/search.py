@@ -8,28 +8,32 @@ Frobenius sphere alternates two maximizations:
 (b) with {Y_i} fixed, sum_i ||[X, Y_i]||^2 is a quadratic form in vec(X)
     with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector.
 
-Each restart solves step (a) once densely, for the top 2k + 2 pairs of
-T_X's lift. From then on each half-step is a Rayleigh-Ritz solve
-(``eigensolver.eigh`` of a :class:`lifted.FamilyForm` with a start block)
-on a subspace that holds the previous iterate: step (a)'s on the previous
-2k + 2 vectors, with T_X V = [X*, [X, V]] the family {X}'s form, step (b)'s
-on vec(X), with F x = sum_i [Y_i*, [Y_i, x]]. Both forms are applied as
-commutators, so no lift is built between the cold solve and the last. By
-Ky Fan's maximum principle on that subspace, step (a)'s top-2k Ritz sum is
-at least sum_i <T_X Y_i, Y_i>, step (b)'s value, and step (b)'s is at least
-the form at the previous X; so the objective never decreases. A Ritz value
-is at most the eigenvalue of its rank (Cauchy interlacing), so the proven
-caps (lambda_1 <= 2 and f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on
-every iterate cannot fire falsely. The restart ends with the spectral core's
-checked spectrum of its last iterate, the second and last lift it builds:
-that f_k is the one reported and held to the caps.
+Each half-step is a Rayleigh-Ritz solve (``eigensolver.eigh`` of a
+:class:`lifted.FamilyForm` with a start block), for the top 2k + 2 pairs
+in step (a) and the top one in step (b). The first step (a) starts from an
+N x (2k + 2) Gaussian block of the restart's own stream (real for a real
+start); every later one from the previous 2k + 2 vectors, with
+T_X V = [X*, [X, V]] the family {X}'s form, and step (b) from vec(X), with
+F x = sum_i [Y_i*, [Y_i, x]]. Both forms are applied as commutators, so no
+lift is built and no dense solve is made until the last. By Ky Fan's
+maximum principle on a subspace that holds the previous iterate, step (a)'s
+top-2k Ritz sum is at least sum_i <T_X Y_i, Y_i>, step (b)'s value, and
+step (b)'s is at least the form at the previous X; so the objective never
+decreases from the first Ritz sum, which is the restart's
+``first_objective``. A Ritz value is at most the eigenvalue of its rank
+(Cauchy interlacing), so that first objective is a lower bound on f_k of
+the start, and the proven caps (lambda_1 <= 2 and
+f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on every iterate cannot fire
+falsely. The restart ends with the spectral core's checked spectrum of its
+last iterate, the one lift it builds: that f_k is the one reported and held
+to the caps.
 
 Below order 6, and where step (a)'s Ritz basis of 3(2k + 2) vectors would
 be more than half of n^2 (from k = 3 at order 6, k = 4 at order 7), the
 Ritz steps cost more than they save (:func:`_warm_start_pays`): both
 steps solve their lifts densely (:func:`lifted.family_lift`) for the top 2k
-and the top 1, each half-step is a global maximum of its subproblem, and
-the last step (a) is already exact.
+and the top 1, each half-step is a global maximum of its subproblem, the
+last step (a) is already exact, and ``first_objective`` is f_k of the start.
 
 The open question is whether f_k can exceed 2k + 2 (id C2A), and any
 observed breach is serialized as a violation bundle.
@@ -83,6 +87,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RestartTrace:
+    """One restart: its index, the objective of its first step (a) and of
+    its last iterate, and its iteration count. Below the size rule
+    (:func:`_warm_start_pays`) the first objective is f_k of the start;
+    above it, the first step-(a) Ritz sum, a lower bound on that f_k."""
+
     index: int
     first_objective: float
     last_objective: float
@@ -181,15 +190,26 @@ def _warm_start_pays(n: int, k: int) -> bool:
 
 
 def _single_ascent(
-    X: np.ndarray, config: SearchConfig, proven: float
+    config: SearchConfig, index: int, proven: float
 ) -> tuple[float, np.ndarray, int, float, bool]:
     n, k2 = config.order, 2 * config.k
+    X = _draw_init(config, index)
+    x = vec(X)[:, None]
     # step (a) keeps two vectors beyond the 2k, so its block does not cut a
     # pair; below the size rule both steps stay dense
     warm = _warm_start_pays(n, config.k)
-    p = k2 + 2 if warm else k2
-    dec = eigensolver.eigh(double_commutator_lift(X), top=p)
-    x = vec(X)[:, None]
+    if warm:
+        # the first step (a) too is a Ritz step, from a Gaussian block of the
+        # restart's own stream, real for a real X so that a real start stays real
+        p = k2 + 2
+        rng = ensembles.trial_rng(config.seed, index, 1)
+        start = rng.standard_normal((n * n, p))
+        if X.imag.any():
+            start = start + 1j * rng.standard_normal((n * n, p))
+        dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=start)
+    else:
+        p = k2
+        dec = eigensolver.eigh(double_commutator_lift(X), top=p)
     obj = first = _checked_sum(dec.values, k2, proven)
     monotone, flat = True, 0
     for iterations in range(1, config.max_iters + 1):  # max_iters >= 1 (validate_config)
@@ -237,7 +257,7 @@ def ascend(config: SearchConfig) -> SearchResult:
     traces: list[RestartTrace] = []
     monotone_all = True
     for r in range(config.restarts):
-        obj, X, iters, first, mono = _single_ascent(_draw_init(config, r), config, proven)
+        obj, X, iters, first, mono = _single_ascent(config, r, proven)
         monotone_all = monotone_all and mono
         traces.append(RestartTrace(index=r, first_objective=first, last_objective=obj, iterations=iters))
         if obj > best_obj:

@@ -109,8 +109,8 @@ def test_ascend_fallback_survives_lapack_non_convergence(seed, monkeypatch):
     # without zheevr, every dense solve takes numpy's full solve (zheevd).
     # A dense step (b) of these restarts makes zheevd fail to converge, and
     # the dense leg's solve is retried on the reversed matrix; the warm leg
-    # solves step (b) by Rayleigh-Ritz and only its cold and certifying
-    # solves take zheevd
+    # makes no dense solve: its steps, the first included, are Rayleigh-Ritz
+    # steps, and its certificate is the spectral core's values-only solve
     config = SearchConfig(order=10, k=3, restarts=1, seed=seed)
     for leg in (lambda run: run(), lambda run: _dense_leg(monkeypatch, run)):
         fallback = leg(lambda: _without_zheevr(monkeypatch, lambda: ascend(config)))
@@ -155,30 +155,36 @@ def test_warm_ascent_certifies_the_dense_objective(order, seeds, monkeypatch):
 
 
 def _counting_lifts(monkeypatch, run):
-    """``run()`` and the number of ``lifted.family_lift`` calls it made,
-    counted under every name the library looks the function up by."""
-    calls = []
-    real = lifted.family_lift
+    """``run()``, the number of ``lifted.family_lift`` calls it made, counted
+    under every name the library looks the function up by, and the number of
+    dense ``eigh`` solves (``eigensolver._top_pairs`` calls) it made."""
+    lifts, solves = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counting(calls, real):
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        return counted
 
     with monkeypatch.context() as patched:
+        counted = counting(lifts, lifted.family_lift)
         patched.setattr(lifted, "family_lift", counted)
         patched.setattr(search, "family_lift", counted)
+        patched.setattr(eigensolver, "_top_pairs", counting(solves, eigensolver._top_pairs))
         result = run()
-    return result, len(calls)
+    return result, len(lifts), len(solves)
 
 
 @pytest.mark.parametrize("order, k, restarts", [(6, 1, 1), (8, 2, 3), (10, 3, 2)])
-def test_warm_ascent_builds_two_lifts_per_restart(order, k, restarts, monkeypatch):
-    # the cold solve's lift and the certificate's: the Ritz steps between
-    # them apply both forms as commutators
+def test_warm_ascent_builds_one_lift_per_restart(order, k, restarts, monkeypatch):
+    # the certificate's: every step, the first included, is a Ritz step
+    # that applies its form as commutators, so no dense eigh solve is made
     assert search._warm_start_pays(order, k)
     config = SearchConfig(order=order, k=k, restarts=restarts, seed=order)
-    result, lifts = _counting_lifts(monkeypatch, lambda: ascend(config))
-    assert lifts == 2 * restarts
+    result, lifts, solves = _counting_lifts(monkeypatch, lambda: ascend(config))
+    assert lifts == restarts
+    assert solves == 0
     assert all(t.iterations > 1 for t in result.restarts)
 
 
@@ -186,8 +192,45 @@ def test_dense_ascent_builds_two_lifts_per_iteration(monkeypatch):
     # below the size rule every half-step is a dense solve of its lift
     assert not search._warm_start_pays(4, 2)
     config = SearchConfig(order=4, k=2, restarts=2, seed=4)
-    result, lifts = _counting_lifts(monkeypatch, lambda: ascend(config))
-    assert lifts == sum(1 + 2 * t.iterations for t in result.restarts)
+    result, lifts, solves = _counting_lifts(monkeypatch, lambda: ascend(config))
+    assert lifts == solves == sum(1 + 2 * t.iterations for t in result.restarts)
+
+
+# the real order-6 start of the installed-package CI step
+REAL6 = np.array(
+    [
+        [-3, 2, 0, -2, 3, 1],
+        [0, -2, 3, 1, -1, -3],
+        [3, 1, -1, -3, 2, 0],
+        [-1, -3, 2, 0, -2, 3],
+        [2, 0, -2, 3, 1, -1],
+        [-2, 3, 1, -1, -3, 2],
+    ],
+    dtype=float,
+)
+
+
+def test_warm_ascent_from_a_real_start_stays_real():
+    # order 6 with k = 1 takes Ritz steps; the first one's start block is
+    # real for a real start, so every iterate, and best_matrix, is real
+    config = SearchConfig(order=6, k=1, restarts=1, seed=1, init="user_matrix", matrix=REAL6)
+    assert search._warm_start_pays(6, 1)
+    result = ascend(config)
+    assert not result.best_matrix.imag.any()
+    assert result.monotone_ok and result.violation is None
+
+
+@pytest.mark.parametrize("init", search.INIT_KINDS)
+def test_warm_first_objective_is_a_lower_bound_on_f_k_of_the_start(init):
+    # a warm restart's first objective is its first step-(a) Ritz sum: at
+    # most f_k of its start, and at most where the monotone ascent ends
+    matrix = REAL6 if init == "user_matrix" else None
+    config = SearchConfig(order=6, k=1, restarts=1, seed=6, init=init, matrix=matrix)
+    assert search._warm_start_pays(6, 1)
+    trace = ascend(config).restarts[0]
+    f_start = double_commutator_spectrum(search._draw_init(config, 0)).values[:2].sum()
+    assert trace.first_objective <= f_start + 1e-12
+    assert trace.first_objective <= trace.last_objective
 
 
 def test_warm_ascent_certifies_through_the_spectral_core(monkeypatch):
@@ -242,9 +285,9 @@ def test_ascent_is_blind_to_eigenvector_phases(seed, rotate_eigh_phases):
 def test_ascent_is_blind_to_the_triangle_eigh_reads(seed, monkeypatch):
     # the lift and step (b)'s family lift are Hermitian to a few ulps, so an
     # ascent whose eigh reads the upper triangle takes the same steps;
-    # order 4 takes the dense solves, order 8 the warm-started ones, whose
-    # cold solve is dense. A Ritz request reads no triangle: only dense
-    # operands are transposed
+    # order 4 takes the dense solves, order 8 the warm-started ones, which
+    # make none. A Ritz request reads no triangle: only dense operands are
+    # transposed
     configs = [SearchConfig(order=order, k=2, restarts=2, seed=seed) for order in (4, 8)]
     plain = [ascend(config) for config in configs]
     eigh = eigensolver.eigh
