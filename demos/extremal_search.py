@@ -1,10 +1,16 @@
 """Alternating ascent toward extremal partial eigenvalue sums.
 
 The objective f_k(X) = sum of the top 2k eigenvalues of T_X on the unit
-Frobenius sphere is maximized by alternating two exact subproblems: the
-optimal 2k-family for fixed X (top eigenvectors of the lift), and the
-optimal X for a fixed family (top eigenvector of sum_i L_{Y_i}* L_{Y_i}).
-Each half-step is globally optimal, so the ascent is monotone.
+Frobenius sphere is maximized by alternating two subproblems: the best
+2k-family for fixed X (top eigenvectors of the lift), and the best X for
+a fixed family (top eigenvector of sum_i L_{Y_i}* L_{Y_i}). Small orders
+solve each half-step densely, a global maximum of its subproblem. From
+order 6 (unless k is large for the order) each half-step is instead a
+Rayleigh-Ritz step on a subspace that holds the previous iterate, which
+by Ky Fan's maximum principle cannot lower the objective. Either way the
+ascent is monotone. The "first" column is each restart's first step-(a)
+objective: f_k of its start on the dense side, a lower bound on it on the
+Ritz side; "final" is f_k of the last iterate.
 
 Observed maxima sit on the conjectured cap 2k + 2 whenever that cap is
 at most the proven cap min(2k + 1 + 2 sqrt(k), 2n); the --lambda13
@@ -39,7 +45,7 @@ def main() -> None:
     print(f"restarts: {args.restarts}, seed: {args.seed}, "
           f"monotone ascent: {result.monotone_ok}\n")
 
-    print(f"{'restart':>8} {'start':>12} {'final':>12} {'iterations':>11}")
+    print(f"{'restart':>8} {'first':>12} {'final':>12} {'iterations':>11}")
     for trace in result.restarts[: min(10, len(result.restarts))]:
         print(f"{trace.index:>8} {trace.first_objective:>12.6f} "
               f"{trace.last_objective:>12.6f} {trace.iterations:>11}")

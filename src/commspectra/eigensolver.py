@@ -23,14 +23,15 @@ downstream consumes this module's contracts:
   eigenpairs as for the ``m`` largest (``top=m``).
   Where numpy's LAPACK does not export ``zheevr`` it keeps a copy of the
   top ``m`` columns of numpy's full solve instead;
-* :func:`eigh` of a :class:`lifted.FamilyForm` F = L* L with an N x p
-  ``start`` block V returns instead the top ``m`` Rayleigh-Ritz pairs of F
-  on span[V, FV, F^2 V]: lower bounds on the top ``m`` eigenvalues, exact
-  when the span holds their invariant subspace. Every product is a
-  commutator; the projected matrix of order min(3p, N) is Q* F Q = W* W,
-  W = L Q for the Householder QR basis Q, solved by numpy's ``eigh``. No
-  N x N matrix is built unless that solve fails. The caller decides when
-  the Ritz step pays;
+* :func:`eigh` also takes a :class:`lifted.FamilyForm` F = L* L. With no
+  ``start`` it solves F's lift; with an N x p ``start`` block V it returns
+  the top ``m`` Rayleigh-Ritz pairs of F on span[V, FV, F^2 V]: lower
+  bounds on the top ``m`` eigenvalues, exact when the span holds their
+  invariant subspace. Every product is a commutator; the projected matrix
+  of order min(3p, N) is Q* F Q = W* W, W = L Q for the Householder QR
+  basis Q, solved by numpy's ``eigh``. No N x N matrix is built unless that
+  solve fails, and then F's lift is solved. The caller decides when the
+  Ritz step pays;
 * :func:`eigvals` returns the eigenvalues of a general square matrix from
   LAPACK ``zgeev``, in LAPACK's order.
 """
@@ -152,32 +153,29 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
     M defines, with the module's determinism contract.
 
     With ``top=m`` only the m largest eigenpairs are computed and returned;
-    ``top=None`` is ``top=N``.
-
-    With an N x p block ``start`` (p >= m), M is a :class:`lifted.FamilyForm`
-    F of order N, and the result is instead the m largest Rayleigh-Ritz
-    pairs of F on span[V, FV, F^2 V], V = ``start``, computed from
+    ``top=None`` is ``top=N``. M may be a :class:`lifted.FamilyForm` F of
+    order N, whose lift is then solved. With an N x p block ``start``
+    (p >= m), which needs such an F, the result is instead the m largest
+    Rayleigh-Ritz pairs of F on span[V, FV, F^2 V], V = ``start``, from
     commutator products: each Ritz value is at most the eigenvalue of the
     same rank, and a span that holds the top-m invariant subspace gives the
-    top-m eigenpairs. If the projected solve fails, the result is the dense
-    solve's of F's lift, built only then.
+    top-m eigenpairs. If the projected solve fails, F's lift is solved.
 
     :raises PreconditionError: if M or ``start`` has non-finite entries,
         ``top`` is outside 1..N, ``start`` is not N x p with p >= m, or
-        a start block comes without a FamilyForm M, or one without it
+        a start block comes without a FamilyForm M
     :raises ConvergenceError: if the LAPACK kernel fails to converge on
         that matrix and on its exactly permuted copy
     """
-    ritz = isinstance(M, FamilyForm)
-    if ritz != (start is not None):
-        raise PreconditionError("a start block needs a FamilyForm, and a FamilyForm a start block")
-    if not ritz:
+    if not isinstance(M, FamilyForm):
+        if start is not None:
+            raise PreconditionError("a start block needs a FamilyForm")
         M = as_matrix(M, "M")
     N = M.shape[0]
     m = N if top is None else top
     if not 1 <= m <= N:
         raise PreconditionError(f"top must be in 1..{N}, got {top}")
-    if ritz:
+    if start is not None:
         V = np.asarray(start, dtype=np.complex128)
         if V.ndim != 2 or V.shape[0] != N or V.shape[1] < m:
             raise PreconditionError(f"start must be {N} x p with p >= {m}, got shape {V.shape}")
@@ -187,7 +185,9 @@ def eigh(M, top: int | None = None, start=None) -> EigenDecomposition:
             w, V = _ritz_pairs(M, V, m)
             return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1])
         except np.linalg.LinAlgError:
-            M = as_matrix(M.lift(), "M")  # the dense solve below, with its retry
+            pass  # the dense solve below, of the lift built only now
+    if isinstance(M, FamilyForm):
+        M = as_matrix(M.lift(), "M")
     try:
         w, V = _top_pairs(M, m)
     except np.linalg.LinAlgError:

@@ -21,23 +21,26 @@ a lift built from the SVD of X, and L_X itself are test oracles
 
 :func:`family_lift` is the library's one assembly of these forms, entry by
 entry, with S from one (n^2 x m)(m x n^2) product. Its callers are the
-spectra's lifts, families of one (:func:`double_commutator_lift`), and the
-ascent's dense solves, every step of an ascent below its size rule; a
-warm-started restart builds only its certificate's lift. The O(n^6)
+spectra's lifts, families of one (:func:`double_commutator_lift`), and
+:meth:`FamilyForm.lift`, every step of an ascent below its size rule; a
+Ritz-stepping restart builds only its certificate's lift. The O(n^6)
 L_X* L_X is only a test oracle. A float64 input gives float64, anything
 else complex128. Real lifts are exactly symmetric; the cross part is summed
 exactly Hermitian, so a complex lift misses its adjoint only where i = j or
 k = l, where the Gram part adds BLAS products, Hermitian to a few ulps.
 
-:class:`FamilyForm` is its matrix-free twin for the warm-started ascent's
-Rayleigh-Ritz steps: L V and L* W for a block of vec'd columns, as
-commutators of order-n matrices, with no n^2 x n^2 matrix built.
+:class:`FamilyForm` is what the ascent hands ``eigensolver.eigh`` on every
+half-step. With a start block, ``eigh`` applies it matrix-free (L V and
+L* W as commutators of order-n matrices) in a Rayleigh-Ritz step; with
+none, it solves the form's :meth:`FamilyForm.lift`.
 
 Every lift the library builds has n^4 entries. :func:`check_lift_order` refuses
 orders above 64, whose lift would hold more than :data:`MAX_LIFT_ENTRIES`
 entries (an order-64 complex lift takes 256 MiB), before anything that big exists.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -105,20 +108,24 @@ class FamilyForm:
     as two products of an (m n) x n or n x (m n) stack of the family with the
     block, for O(m n^3) flops per column against the lift's O(m n^4).
     ``shape`` is F's; :func:`eigensolver.eigh` reads the form only through
-    it and these products, and :meth:`lift` builds F itself.
+    it and these products, or :meth:`lift`, which builds F itself. The
+    family is checked (:func:`matrices.as_stack`) once, where it is first
+    read: by :func:`family_lift`, or by the first product.
     """
 
     def __init__(self, Y):
-        Y = as_stack(Y)
-        if Y.ndim != 3:
-            raise OrderMismatchError(f"expected a family (m, n, n), got shape {Y.shape}")
+        self.family = np.asarray(Y)
+        if self.family.ndim != 3:
+            raise OrderMismatchError(f"expected a family (m, n, n), got shape {self.family.shape}")
+
+    @functools.cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        # Y_j[b, e] at row (j, b), column e, the same for the Y_j^T, and their
+        # adjoints; built on the first product, so a form only lifted skips them
+        Y = as_stack(self.family, "family")
         m, n, _ = Y.shape
-        self.family = Y
-        # Y_j[b, e] at row (j, b), column e, and the same for the Y_j^T
-        self._rows = Y.reshape(m * n, n)
-        self._cols = Y.swapaxes(-1, -2).reshape(m * n, n)
-        self._rows_h = self._rows.conj().T
-        self._cols_h = self._cols.conj().T
+        rows, cols = Y.reshape(m * n, n), Y.swapaxes(-1, -2).reshape(m * n, n)
+        return rows, cols, rows.conj().T, cols.conj().T
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,8 +140,9 @@ class FamilyForm:
         # [j, a, b, c] = [Y_j, Z_c][b, a]
         R = V.reshape(n, n, -1)
         p = R.shape[-1]
-        YZ = (self._rows @ R.swapaxes(0, 1).reshape(n, n * p)).reshape(m, n, n, p).swapaxes(1, 2)
-        ZY = (self._cols @ R.reshape(n, n * p)).reshape(m, n, n, p)
+        rows, cols = self._stacks[:2]
+        YZ = (rows @ R.swapaxes(0, 1).reshape(n, n * p)).reshape(m, n, n, p).swapaxes(1, 2)
+        ZY = (cols @ R.reshape(n, n * p)).reshape(m, n, n, p)
         return (YZ - ZY).reshape(m * n * n, p)
 
     def adjoint_sum(self, W) -> np.ndarray:
@@ -143,8 +151,9 @@ class FamilyForm:
         m, n, _ = self.family.shape
         R = W.reshape(m, n, n, -1)
         p = R.shape[-1]
-        YZ = (self._rows_h @ R.swapaxes(1, 2).reshape(m * n, n * p)).reshape(n, n, p).swapaxes(0, 1)
-        ZY = (self._cols_h @ R.reshape(m * n, n * p)).reshape(n, n, p)
+        rows_h, cols_h = self._stacks[2:]
+        YZ = (rows_h @ R.swapaxes(1, 2).reshape(m * n, n * p)).reshape(n, n, p).swapaxes(0, 1)
+        ZY = (cols_h @ R.reshape(m * n, n * p)).reshape(n, n, p)
         return (YZ - ZY).reshape(n * n, p)
 
     def lift(self) -> np.ndarray:

@@ -8,32 +8,30 @@ Frobenius sphere alternates two maximizations:
 (b) with {Y_i} fixed, sum_i ||[X, Y_i]||^2 is a quadratic form in vec(X)
     with matrix sum_i L_{Y_i}* L_{Y_i}, maximized by its top eigenvector.
 
-Each half-step is a Rayleigh-Ritz solve (``eigensolver.eigh`` of a
-:class:`lifted.FamilyForm` with a start block), for the top 2k + 2 pairs
-in step (a) and the top one in step (b). The first step (a) starts from an
-N x (2k + 2) Gaussian block of the restart's own stream (real for a real
-start); every later one from the previous 2k + 2 vectors, with
-T_X V = [X*, [X, V]] the family {X}'s form, and step (b) from vec(X), with
-F x = sum_i [Y_i*, [Y_i, x]]. Both forms are applied as commutators, so no
-lift is built and no dense solve is made until the last. By Ky Fan's
+Each half-step is one ``eigensolver.eigh`` of a :class:`lifted.FamilyForm`:
+T_X, the family {X}'s form, for the top 2k pairs in step (a) (two more
+above the size rule), and F = sum_i L_{Y_i}* L_{Y_i} for the top pair in
+step (b). A start block selects a Rayleigh-Ritz step, and no start block a
+dense solve of the form's lift; :func:`_warm_start_pays` picks per restart.
+
+Below the size rule no step carries a start block: each solves its lift,
+each half-step is a global maximum of its subproblem, the last step (a)
+is already exact, and ``first_objective`` is f_k of the start. Above it
+the first step (a) starts from an N x (2k + 2) Gaussian block of the
+restart's own stream (real for a real start), every later one from the
+previous 2k + 2 vectors, and step (b) from vec(X). The forms are applied
+as commutators, T_X V = [X*, [X, V]] and F x = sum_i [Y_i*, [Y_i, x]], so
+no lift is built and no dense solve is made until the last. By Ky Fan's
 maximum principle on a subspace that holds the previous iterate, step (a)'s
 top-2k Ritz sum is at least sum_i <T_X Y_i, Y_i>, step (b)'s value, and
 step (b)'s is at least the form at the previous X; so the objective never
-decreases from the first Ritz sum, which is the restart's
-``first_objective``. A Ritz value is at most the eigenvalue of its rank
-(Cauchy interlacing), so that first objective is a lower bound on f_k of
-the start, and the proven caps (lambda_1 <= 2 and
-f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on every iterate cannot fire
-falsely. The restart ends with the spectral core's checked spectrum of its
-last iterate, the one lift it builds: that f_k is the one reported and held
-to the caps.
-
-Below order 6, and where step (a)'s Ritz basis of 3(2k + 2) vectors would
-be more than half of n^2 (from k = 3 at order 6, k = 4 at order 7), the
-Ritz steps cost more than they save (:func:`_warm_start_pays`): both
-steps solve their lifts densely (:func:`lifted.family_lift`) for the top 2k
-and the top 1, each half-step is a global maximum of its subproblem, the
-last step (a) is already exact, and ``first_objective`` is f_k of the start.
+decreases from the first Ritz sum, the restart's ``first_objective``. A
+Ritz value is at most the eigenvalue of its rank (Cauchy interlacing), so
+that first objective is a lower bound on f_k of the start, and the proven
+caps (lambda_1 <= 2 and f_k <= min(2k + 1 + 2 sqrt(k), 2n)) checked on
+every iterate cannot fire falsely. The restart ends with the spectral
+core's checked spectrum of its last iterate, the one lift it builds: that
+f_k is the one reported and held to the caps.
 
 The open question is whether f_k can exceed 2k + 2 (id C2A), and any
 observed breach is serialized as a violation bundle.
@@ -47,7 +45,7 @@ import numpy as np
 
 from . import ensembles
 from .errors import PreconditionError
-from .lifted import FamilyForm, check_lift_order, double_commutator_lift, family_lift
+from .lifted import FamilyForm, check_lift_order
 from .matrices import as_matrix, normalized, unvec, vec
 from .spectra import LAMBDA13_BOUND, double_commutator_spectrum, ladder_batch, majorization_batch
 from .spectra import partial_sum_batch, partial_sum_caps, spectral_batch
@@ -88,9 +86,9 @@ class SearchConfig:
 @dataclass(frozen=True)
 class RestartTrace:
     """One restart: its index, the objective of its first step (a) and of
-    its last iterate, and its iteration count. Below the size rule
-    (:func:`_warm_start_pays`) the first objective is f_k of the start;
-    above it, the first step-(a) Ritz sum, a lower bound on that f_k."""
+    its last iterate, and its iteration count. The first objective is f_k
+    of the start below the size rule (:func:`_warm_start_pays`: dense
+    solves), and a Ritz lower bound on it above (Ritz steps)."""
 
     index: int
     first_objective: float
@@ -181,11 +179,13 @@ def _checked_sum(values: np.ndarray, k2: int, proven: float) -> float:
 
 
 def _warm_start_pays(n: int, k: int) -> bool:
-    """Whether the order-n ascent on f_k takes Rayleigh-Ritz steps: from
-    order 6, where its step-(a) basis of 3(2k + 2) vectors is at most half
-    of n^2. Restarts timed at one BLAS thread (k = 1..32, orders 3..16) ran
-    1.1x to 2.4x faster with Ritz steps wherever this holds; below order 6
-    they ran slower at every k, by up to 1.5x."""
+    """Whether the order-n ascent on f_k passes start blocks (Ritz steps):
+    from order 6, where its step-(a) basis of 3(2k + 2) vectors is at most
+    half of n^2. Median dense / Ritz restart time (16 seeds, one restart,
+    one BLAS thread, alternating): 0.74-0.75 at (n, k) = (5, 1), 0.84-0.91
+    at (6, 3), 0.97-1.00 at (7, 4), 1.10-1.11 at (8, 5) and 1.29-1.49 at
+    (10, 8). So the rule is right at orders 5-7, and forgoes about 1.1x at
+    (8, 5) and 1.3-1.5x at (10, 8)."""
     return n >= 6 and 6 * (2 * k + 2) <= n * n
 
 
@@ -195,34 +195,25 @@ def _single_ascent(
     n, k2 = config.order, 2 * config.k
     X = _draw_init(config, index)
     x = vec(X)[:, None]
-    # step (a) keeps two vectors beyond the 2k, so its block does not cut a
-    # pair; below the size rule both steps stay dense
+    # above the size rule every step carries a start block, and step (a)
+    # keeps two vectors beyond the 2k, so its block does not cut a pair; the
+    # first block is Gaussian, real for a real X so a real start stays real
     warm = _warm_start_pays(n, config.k)
+    p, start = k2, None
     if warm:
-        # the first step (a) too is a Ritz step, from a Gaussian block of the
-        # restart's own stream, real for a real X so that a real start stays real
         p = k2 + 2
         rng = ensembles.trial_rng(config.seed, index, 1)
         start = rng.standard_normal((n * n, p))
         if X.imag.any():
             start = start + 1j * rng.standard_normal((n * n, p))
-        dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=start)
-    else:
-        p = k2
-        dec = eigensolver.eigh(double_commutator_lift(X), top=p)
+    dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=start)
     obj = first = _checked_sum(dec.values, k2, proven)
     monotone, flat = True, 0
     for iterations in range(1, config.max_iters + 1):  # max_iters >= 1 (validate_config)
         family = dec.vectors[:, :k2].T.reshape(k2, n, n).swapaxes(-1, -2)  # the unvec'd columns
-        if warm:
-            # Ritz steps on commutator products: no lift is built
-            x = eigensolver.eigh(FamilyForm(family), top=1, start=x).vectors
-            X = normalized(unvec(x, n))
-            dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=dec.vectors)
-        else:
-            x = eigensolver.eigh(family_lift(family), top=1).vectors
-            X = normalized(unvec(x, n))
-            dec = eigensolver.eigh(double_commutator_lift(X), top=p)
+        x = eigensolver.eigh(FamilyForm(family), top=1, start=x if warm else None).vectors
+        X = normalized(unvec(x, n))
+        dec = eigensolver.eigh(FamilyForm(X[None]), top=p, start=dec.vectors if warm else None)
         new_obj = _checked_sum(dec.values, k2, proven)
         monotone = monotone and new_obj >= obj - 1e-10
         rel = (new_obj - obj) / max(abs(obj), 1e-300)

@@ -456,7 +456,28 @@ def test_eigh_start_is_checked_against_the_matrix_and_top():
     bad[3, 2] = np.nan
     with pytest.raises(PreconditionError, match="start contains non-finite"):
         eigh(F, top=6, start=bad)
-    # a Ritz step takes the operator, and a dense solve the matrix
-    for M, start in [(H, V), (F, None)]:
-        with pytest.raises(PreconditionError, match="a start block needs a FamilyForm"):
-            eigh(M, top=6, start=start)
+    # a Ritz step takes the operator, not its matrix
+    with pytest.raises(PreconditionError, match="a start block needs a FamilyForm"):
+        eigh(H, top=6, start=V)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_eigh_of_a_form_without_start_is_the_dense_solve_of_its_lift(real):
+    # no start block selects the dense solve: of F's lift, bit for bit
+    F, _, _ = _ritz_case(real=real, seed=11)
+    for m in (1, 6, 64):
+        got, want = eigh(F, top=m), eigh(F.lift(), top=m)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_a_form_checks_its_family_where_it_first_reads_it():
+    # in the lift a dense solve builds, or in the first product of a Ritz step
+    F, _, V = _ritz_case(seed=12)
+    bad = F.family.copy()
+    bad[0, 1, 2] = np.nan
+    with pytest.raises(PreconditionError, match="contains non-finite"):
+        eigh(FamilyForm(bad), top=6)
+    for product in (FamilyForm(bad).commutators, FamilyForm(bad).adjoint_sum):
+        with pytest.raises(PreconditionError, match="family contains non-finite"):
+            product(V)
