@@ -20,9 +20,12 @@ downstream consumes this module's contracts:
   solves it in real arithmetic; every other input, and every input of
   :func:`eigh`, is solved in complex128;
 * :func:`eigh`'s dense solve has one driver, LAPACK ``zheevr``, for all N
-  eigenpairs as for the ``m`` largest (``top=m``).
-  Where numpy's LAPACK does not export ``zheevr`` it keeps a copy of the
-  top ``m`` columns of numpy's full solve instead;
+  eigenpairs as for the ``m`` largest (``top=m``). Where numpy's LAPACK
+  does not export ``zheevr`` it keeps a copy of the top ``m`` columns of
+  numpy's full solve instead. That fallback makes 20-restart dense ascents
+  (seeds 0-2, one BLAS thread, process time; numpy 2.4, OpenBLAS 0.3.31)
+  1.2-1.3x slower at orders 5-7, 1.4x at (8, 5) and 1.6-2.1x at (10, 8),
+  and 1.2-1.4x faster at orders 2-3;
 * :func:`eigh` also takes a :class:`lifted.FamilyForm` F = L* L. With no
   ``start`` it solves F's lift; with an N x p ``start`` block V it returns
   the top ``m`` Rayleigh-Ritz pairs of F on span[V, FV, F^2 V]: lower

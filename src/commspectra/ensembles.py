@@ -6,10 +6,10 @@ trial index (counter-mode), so results do not depend on evaluation order.
 
 The streams are numpy's: :func:`trial_rng` is
 ``Generator(PCG64(SeedSequence(seed, spawn_key=indices)))``, which numpy
-keeps stable across versions (NEP 19). :func:`pcg64_states` computes those
-PCG64 states for many trial indices at once, one ``SeedSequence`` per call
-absorbing the seed and the key prefix, and :func:`set_stream` puts one
-reusable generator on each.
+keeps stable across versions (NEP 19); it is the one public stream.
+:func:`gaussian_trials` draws a chunk of sweep trials on those streams with
+one generator, moved onto each trial's PCG64 state: a private port of
+``SeedSequence``'s seeding computes the states of the whole chunk at once.
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def _pcg64_state(pool: list[int]) -> tuple[int, int]:
     return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def pcg64_states(seed: int, prefix: tuple[int, ...], indices) -> list[tuple[int, int]]:
+def _pcg64_states(seed: int, prefix: tuple[int, ...], indices) -> list[tuple[int, int]]:
     """The PCG64 ``(state, inc)`` that ``PCG64(SeedSequence(seed,
     spawn_key=(*prefix, t)))`` holds, for each t of ``indices``.
 
@@ -115,17 +115,6 @@ def pcg64_states(seed: int, prefix: tuple[int, ...], indices) -> list[tuple[int,
     """
     pool, h = _absorb(seed, prefix)
     return [_pcg64_state(_mix_in(pool, _words(t), h)[0]) for t in indices]
-
-
-def set_stream(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:
-    """Put ``rng``'s PCG64 at ``(state, inc)``, a pair from :func:`pcg64_states`."""
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
 
 
 def trial_rng(seed: int, *indices: int) -> np.random.Generator:
@@ -140,6 +129,20 @@ def gaussian_matrix(rng: np.random.Generator, n: int, real: bool = False) -> np.
     if not real:
         G = G + 1j * rng.standard_normal((n, n))
     return np.asarray(G, dtype=np.complex128)
+
+
+def gaussian_trials(rng: np.random.Generator, seed: int, n: int, trials: range) -> np.ndarray:
+    """The order-``n`` Gaussian draws of ``trials``, stacked: trial t is
+    ``gaussian_matrix(trial_rng(seed, n, t), n, real=bool(t % 2))`` bit for
+    bit, complex at even t and real at odd t. ``rng``, a PCG64 generator,
+    is moved onto each trial's stream in turn and left on the last."""
+    draws = []
+    for t, (state, inc) in zip(trials, _pcg64_states(seed, (n,), trials)):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+        }
+        draws.append(gaussian_matrix(rng, n, real=bool(t % 2)))
+    return np.stack(draws)
 
 
 def unit_gaussian(rng: np.random.Generator, n: int, real: bool = False) -> np.ndarray:

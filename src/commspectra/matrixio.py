@@ -8,8 +8,9 @@ written), :func:`read_json` the one reader and :func:`write_json` the one
 writer of the one serialization, :func:`json_text`. Any defect of a file
 (unreadable, invalid JSON, a missing or non-numeric field, re/im shapes
 that differ, a non-finite entry) raises ``ParseError``. :func:`read_input`
-reads a file once, as UTF-8 text with the SHA-256 of its bytes; the loaders
-take that text, so a digest names the bytes that were parsed.
+reads a file once: its UTF-8 text, less a leading byte-order mark, and the
+SHA-256 of all its bytes; the loaders take that text, so a digest names the
+bytes that were parsed.
 
 :func:`load_matrix` tells its two formats apart by content, not extension:
 JSON ``{"n": int, "re": ..., "im": ...}`` (a payload with its order, written
@@ -66,10 +67,11 @@ def payload_matrix(obj, where, flat: bool = False) -> np.ndarray:
 
 
 def read_input(path) -> tuple[str, str]:
-    """A file's UTF-8 text and the hex SHA-256 of its bytes, from one read."""
+    """A file's UTF-8 text, less a leading byte-order mark, and the hex
+    SHA-256 of all its bytes, from one read."""
     try:
         data = Path(path).read_bytes()
-        return data.decode(), hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -4,7 +4,9 @@ The ``bounds``, ``verdicts`` and ``search`` sections are the result
 dataclasses themselves: the ladder of one matrix (the ``BoundReport`` that
 ``bound_report`` returns), ``ConjectureVerdict`` and ``SearchResult``.
 :func:`jsonable` serializes any dataclass field by field, so their keys are
-the fields. :func:`spectrum_section` stays a function because it derives
+the fields. The ``sweep`` section is the dict ``search.sweep`` returns, its
+rows holding data (each argmax unit matrix an array) that :func:`jsonable`
+encodes. :func:`spectrum_section` stays a function because it derives
 fields the ``Spectrum`` does not hold as fields (order, cluster lists,
 partial sums) and leaves out its unit matrix.
 

@@ -34,7 +34,10 @@ core's checked spectrum of its last iterate, the one lift it builds: that
 f_k is the one reported and held to the caps.
 
 The open question is whether f_k can exceed 2k + 2 (id C2A), and any
-observed breach is serialized as a violation bundle.
+observed breach is serialized as a violation bundle. :func:`sweep` monitors
+C2A and C4 on random ensembles and only orchestrates: ``ensembles`` draws
+each chunk, the spectral core checks and judges it, and ``reporting``
+encodes the rows.
 """
 from __future__ import annotations
 
@@ -49,7 +52,6 @@ from .lifted import FamilyForm, check_lift_order
 from .matrices import as_matrix, normalized, unvec, vec
 from .spectra import LAMBDA13_BOUND, double_commutator_spectrum, ladder_batch, majorization_batch
 from .spectra import partial_sum_batch, partial_sum_caps, spectral_batch
-from .matrixio import matrix_payload
 from .verdicts import DEFAULT_TOL, PROVEN_TOL, holds, judge, require
 from . import eigensolver
 
@@ -311,12 +313,12 @@ def sweep(
     Draws alternate complex (even trial index) and real (odd) Gaussian
     matrices, normalized once by the spectral core, so each is bit for bit
     ``ensembles.unit_gaussian`` of its trial stream: trial t of order n
-    draws from ``trial_rng(seed, n, t)``'s stream, whose state
-    :func:`ensembles.pcg64_states` computes per chunk for the one
-    generator of the call. Per trial the proven
-    ladder is asserted hard; a C2A breach at some k lands as a bundle in
-    that (n, k) row, and weak-majorization (C4) breaches, which are not tied
-    to a single k, go to the report's top-level ``majorization_violations``.
+    draws from ``trial_rng(seed, n, t)``'s stream, each chunk through
+    :func:`ensembles.gaussian_trials` on the one generator of the call.
+    Per trial the proven ladder is asserted hard; a C2A breach at some k
+    lands as a bundle in that (n, k) row, and weak-majorization (C4)
+    breaches, which are not tied to a single k, go to the report's
+    top-level ``majorization_violations``.
     Every bundle is the witness of a :func:`verdicts.judge` verdict, as in
     the monitors. ``k_rule`` is "all" or one int k. Orders run from 2 to 64,
     the lift limit (:func:`lifted.check_lift_order`).
@@ -326,6 +328,8 @@ def sweep(
     run through the batched spectral core in chunks of at most
     ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
     the chunks break, and a failed check raises what the lowest failing trial raises.
+    Rows hold data, not JSON: ``argmax_matrix`` is a copy of the n x n unit matrix
+    that first reached ``max_f``, which :func:`reporting.jsonable` encodes.
     """
     # kept as ints: a numpy integer in the rows or bundles is not JSON
     trials = _require_integer(trials, "trials")
@@ -354,17 +358,10 @@ def sweep(
         caps, proven = partial_sum_caps(ks, n)
         max_f = np.full(len(ks), -np.inf)
         argmax: list[np.ndarray | None] = [None] * len(ks)
-        argmax_trial: list[int | None] = [None] * len(ks)
         row_violations: list[list[dict]] = [[] for _ in ks]
         step = _chunk_size(n)
         for start in range(0, trials, step):
-            chunk = range(start, min(start + step, trials))
-            X = np.stack(
-                [
-                    ensembles.gaussian_matrix(ensembles.set_stream(rng, *state), n, real=bool(t % 2))
-                    for t, state in zip(chunk, ensembles.pcg64_states(seed, (n,), chunk))
-                ]
-            )
+            X = ensembles.gaussian_trials(rng, seed, n, range(start, min(start + step, trials)))
             spec = spectral_batch(X)
             ladder = ladder_batch(spec)
             # raise what the lowest failing trial would raise on its own
@@ -377,9 +374,8 @@ def sweep(
             best = np.argmax(f, axis=0)  # first occurrence, as a strict > scan
             top = f[best, np.arange(len(ks))]
             for j in np.flatnonzero(top > max_f):
-                max_f[j] = top[j]
-                argmax[j] = spec.matrix[best[j]]
-                argmax_trial[j] = start + int(best[j])
+                # a copy, so a row does not hold its whole chunk
+                max_f[j], argmax[j] = top[j], spec.matrix[best[j]].copy()
             # the batch flags the chunk's breaches; judge() decides each on the same floats
             for i, j in zip(*np.nonzero(~c2a_ok)):
                 verdict = judge("C2A", [spec.matrix[i]], f[i, j], caps[j], 0.0, tol, seed)
@@ -388,23 +384,11 @@ def sweep(
             for i in np.flatnonzero(~c4_ok):
                 verdict = judge("C4", [spec.matrix[i]], c4_lhs[i], c4_rhs[i], 0.0, tol, seed)
                 majorization_violations.append(verdict.witness)
-        # many k share one argmax trial: encode each such matrix once
-        payloads = {
-            t: matrix_payload(M) for t, M in dict(zip(argmax_trial, argmax)).items() if t is not None
-        }
         rows += [
-            {
-                "n": n,
-                "k": k,
-                "trials": trials,
-                "max_f": value,
-                "argmax_matrix": payloads.get(t),
-                "bound_conjectured": cap,
-                "bound_proven": weak,
-                "violations": found,
-            }
-            for k, value, t, cap, weak, found in zip(
-                ks, max_f.tolist(), argmax_trial, caps.tolist(), proven.tolist(), row_violations
+            {"n": n, "k": k, "trials": trials, "max_f": value, "argmax_matrix": M,
+             "bound_conjectured": cap, "bound_proven": weak, "violations": found}
+            for k, value, M, cap, weak, found in zip(
+                ks, max_f.tolist(), argmax, caps.tolist(), proven.tolist(), row_violations
             )
         ]
     return {

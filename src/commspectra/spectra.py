@@ -52,7 +52,11 @@ LAMBDA13_BOUND = (4.0 + np.sqrt(10.0)) / 2.0
 
 
 def cluster_tolerance(lambda1: float) -> float:
-    """Gap below which neighboring eigenvalues belong to one cluster."""
+    """Gap below which neighboring eigenvalues belong to one cluster.
+
+    Spectra here are of unit matrices, so lambda_1 <= 2 and 1e-9 lambda_1 never
+    beats the 1e-7 floor: the floor alone decides every cluster, and a
+    near-scalar matrix, its whole spectrum below 1e-7, is one cluster."""
     return max(CLUSTER_TOL_FLOOR, 1e-9 * lambda1)
 
 

@@ -910,3 +910,21 @@ def test_each_input_is_read_once_and_digested_as_parsed(cli_main, tmp_path, monk
             texts.append(out.replace(str(path), "PATH").replace(digest, "DIGEST"))
         # both files hold the same matrix: the report bytes differ only in the input entry
         assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("name", ["x.json", "x.txt"])
+def test_spectrum_reads_a_file_with_a_byte_order_mark(cli_main, tmp_path, name):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    if name.endswith(".json"):
+        save_matrix(plain, unit_gaussian(trial_rng(97, 1), 3))
+    else:
+        plain.write_text("1 2+1i 0\n-3i 4 1\n0 1 -2j\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    texts = []
+    for path in (plain, marked):
+        code, out, err = cli_main("spectrum", path, "--json")
+        assert code == 0, err
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()  # of the raw bytes, mark and all
+        assert json.loads(out)["inputs"] == [{"path": str(path), "sha256": digest}]
+        texts.append(out.replace(str(path), "PATH").replace(digest, "DIGEST"))
+    assert texts[0] == texts[1]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from commspectra import gaussian_matrix, sweep, trial_rng
-from commspectra.ensembles import pcg64_states
+from commspectra.ensembles import _pcg64_states, gaussian_trials
 from commspectra.matrixio import json_text
+from commspectra.reporting import jsonable
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96, 2**128 - 1, 2**128 + 7]
 KEYS = [(), (0,), (5, 7), (6, 2**32), (2, 2**70), (2**64, 0, 9)]
@@ -24,14 +25,27 @@ def test_trial_streams_are_numpy_seedsequence_streams(seed, key):
     assert trial_rng(seed, *key).bit_generator.state == want
     if key:
         s = want["state"]
-        assert pcg64_states(seed, key[:-1], [key[-1]]) == [(s["state"], s["inc"])]
+        assert _pcg64_states(seed, key[:-1], [key[-1]]) == [(s["state"], s["inc"])]
 
 
 def test_pcg64_states_of_many_indices_match_one_at_a_time():
     indices = [0, 1, 7, 2**32 - 1, 2**32, 2**70, 3]
-    assert pcg64_states(2**64 + 1, (4, 2**33), indices) == [
-        pcg64_states(2**64 + 1, (4, 2**33), [t])[0] for t in indices
+    assert _pcg64_states(2**64 + 1, (4, 2**33), indices) == [
+        _pcg64_states(2**64 + 1, (4, 2**33), [t])[0] for t in indices
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("trials", [range(5, 9), range(2**32 - 1, 2**32 + 2)])
+def test_gaussian_trials_draw_the_per_trial_streams(seed, trials):
+    # a chunk that starts mid-range, and one whose indices cross 2^32 (a
+    # second entropy word); the generator need not be fresh
+    rng = np.random.default_rng(7)
+    rng.integers(2**32, dtype=np.uint32)
+    for n in (2, 3):
+        got = gaussian_trials(rng, seed, n, trials)
+        want = np.stack([gaussian_matrix(_oracle(seed, (n, t)), n, real=bool(t % 2)) for t in trials])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_chunks_draw_the_per_trial_streams(monkeypatch):
@@ -59,10 +73,10 @@ def test_concurrent_sweeps_report_what_they_report_alone():
     # the sweep's generator belongs to the call, so two sweeps in two threads
     # cannot move each other's streams
     args = [dict(n_values=[2, 3], trials=100, seed=seed, tol=-100.0) for seed in (3, 2**64 - 1)]
-    alone = [json_text(sweep(**a)) for a in args]
+    alone = [json_text(jsonable(sweep(**a))) for a in args]
 
     def run(i, out):
-        out[i] = json_text(sweep(**args[i]))
+        out[i] = json_text(jsonable(sweep(**args[i])))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible

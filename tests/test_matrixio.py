@@ -141,6 +141,41 @@ def test_sha256_digest_matches_hashlib(tmp_path):
     assert np.array_equal(load_matrix(path, text), load_matrix(path))
 
 
+def _bits(loaded):
+    """A loader's result with each array as its dtype, shape and bytes."""
+    if isinstance(loaded, tuple):
+        return tuple(map(_bits, loaded))
+    if isinstance(loaded, np.ndarray):
+        return loaded.dtype, loaded.shape, loaded.tobytes()
+    return loaded
+
+
+def test_files_with_a_byte_order_mark_load(tmp_path):
+    from commspectra import make_bundle, read_bundle
+
+    X = unit_gaussian(trial_rng(70, 2), 2)
+    save_matrix(tmp_path / "m.json", X)
+    (tmp_path / "m.txt").write_text("1 2+1i\n-3i 4\n")
+    (tmp_path / "lu.json").write_text(json.dumps({"etas": {"re": [0.6, -0.6], "im": [0.0, 0.0]}, "r": [[0, 1], [0, 0]]}))
+    (tmp_path / "numbers.json").write_text(json.dumps({"etas": [1, -1], "omegas": [0.5, -0.5], "r": [[0, 1], [1, 0]]}))
+    (tmp_path / "bundle.json").write_text(json.dumps(make_bundle("C4", [X], 1.0, 2.0, 0.0, 3)))
+    loaders = {
+        "m.json": load_matrix,
+        "m.txt": load_matrix,
+        "lu.json": lambda path, text=None: load_check_payload(path, "lu", text=text),
+        "numbers.json": lambda path, text=None: load_check_payload(path, "numbers", text=text),
+        "bundle.json": lambda path, text=None: read_bundle(path),
+    }
+    for name, load in loaders.items():
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        text, digest = read_input(marked)
+        assert digest == hashlib.sha256(marked.read_bytes()).hexdigest()  # the mark is hashed
+        assert text == read_input(plain)[0]
+        want = _bits(load(plain))
+        assert _bits(load(marked)) == want and _bits(load(marked, text)) == want
+
+
 def test_lu_payload_real_and_complex_forms(tmp_path):
     path = tmp_path / "lu.json"
     path.write_text(json.dumps({"etas": [0.5, -0.5], "r": [[0.0, 1.0], [0.0, 0.0]]}))

@@ -417,7 +417,34 @@ def test_sweep_row_structure_and_clean_run():
         assert row["violations"] == []
         assert row["max_f"] <= row["bound_conjectured"] + 1e-8
         assert row["bound_proven"] <= 2.0 * row["n"] + 1e-12
-        assert set(row["argmax_matrix"]) == {"re", "im"}
+        assert row["argmax_matrix"].shape == (2, 2)
+
+
+@pytest.mark.parametrize("budget", [search.CHUNK_LIFT_ENTRIES, 3 * 3**4])
+def test_sweep_rows_hold_their_argmax_unit_matrix(monkeypatch, budget):
+    from commspectra import gaussian_matrix, normalized
+    from commspectra.reporting import jsonable
+    from commspectra.spectra import spectral_batch
+    from commspectra.verdicts import matrix_payload
+
+    # one chunk per order, and chunks of 3 at order 3 (a row keeps a copy,
+    # not a view of the chunk it came from)
+    monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", budget)
+    seed, trials = 2**64 - 1, 10
+    rows = iter(sweep([2, 3], trials=trials, seed=seed)["rows"])
+    for n in (2, 3):
+        units = [
+            normalized(gaussian_matrix(trial_rng(seed, n, t), n, real=bool(t % 2)))
+            for t in range(trials)
+        ]
+        prefix = spectral_batch(np.stack(units)).partial_sums
+        for k in range(1, n * n // 2 + 1):
+            M = next(rows)["argmax_matrix"]
+            assert isinstance(M, np.ndarray) and M.flags.owndata
+            assert M.dtype == np.complex128 and M.shape == (n, n)
+            assert M.tobytes() == units[int(np.argmax(prefix[:, 2 * k - 1]))].tobytes()
+            assert jsonable(M) == matrix_payload(M)
+    assert next(rows, None) is None
 
 
 def test_sweep_bundles_hold_the_unit_matrices_it_judged():
@@ -435,7 +462,7 @@ def test_sweep_bundles_hold_the_unit_matrices_it_judged():
         for k in range(1, n * n // 2 + 1):
             row = next(rows)
             assert [b["matrices"] for b in row["violations"]] == units
-            assert [row["argmax_matrix"]] == units[int(np.argmax(prefix[:, 2 * k - 1]))]
+            assert [matrix_payload(row["argmax_matrix"])] == units[int(np.argmax(prefix[:, 2 * k - 1]))]
         assert [next(c4)["matrices"] for _ in range(10)] == units
     assert next(rows, None) is None and next(c4, None) is None
 
@@ -460,11 +487,17 @@ def test_sweep_k_rule_variants():
     ):
         with pytest.raises(PreconditionError, match="must be an integer"):
             sweep(**{"trials": 1, **kwargs})
-    # numpy integers are integers, and the report holds them as ints
+    # numpy integers are integers, and the report holds them as ints: the
+    # bundles, which are written as they are, too
     from commspectra.matrixio import json_text
+    from commspectra.reporting import jsonable
 
     report = sweep(np.array([3]), k_rule=np.int64(2), trials=np.int32(2), seed=np.uint64(0), tol=-100.0)
-    assert json_text(report) == json_text(sweep([3], k_rule=2, trials=2, seed=0, tol=-100.0))
+    want = sweep([3], k_rule=2, trials=2, seed=0, tol=-100.0)
+    assert json_text(jsonable(report)) == json_text(jsonable(want))
+    row = report["rows"][0]
+    assert {type(v) for v in (report["seed"], report["trials_per_order"], row["n"], row["k"], row["trials"])} == {int}
+    assert json_text(row["violations"] + report["majorization_violations"])
 
 
 def test_sweep_rejects_zero_trials():
@@ -479,10 +512,15 @@ def test_sweep_rejects_an_order_named_twice():
         sweep([2, 3, 2], trials=1)
 
 
+def _sweep_json(*args, **kwargs) -> str:
+    from commspectra.matrixio import json_text
+    from commspectra.reporting import jsonable
+
+    return json_text(jsonable(sweep(*args, **kwargs)))
+
+
 def test_sweep_is_deterministic():
-    a = sweep([2], k_rule=1, trials=5, seed=11)
-    b = sweep([2], k_rule=1, trials=5, seed=11)
-    assert a == b
+    assert _sweep_json([2], k_rule=1, trials=5, seed=11) == _sweep_json([2], k_rule=1, trials=5, seed=11)
 
 
 def test_sweep_forced_violations_carry_reverifiable_bundles():
@@ -552,12 +590,14 @@ def _same_bundles(got, want):
     ],
 )
 def test_sweep_matches_per_matrix_reference(n_values, k_rule, tol):
+    from commspectra.reporting import jsonable
+
     report = sweep(n_values, k_rule=k_rule, trials=7, seed=5, tol=tol)
     rows, c4 = _reference_sweep(n_values, k_rule, trials=7, seed=5, tol=tol)
     assert [(r["n"], r["k"]) for r in report["rows"]] == [row[:2] for row in rows]
     for got, (_, _, max_f, payload, found) in zip(report["rows"], rows):
         assert got["max_f"] == pytest.approx(max_f, rel=1e-12)
-        assert got["argmax_matrix"] == payload
+        assert jsonable(got["argmax_matrix"]) == payload
         _same_bundles(got["violations"], found)
     _same_bundles(report["majorization_violations"], c4)
 
@@ -566,12 +606,12 @@ def test_sweep_matches_per_matrix_reference(n_values, k_rule, tol):
 def test_sweep_does_not_depend_on_chunks(monkeypatch, per_chunk):
     import commspectra.search as search
 
-    whole = sweep([2, 3], trials=10, seed=8, tol=-100.0)
+    whole = _sweep_json([2, 3], trials=10, seed=8, tol=-100.0)
     # per_chunk trials a chunk at order 3; at order 2 the budget of 3 entries
     # gives chunks of one and the budget of 3 * 3^4 one chunk of all ten
     monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", 3 if per_chunk == 1 else 3 * 3**4)
     assert search._chunk_size(3) == per_chunk
-    assert sweep([2, 3], trials=10, seed=8, tol=-100.0) == whole
+    assert _sweep_json([2, 3], trials=10, seed=8, tol=-100.0) == whole
 
 
 
