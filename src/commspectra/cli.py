@@ -10,7 +10,8 @@ computes the report sections, and a text renderer of the finished report
 writes the bundle and builds the one report.
 
 Exit codes: 0 success, 1 conjecture violation found (the violation bundle is
-written to ``--bundle-out`` or a default path), 2 input or hypothesis error,
+written to ``--bundle-out`` or a default path), 2 input or hypothesis error
+(an ``--out`` that names the bundle's file included: neither is written),
 3 numerical failure, a broken proven bound included.
 """
 from __future__ import annotations
@@ -427,6 +428,9 @@ def main(argv=None) -> int:
         bundle_path = None
         if code == EXIT_VIOLATION:
             bundle_path = args.bundle_out or f"violation-{run.bundle['conjecture_id'].lower()}.json"
+            if args.out and Path(args.out).resolve() == Path(bundle_path).resolve():
+                # the report would overwrite the bundle: keep neither
+                raise PreconditionError(f"--out and the violation bundle both name {bundle_path}")
             write_bundle(bundle_path, run.bundle)
         if hasattr(args, "bundle_out"):  # a command that can write a bundle says where it went
             run.sections["bundle_path"] = bundle_path

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +98,11 @@ def write_json(path, obj) -> None:
 
 
 def _token_to_complex(token: str, path, row: int, col: int) -> complex:
-    normalized = token.replace("i", "j").replace("I", "j")
+    # only the imaginary unit (the last letter, before any closing parenthesis)
+    # becomes j: the i of inf or infinity stays, so those reach the non-finite
+    # refusal as nan does
     try:
-        return complex(normalized)
+        return complex(re.sub(r"[iI](\)?)$", r"j\1", token))
     except ValueError as exc:
         raise ParseError(
             f"{path}: row {row + 1}, entry {col + 1}: cannot parse {token!r}"

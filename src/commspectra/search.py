@@ -324,7 +324,8 @@ def sweep(
     the lift limit (:func:`lifted.check_lift_order`).
 
     Every order, k, ``trials`` and ``seed`` is checked before the first draw;
-    a bool, a float or a negative seed among them is refused. Each order's trials
+    a bool, a float or a negative seed among them is refused, and so is an
+    empty or repeating list of orders. Each order's trials
     run through the batched spectral core in chunks of at most
     ``CHUNK_LIFT_ENTRIES`` lift entries; the report does not depend on where
     the chunks break, and a failed check raises what the lowest failing trial raises.
@@ -339,6 +340,8 @@ def sweep(
     if seed < 0:
         raise PreconditionError(f"seed must be nonnegative, got {seed}")
     orders = [_require_integer(n, "order") for n in n_values]
+    if not orders:
+        raise PreconditionError("sweep names no order")
     if len(set(orders)) != len(orders):
         raise PreconditionError(f"sweep names an order twice: {orders}")
     plan = []

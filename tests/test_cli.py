@@ -20,7 +20,7 @@ from commspectra import (
     unvec,
     vec,
 )
-from commspectra import cli, matrixio, spectra
+from commspectra import cli, ensembles, matrixio, search, spectra
 from commspectra.search import VIOLATION_MARGIN
 from commspectra.verdicts import HYPOTHESIS_TOL, make_bundle
 from conftest import assert_report_valid, make_maximal_pair
@@ -885,6 +885,37 @@ def test_order_17_sweep_bundle_reverifies_from_the_file(cli_main):
     assert abs(verdict.rhs - bundle["rhs"]) <= 1e-9
 
 
+@pytest.mark.parametrize("argv", [("bounds",), ("check", "conj4", "--tol", "-100")])
+def test_order_one_is_refused_by_the_ladder_and_the_c4_profile(cli_main, argv):
+    # both need n >= 2: exit 2 with no report, and no bundle even where a
+    # negative --tol would force one
+    Path("one.json").write_text('{"n": 1, "re": [[2]], "im": [[0]]}\n')
+    code, out, err = cli_main(*argv, "one.json", "--json")
+    assert (code, out) == (2, "") and "needs n >= 2, got 1" in err
+    assert sorted(p.name for p in Path().iterdir()) == ["one.json"]
+
+
+def test_sweep_across_a_chunk_boundary_matches_one_chunk(cli_main, monkeypatch):
+    # order-2 chunks hold 4096 trials, so 4100 trials break once; each trial
+    # is drawn once, and the report is the one a single 4100-trial chunk
+    # gives, at the largest u64 seed
+    argv = ("search", "--objective", "sweep", "--n", "2", "--trials", "4100", "--seed", 2**64 - 1, "--json")
+    assert search._chunk_size(2) == 4096
+    chunks, draw = [], ensembles.gaussian_trials
+
+    def recorded(rng, seed, n, trials):
+        chunks.append(list(trials))
+        return draw(rng, seed, n, trials)
+
+    monkeypatch.setattr(ensembles, "gaussian_trials", recorded)
+    code, chunked, err = cli_main(*argv)
+    assert code == 0, err
+    assert chunks == [list(range(4096)), list(range(4096, 4100))]
+    monkeypatch.setattr(search, "CHUNK_LIFT_ENTRIES", 4100 * 2**4)
+    assert search._chunk_size(2) == 4100
+    assert cli_main(*argv) == (0, chunked, "")
+
+
 def test_each_input_is_read_once_and_digested_as_parsed(cli_main, tmp_path, monkeypatch):
     X = unit_gaussian(trial_rng(97, 0), 3)
     lines = [" ".join(repr(complex(z)).strip("()") for z in row) for row in X]
@@ -928,3 +959,36 @@ def test_spectrum_reads_a_file_with_a_byte_order_mark(cli_main, tmp_path, name):
         assert json.loads(out)["inputs"] == [{"path": str(path), "sha256": digest}]
         texts.append(out.replace(str(path), "PATH").replace(digest, "DIGEST"))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("bundle_out", ["r.json", None])
+def test_out_naming_the_bundle_file_writes_neither(cli_main, matrix_file, bundle_out):
+    # the report written over the bundle would lose the counterexample: the
+    # paths are compared after resolving, so an absolute --out is caught too
+    target = Path(bundle_out or "violation-c4.json")
+    argv = ["check", "conj4", matrix_file, "--tol", "-100", "--out", target.resolve()]
+    if bundle_out:
+        argv += ["--bundle-out", bundle_out]
+    code, out, err = cli_main(*argv)
+    assert (code, out) == (2, "") and f"--out and the violation bundle both name {target}" in err
+    assert not list(Path().iterdir())
+
+
+def test_out_and_bundle_out_alone_write_what_they_did(cli_main, matrix_file):
+    # --out alone: the bundle goes to its default path, the report to --out
+    code, out, _ = cli_main("check", "conj4", matrix_file, "--tol", "-100", "--out", "r.json")
+    assert code == 1 and out.endswith("violation bundle written to violation-c4.json\n")
+    assert json.loads(Path("r.json").read_text())["bundle_path"] == "violation-c4.json"
+    assert read_bundle("violation-c4.json")["conjecture_id"] == "C4"
+    # --bundle-out alone: the bundle goes there and no report file is written
+    Path("r.json").unlink()
+    Path("violation-c4.json").unlink()
+    code, out, _ = cli_main("check", "conj4", matrix_file, "--tol", "-100", "--bundle-out", "r.json")
+    assert code == 1 and out.endswith("violation bundle written to r.json\n")
+    assert read_bundle("r.json")["conjecture_id"] == "C4"
+    assert sorted(p.name for p in Path().iterdir()) == ["r.json"]
+    # a run without a violation writes no bundle, so --out may name its path
+    for extra in (("--bundle-out", "r.json"), ()):
+        name = "r.json" if extra else "violation-c4.json"
+        code, _, _ = cli_main("check", "conj4", matrix_file, "--out", name, *extra)
+        assert code == 0 and json.loads(Path(name).read_text())["bundle_path"] is None

@@ -46,6 +46,9 @@ def test_text_format_tokens_and_sniffing(tmp_path):
     path.write_text("1+2i 3-1I\n0 1j\n")
     X = load_matrix(path)
     assert np.array_equal(X, np.array([[1 + 2j, 3 - 1j], [0, 1j]]))
+    path.write_text("2i 1-I -i\n3.5e-2j (1+2i) 0\n0 0 1\n")
+    want = [[complex(0, 2), complex(1, -1), complex(0, -1)], [complex(0, 0.035), complex(1, 2), 0], [0, 0, 1]]
+    assert load_matrix(path).tobytes() == np.array(want, dtype=complex).tobytes()  # -i's real part is +0.0
     # format detection is content-based: JSON content in a .txt file works
     path2 = tmp_path / "m2.txt"
     save_matrix(path2, X)
@@ -65,14 +68,24 @@ def test_text_format_skips_blank_lines(tmp_path):
         "1 2\n3\n",  # ragged
         "1 2\n",  # non-square
         "1 banana\n2 3\n",  # bad token
-        "inf 0\n0 0\n",  # inf is not a number token here
-        "nan 0\n0 0\n",  # parses but is non-finite
+        "inf 0\n0 0\n",  # parses but is non-finite
+        "nan 0\n0 0\n",
     ],
 )
 def test_text_format_rejections(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content)
     with pytest.raises(ParseError):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("token", ["inf", "-Inf", "infinity", "nan", "1+infi"])
+def test_text_non_finite_tokens_are_refused_as_non_finite(tmp_path, token):
+    # only the imaginary unit becomes j: the i of inf is kept, so an infinite
+    # token parses and meets the same refusal as nan
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{token} 0\n0 0\n")
+    with pytest.raises(ParseError, match="non-finite entries are not accepted"):
         load_matrix(path)
 
 

@@ -195,7 +195,7 @@ def test_dense_ascent_builds_two_lifts_per_iteration(monkeypatch):
     assert lifts == solves == sum(1 + 2 * t.iterations for t in result.restarts)
 
 
-# the real order-6 start of the installed-package CI step
+# a real order-6 start: k = 1 puts its ascent on the Ritz side of the size rule
 REAL6 = np.array(
     [
         [-3, 2, 0, -2, 3, 1],
@@ -475,6 +475,8 @@ def test_sweep_k_rule_variants():
         sweep([2], k_rule=5, trials=1)
     with pytest.raises(PreconditionError):
         sweep([1], trials=1)
+    with pytest.raises(PreconditionError, match="sweep names no order"):
+        sweep([], trials=1)
     # a bool or a float is refused before any draw, not truncated
     for kwargs in (
         dict(n_values=[3], k_rule=2.5),
