@@ -14,7 +14,6 @@ from commspectra import (
     bound_report,
     double_commutator_spectrum,
     load_matrix,
-    partial_sums,
     trial_rng,
     unit_gaussian,
 )
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"\ntrace identity: sum = {total:.12f}, "
           f"2n - 2|Tr X|^2 = {target:.12f}, residual {abs(total - target):.3e}")
 
-    prefix = partial_sums(spec)
+    prefix = spec.partial_sums
     print("\npartial sums vs the open conjectured caps 2k + 2:")
     for k in range(1, min(4, n * n // 2) + 1):
         print(f"  k = {k}: sum of top {2 * k} = {prefix[2 * k - 1]:.6f} "

@@ -73,13 +73,11 @@ from .spectra import (
     BoundReport,
     Spectrum,
     bound_report,
-    cluster_tolerance,
     double_commutator_spectrum,
     first_four_sum_bound,
     majorization_target,
     monitor_majorization,
     monitor_partial_sums,
-    partial_sums,
 )
 from .verdicts import (
     CONJECTURE_IDS,

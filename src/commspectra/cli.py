@@ -419,6 +419,17 @@ COMMANDS = {
 }
 
 
+def _refuse_overwrites(out, bundle_path, inputs) -> None:
+    """Refuse, before anything is written, a report or bundle path that would
+    overwrite an input file or the other output: keep every file."""
+    if out and bundle_path and Path(out).resolve() == Path(bundle_path).resolve():
+        raise PreconditionError(f"--out and the violation bundle both name {bundle_path}")
+    for what, path in (("--out", out), ("the violation bundle", bundle_path)):
+        # every input was read, so it exists; a path that does not is none of them
+        if path and Path(path).exists() and any(Path(path).samefile(s["path"]) for s in inputs):
+            raise PreconditionError(f"{what} names the input file {path}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     runner, render = COMMANDS[args.command]
@@ -428,9 +439,8 @@ def main(argv=None) -> int:
         bundle_path = None
         if code == EXIT_VIOLATION:
             bundle_path = args.bundle_out or f"violation-{run.bundle['conjecture_id'].lower()}.json"
-            if args.out and Path(args.out).resolve() == Path(bundle_path).resolve():
-                # the report would overwrite the bundle: keep neither
-                raise PreconditionError(f"--out and the violation bundle both name {bundle_path}")
+        _refuse_overwrites(args.out, bundle_path, run.inputs)
+        if bundle_path:
             write_bundle(bundle_path, run.bundle)
         if hasattr(args, "bundle_out"):  # a command that can write a bundle says where it went
             run.sections["bundle_path"] = bundle_path

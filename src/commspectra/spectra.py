@@ -22,9 +22,9 @@ real matrices in real arithmetic, trace-identity residuals),
 :func:`partial_sum_batch` (C2A) and :func:`majorization_batch` (C4). Each runs
 the same lines on one matrix (n, n) as on a stack (..., n, n); fields carry
 the input's leading shape, so one matrix's scalar fields are numpy scalars.
-The per-matrix functions call it directly. The C2A and C4 batches take a
-:class:`Spectrum` or a descending array of its values. The ladder, the C2A
-monitor and :func:`majorization_target` refuse order 1;
+The per-matrix functions call it directly. The ladder and both monitor
+batches read a :class:`Spectrum` only, never a bare array of values. The
+ladder, the C2A monitor and :func:`majorization_target` refuse order 1;
 :func:`verdicts.require` raises.
 
 X / ||X|| is computed once, in :func:`spectral_batch`, from the same scaling
@@ -32,7 +32,8 @@ pass as ``norm_scale``; a :class:`Spectrum` carries it as ``matrix``, and the
 ladder, the monitors and their bundles read it, so every verdict refers to
 exactly the matrix that was judged. The prefix sums of a spectrum are taken
 once too: the ladder, both monitors and the report read
-``Spectrum.partial_sums``.
+``Spectrum.partial_sums``. Neighbours closer than ``CLUSTER_TOL`` share a
+cluster: every spectrum is of a unit matrix, so one absolute gap serves all.
 """
 from __future__ import annotations
 
@@ -47,17 +48,8 @@ from .lifted import double_commutator_lift
 from .matrices import _unit_and_norm, as_matrix, herm_skew_split
 from .verdicts import DEFAULT_TOL, IDENTITY_TOL, PROVEN_TOL, ConjectureVerdict, holds, judge, require
 
-CLUSTER_TOL_FLOOR = 1e-7
+CLUSTER_TOL = 1e-7
 LAMBDA13_BOUND = (4.0 + np.sqrt(10.0)) / 2.0
-
-
-def cluster_tolerance(lambda1: float) -> float:
-    """Gap below which neighboring eigenvalues belong to one cluster.
-
-    Spectra here are of unit matrices, so lambda_1 <= 2 and 1e-9 lambda_1 never
-    beats the 1e-7 floor: the floor alone decides every cluster, and a
-    near-scalar matrix, its whole spectrum below 1e-7, is one cluster."""
-    return max(CLUSTER_TOL_FLOOR, 1e-9 * lambda1)
 
 
 @dataclass(frozen=True)
@@ -85,20 +77,25 @@ class Spectrum:
     @cached_property
     def clusters(self) -> tuple[tuple[float, int], ...]:
         """(representative value, multiplicity) per group under
-        :func:`cluster_tolerance`, for the spectrum of one matrix."""
+        ``CLUSTER_TOL``, for the spectrum of one matrix."""
         return _cluster(self.values)
 
     @cached_property
     def pairing_ok(self) -> bool:
         """Whether every positive cluster of one matrix's spectrum has even multiplicity."""
-        tol = cluster_tolerance(float(self.values[0]))
-        return all(mult % 2 == 0 for val, mult in self.clusters if val > tol)
+        return all(mult % 2 == 0 for val, mult in self.clusters if val > CLUSTER_TOL)
 
     @cached_property
     def partial_sums(self) -> np.ndarray:
-        """:func:`partial_sums` of ``values``, taken once per spectrum and
-        shared by the ladder, both monitors and the report (so read-only)."""
-        sums = partial_sums(self.values)
+        """Prefix sums of ``values`` along the last axis, nondecreasing,
+        taken once per spectrum and shared by the ladder, both monitors and
+        the report (so read-only).
+
+        Rounding noise below zero (bounded by the PSD invariant) is clipped so
+        monotonicity holds exactly; the final entry equals the trace identity
+        value to ``IDENTITY_TOL``.
+        """
+        sums = np.cumsum(np.maximum(self.values, 0.0), axis=-1)
         sums.flags.writeable = False
         return sums
 
@@ -120,8 +117,7 @@ class Spectrum:
 
 
 def _cluster(values: np.ndarray) -> tuple[tuple[float, int], ...]:
-    tol = cluster_tolerance(float(values[0]))
-    starts = np.flatnonzero(~(values[:-1] - values[1:] < tol)) + 1
+    starts = np.flatnonzero(~(values[:-1] - values[1:] < CLUSTER_TOL)) + 1
     edges = np.concatenate(([0], starts, [values.size]))
     counts = np.diff(edges)
     # sum each group's offsets from its first value: a long sequential sum
@@ -174,20 +170,6 @@ def double_commutator_spectrum(X) -> Spectrum:
     return spec
 
 
-def partial_sums(spectrum: Spectrum | np.ndarray) -> np.ndarray:
-    """Prefix sums of a spectrum (a :class:`Spectrum` or its ``values``)
-    along its last axis, nondecreasing; a :class:`Spectrum` returns its
-    cached ``partial_sums``.
-
-    Rounding noise below zero (bounded by the PSD invariant) is clipped so
-    monotonicity holds exactly; the final entry equals the trace identity
-    value to ``IDENTITY_TOL``.
-    """
-    if isinstance(spectrum, Spectrum):
-        return spectrum.partial_sums
-    return np.cumsum(np.maximum(spectrum, 0.0), axis=-1)
-
-
 def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Caps on the top-2k eigenvalue sum of T_X for unit X of order n, per k:
     the conjectured 2k + 2 (id C2A) and the proven min(2k + 1 + 2 sqrt(k), 2n).
@@ -196,17 +178,14 @@ def partial_sum_caps(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * k + 2.0, np.minimum(2.0 * k + 1.0 + 2.0 * np.sqrt(k), 2.0 * n)
 
 
-def partial_sum_batch(
-    values: Spectrum | np.ndarray, ks, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C2A on descending spectra (..., n^2) of unit-norm matrices: a
-    :class:`Spectrum` or its ``values``.
+def partial_sum_batch(spec: Spectrum, ks, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C2A on the spectra (..., n^2) of a :class:`Spectrum`.
 
     Returns (holds, lhs, rhs): per (matrix, k) whether the top-2k sum lhs
     (..., len(ks)) is at most the conjectured cap rhs = 2k + 2 (len(ks),).
     """
     ks = np.asarray(ks, dtype=np.intp)
-    lhs = partial_sums(values)[..., 2 * ks - 1]
+    lhs = spec.partial_sums[..., 2 * ks - 1]
     rhs = 2.0 * ks.astype(np.float64) + 2.0  # partial_sum_caps' conjectured cap, bit for bit
     return holds(lhs, rhs, tol), lhs, rhs
 
@@ -226,26 +205,14 @@ def _majorization_prefix(n: int) -> np.ndarray:
     return sums
 
 
-def majorization_batch(
-    values: Spectrum | np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C4 on descending spectra (..., n^2) of unit-norm matrices: a
-    :class:`Spectrum` or its ``values``.
+def majorization_batch(spec: Spectrum, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C4 on the spectra (..., n^2) of a :class:`Spectrum`.
 
-    Returns per matrix (dominated, lhs, rhs): the :func:`partial_sums` of
-    the spectrum and the prefix sums of :func:`majorization_target` at the
-    worst prefix, the first where the excess of the one over the other is
-    largest. A raw array's rows must be descending: a rise above 1e-9 of
-    the row's scale, max(|v|, 2), is refused (a :class:`Spectrum` is
-    descending by the eigensolver's contract).
+    Returns per matrix (dominated, lhs, rhs): ``Spectrum.partial_sums`` and
+    the prefix sums of :func:`majorization_target` at the worst prefix, the
+    first where the excess of the one over the other is largest.
     """
-    if not isinstance(values, Spectrum):
-        rises = np.diff(values, axis=-1)
-        # the scale is at least 2, so only a row that rises at all can be refused
-        if (rises > 0.0).any() and (rises > 1e-9 * np.abs(values).max(axis=-1, initial=2.0)[..., None]).any():
-            raise PreconditionError("inputs must be sorted in descending order")
-    cv = partial_sums(values)
-    ct = _majorization_prefix(round(np.sqrt(cv.shape[-1])))
+    cv, ct = spec.partial_sums, _majorization_prefix(spec.order)
     worst = np.argmax(cv - ct, axis=-1)
     lhs, rhs = np.take_along_axis(cv, worst[..., None], -1)[..., 0], ct[worst]
     return holds(lhs, rhs, tol), lhs, rhs

@@ -193,6 +193,26 @@ def test_input_errors_exit_2(run_cli, argv):
     assert "error:" in proc.stderr
 
 
+# (argv, the refusal's message), run in process: the subprocess runs above
+# check only the exit code
+REFUSALS = {
+    "seed_past_u64": (["spectrum", "MATRIX", "--seed", "18446744073709551616"],
+                      "seed must fit in an unsigned 64-bit integer"),
+    "negative_error_bound": (["verify-paper-example", "--tol", "-1"], "an error bound cannot be negative"),
+    "order_not_an_integer": (["search", "--n", "x", "--seed", "1"], "bad --n value 'x'"),
+    "ascent_of_two_orders": (["search", "--n", "2,3", "--seed", "1"],
+                             "--objective partial-sum/lambda13 takes a single order"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(cli_main, matrix_file, case):
+    argv, message = REFUSALS[case]
+    code, out, err = cli_main(*[matrix_file if a == "MATRIX" else a for a in argv])
+    assert (code, out) == (2, "") and message in err
+    assert not list(Path().iterdir())
+
+
 def test_bad_token_file_exits_2(run_cli, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 nonsense\n2 3\n")
@@ -972,6 +992,41 @@ def test_out_naming_the_bundle_file_writes_neither(cli_main, matrix_file, bundle
     code, out, err = cli_main(*argv)
     assert (code, out) == (2, "") and f"--out and the violation bundle both name {target}" in err
     assert not list(Path().iterdir())
+
+
+# (argv, the output path as given): each run would end by writing its report
+# or bundle over one of its input files
+OVERWRITES = {
+    "spectrum_out": (["spectrum", "x.txt", "--out", "x.txt"], "x.txt"),
+    "spectrum_out_through_a_link": (["spectrum", "x.json", "--out", "link.json"], "link.json"),
+    "check_bundle_out": (["check", "conj4", "y.json", "--tol", "-100", "--bundle-out", "y.json"], "y.json"),
+    "check_bundle_out_dotted": (["check", "conj4", "y.json", "--tol", "-100", "--bundle-out", "./y.json"], "./y.json"),
+    "default_bundle_path": (["check", "conj4", "violation-c4.json", "--tol", "-100"], "violation-c4.json"),
+    "second_isotropic_input": (["check", "isotropic", "x.json", "y.json", "y2.json", "--out", "y.json"], "y.json"),
+    "search_user_matrix": (
+        ["search", "--n", "2", "--init", "user_matrix", "--matrix", "m.json", "--restarts", "1",
+         "--seed", "0", "--out", "m.json"],
+        "m.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITES)
+def test_no_output_overwrites_an_input(cli_main, isotropic_family, case):
+    argv, path = OVERWRITES[case]
+    X = unit_gaussian(trial_rng(90, 0), 3)
+    Path("x.txt").write_text("1 2+1i 0\n-3i 4 1\n0 1 -2j\n")
+    save_matrix("x.json", X)
+    for name, Y in zip(("y.json", "y2.json"), isotropic_family(X, 2, trial_rng(90, 1))):
+        save_matrix(name, Y)
+    save_matrix("violation-c4.json", X)
+    save_matrix("m.json", make_maximal_pair(2)[0])
+    Path("link.json").symlink_to("x.json")
+    before = {f.name: f.read_bytes() for f in Path().iterdir()}
+    code, out, err = cli_main(*argv)
+    assert (code, out) == (2, "") and f"names the input file {path}\n" in err
+    # every input keeps its bytes, and no file is written
+    assert {f.name: f.read_bytes() for f in Path().iterdir()} == before
 
 
 def test_out_and_bundle_out_alone_write_what_they_did(cli_main, matrix_file):

@@ -21,7 +21,6 @@ from commspectra import (
     monitor_majorization,
     monitor_partial_sums,
     normalized,
-    partial_sums,
     read_bundle,
     reverify_bundle,
     trial_rng,
@@ -142,6 +141,9 @@ def test_check_lu_lemma_hypothesis_errors():
         check_lu_lemma(center_normalize([1.0, -1.0]), [[0.0, -1.0], [0.0, 0.0]])
     with pytest.raises(PreconditionError):
         check_lu_lemma(center_normalize([1.0, -1.0]), np.zeros((3, 3)))
+    for etas, r in (([np.nan, 0.0], [[0.0, 1.0], [0.0, 0.0]]), ([1.0, -1.0], [[0.0, np.inf], [0.0, 0.0]])):
+        with pytest.raises(PreconditionError, match="non-finite input"):
+            check_lu_lemma(etas, r)
 
 
 def test_check_numbers_lemma_saturating_single_pair():
@@ -163,6 +165,9 @@ def test_check_numbers_lemma_hypothesis_errors():
     assert not v.hypotheses_hold and not v.satisfied and v.witness is None
     with pytest.raises(PreconditionError):
         check_numbers_lemma([r], [r], np.ones((2, 2)))
+    for etas, omegas, pattern in (([np.nan], [r], [[1.0]]), ([r], [np.inf], [[1.0]]), ([r], [r], [[np.nan]])):
+        with pytest.raises(PreconditionError, match="non-finite input"):
+            check_numbers_lemma(etas, omegas, pattern)
 
 
 def test_isotropic_families_satisfy_trace_bound(isotropic_family):
@@ -221,7 +226,7 @@ def _partial_sum_two_ways(X, k):
     """The 2k-partial eigenvalue sum of T_X for X / ||X||: from the spectrum,
     and as the energy sum ||[Xhat, B_a]||^2 of an orthonormal top family."""
     Xh = normalized(X)
-    direct = float(partial_sums(double_commutator_spectrum(Xh))[2 * k - 1])
+    direct = float(double_commutator_spectrum(Xh).partial_sums[2 * k - 1])
     mats = _top_family(Xh, 2 * k)
     return direct, sum(float(np.linalg.norm(commutator(Xh, Ba)) ** 2) for Ba in mats)
 
@@ -290,6 +295,13 @@ def test_bundle_construction_validation():
     for payload in ({"re": [["x"]]}, [[1.0]], {"re": [1.0, 0.0]}, {"re": [[1.0]], "im": [[0.0, 0.0]]}):
         with pytest.raises(ParseError):
             reverify_bundle({"conjecture_id": "C4", "m": 1, "matrices": [payload]})
+    with pytest.raises(ParseError, match="bundle m does not match len"):
+        reverify_bundle({"conjecture_id": "C4", "m": 2, "matrices": [{"re": [[1.0]]}]})
+    # the scalar lemmas' r (and NUMBERS' eta and omega rows) must be real
+    row, complex_r = {"re": [[0.5, -0.5]]}, {"re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 1.0], [0.0, 0.0]]}
+    for cid, mats in (("LU_LEMMA", [row, complex_r]), ("NUMBERS_LEMMA", [row, row, complex_r])):
+        with pytest.raises(ParseError, match="r payload must be real"):
+            reverify_bundle({"conjecture_id": cid, "m": len(mats), "matrices": mats})
 
 
 def test_checker_table_covers_every_id_and_refuses_other_layouts():

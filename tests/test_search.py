@@ -543,7 +543,6 @@ def _reference_sweep(n_values, k_rule, trials, seed, tol):
     from commspectra import (
         bound_report,
         monitor_majorization,
-        partial_sums,
         trial_rng,
         unit_gaussian,
     )
@@ -559,7 +558,7 @@ def _reference_sweep(n_values, k_rule, trials, seed, tol):
             X = unit_gaussian(trial_rng(seed, n, t), n, real=bool(t % 2))
             spec = double_commutator_spectrum(X)
             assert bound_report(X, spectrum=spec).all_proven_hold
-            prefix = partial_sums(spec)
+            prefix = spec.partial_sums
             for j, k in enumerate(ks):
                 f = float(prefix[2 * k - 1])
                 if f > max_f[j]:

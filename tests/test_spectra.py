@@ -12,7 +12,6 @@ from commspectra import (
     DegenerateInputError,
     PreconditionError,
     bound_report,
-    cluster_tolerance,
     commutator,
     double_commutator_lift,
     double_commutator_spectrum,
@@ -22,7 +21,6 @@ from commspectra import (
     monitor_majorization,
     monitor_partial_sums,
     normalized,
-    partial_sums,
     random_normal_matrix,
     random_rank_one,
     trial_rng,
@@ -31,6 +29,7 @@ from commspectra import (
 )
 from commspectra import eigensolver
 from commspectra.spectra import (
+    CLUSTER_TOL,
     Spectrum,
     _cluster,
     ladder_batch,
@@ -172,11 +171,6 @@ def test_spectrum_rejects_zero_and_oversize():
     assert spec.order == 17
 
 
-def test_cluster_tolerance_floor():
-    assert cluster_tolerance(0.0) == pytest.approx(1e-7)
-    assert cluster_tolerance(1e4) == pytest.approx(1e-5)
-
-
 def _partner(X, Y, value):
     """The partner [X, Y]* / sqrt(value) of an eigenpair (Y, value) of T_X."""
     return commutator(X, Y).conj().T / np.sqrt(value)
@@ -213,7 +207,7 @@ def test_partial_sums_monotone_and_total():
     rng = trial_rng(34, 0)
     X = unit_gaussian(rng, 3)
     spec = double_commutator_spectrum(X)
-    prefix = partial_sums(spec)
+    prefix = spec.partial_sums
     assert np.all(np.diff(prefix) >= 0)
     assert prefix[-1] == pytest.approx(float(spec.values.sum()), abs=1e-9)
 
@@ -226,36 +220,20 @@ def test_majorization_target_profiles():
         majorization_target(1)
 
 
+def _rows(values):
+    """A :class:`Spectrum` of synthetic descending rows (..., n^2), for the
+    monitor batches, which read only its values and order."""
+    values = np.asarray(values, dtype=np.float64)
+    lead, n = values.shape[:-1], math.isqrt(values.shape[-1])
+    return Spectrum(values, np.ones(lead), np.zeros(lead), np.zeros((*lead, n, n), dtype=complex))
+
+
 def test_check_weak_majorization_paths():
     # at n = 2 the target profile is [2, 2, 0, 0]
-    ok, lhs, rhs = majorization_batch(np.array([[2.0, 2, 0, 0], [3, 0, 0, 0]]))
+    ok, lhs, rhs = majorization_batch(_rows([[2.0, 2, 0, 0], [3, 0, 0, 0]]))
     assert ok.tolist() == [True, False]
     # the second row's worst prefix is its first entry: 3 against 2
     assert lhs[1] == pytest.approx(3.0) and rhs[1] == pytest.approx(2.0)
-    with pytest.raises(PreconditionError):
-        majorization_batch(np.array([[0.0, 1, 0, 0]]))
-
-
-def _rise_at_the_edge(a: float, scale: float) -> tuple[float, float]:
-    """Neighbouring floats lo < hi with lo - a <= 1e-9 scale < hi - a."""
-    edge = 1e-9 * scale
-    b = a + edge
-    while b - a > edge:
-        b = np.nextafter(b, -np.inf)
-    while b - a <= edge:
-        b = np.nextafter(b, np.inf)
-    return np.nextafter(b, -np.inf), b
-
-
-@pytest.mark.parametrize("first, last, scale", [(1.0, 0.0, 2.0), (5.0, 0.0, 5.0), (1.0, -5.0, 5.0)])
-def test_majorization_refuses_a_rise_just_above_the_sort_tolerance(first, last, scale):
-    # a row may rise by at most 1e-9 of its scale, max(|v|, 2), 2 being the
-    # profile's top entry; a larger row elsewhere in the stack does not count
-    lo, hi = _rise_at_the_edge(0.5, scale)
-    other = [50.0, 0.0, 0.0, 0.0]
-    majorization_batch(np.array([other, [first, 0.5, lo, last]]))
-    with pytest.raises(PreconditionError, match="descending"):
-        majorization_batch(np.array([other, [first, 0.5, hi, last]]))
 
 
 def test_bound_report_extremal_diagonal():
@@ -293,6 +271,8 @@ def test_bound_report_random_ladder_holds():
 def test_bound_report_rejects_order_one():
     with pytest.raises(PreconditionError):
         bound_report(np.array([[2.0]]))
+    with pytest.raises(PreconditionError, match="the certificate needs n >= 2"):
+        first_four_sum_bound(np.array([[2.0]]))
 
 
 def test_lambda13_bound_constant():
@@ -373,22 +353,20 @@ def test_each_spectrum_takes_its_prefix_sums_once(monkeypatch):
     from commspectra.search import sweep
 
     calls, profiles = [], []
-    real = commspectra.spectra.partial_sums
+    cached = Spectrum.__dict__["partial_sums"]
+    real = cached.func
     target = commspectra.spectra.majorization_target
 
-    def counted(spectrum):
-        if not isinstance(spectrum, Spectrum):  # a Spectrum hands back its cached sums
-            calls.append(None)
-        return real(spectrum)
+    def counted(spec):
+        calls.append(None)
+        return real(spec)
 
     def counted_target(n):
         profiles.append(n)
         return target(n)
 
-    for name in ("spectra", "reporting", "search", "conjectures"):
-        module = getattr(commspectra, name)
-        if getattr(module, "partial_sums", None) is real:
-            monkeypatch.setattr(module, "partial_sums", counted)
+    # count each computation of the cached prefix sums, not each read of them
+    monkeypatch.setattr(cached, "func", counted)
     monkeypatch.setattr(commspectra.spectra, "majorization_target", counted_target)
     commspectra.spectra._majorization_prefix.cache_clear()
     X = unit_gaussian(trial_rng(63, 0), 5)
@@ -441,16 +419,16 @@ def test_c4_is_c2a_at_every_k_up_to_n_minus_1():
     # 2n - 2 on the profile sums to 2n, which the trace identity bounds.
     rng = np.random.default_rng(64)
     for n, spec in _c4_draws(range(2, 9), 4):
-        excess = partial_sums(spec) - np.cumsum(majorization_target(n))
+        excess = spec.partial_sums - np.cumsum(majorization_target(n))
         excess = np.concatenate([np.zeros((len(excess), 1)), excess], axis=-1)
         odd = np.arange(1, n * n, 2)
         np.testing.assert_allclose(excess[:, odd], (excess[:, odd - 1] + excess[:, odd + 1]) / 2, rtol=0, atol=1e-14)
         ks = np.arange(1, n)
-        for values in (spec, _paired_profiles(rng, n, 40)):
-            c2a = partial_sum_batch(values, ks)[0].all(axis=-1)
-            assert (majorization_batch(values)[0] == c2a).all()
+        for rows in (spec, _rows(_paired_profiles(rng, n, 40))):
+            c2a = partial_sum_batch(rows, ks)[0].all(axis=-1)
+            assert (majorization_batch(rows)[0] == c2a).all()
     # the synthetic spectra breach both somewhere, so the equivalence is not vacuous
-    assert not majorization_batch(_paired_profiles(rng, 4, 40))[0].all()
+    assert not majorization_batch(_rows(_paired_profiles(rng, 4, 40)))[0].all()
 
 
 def test_c4_of_a_spectrum_keeps_the_unclipped_bits():
@@ -577,7 +555,7 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
     # one real solve for the real rows, one complex solve for the others
     assert solves == [(np.float64, 3), (np.complex128, 5)]
     ladder = ladder_batch(batch)
-    _, lhs, rhs = partial_sum_batch(batch.values, np.arange(1, 9))
+    _, lhs, rhs = partial_sum_batch(batch, np.arange(1, 9))
 
     def assert_row(got, stack, i):
         """Every field of ``got`` (and entry of a dict field) is row i of ``stack``'s, bit for bit."""
@@ -617,8 +595,7 @@ def test_mixed_stack_rows_match_batches_of_one(monkeypatch):
 
 def _cluster_loop(values):
     """The reference clustering: one np.split group at a time."""
-    tol = cluster_tolerance(float(values[0]))
-    starts = np.flatnonzero(~(values[:-1] - values[1:] < tol)) + 1
+    starts = np.flatnonzero(~(values[:-1] - values[1:] < CLUSTER_TOL)) + 1
     return [(float(g.mean()), g.size) for g in np.split(values, starts)]
 
 
@@ -643,6 +620,11 @@ def test_cluster_matches_reference_loop():
         assert max(abs(v - w) for (v, _), (w, _) in zip(got, want)) <= 4e-16
         largest = max(largest, max(m for _, m in got))
     assert largest == 226  # the kernel of an order-16 rank-one matrix
+    # one absolute gap for every spectrum, at the top (lambda_1 = 2) as at zero
+    assert CLUSTER_TOL == 1e-7
+    for top in (2.0, 1e-6):
+        assert [m for _, m in _cluster(np.array([top, top - 0.9e-7, 0.0]))] == [2, 1]
+        assert [m for _, m in _cluster(np.array([top, top - 1.1e-7, 0.0]))] == [1, 1, 1]
 
 
 def test_cluster_means_are_within_one_ulp_of_the_exact_mean():
